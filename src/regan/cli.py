@@ -74,7 +74,6 @@ class AnalysisConfig:
     family: dict
     analyses: tuple = ("validate", "moments", "probes", "criteria")
     radius_count: int = 20
-    seed: int = 0
     probes: ProbeConfig = dc_field(default_factory=ProbeConfig)
     criteria: CriteriaConfig = dc_field(default_factory=CriteriaConfig)
     quadrature: QuadConfig = dc_field(default_factory=QuadConfig)
@@ -86,17 +85,31 @@ class AnalysisConfig:
                                           self.quadrature.rel_tol)
 
 
-def _apply_section(instance, section: dict, name: str, violations: list,
+def _apply_section(instance, section, name: str, violations: list,
                    positive: tuple = ()):
+    if not isinstance(section, dict):
+        violations.append(f"{name} must be an object")
+        return
     known = set(instance.__dataclass_fields__)
     for key, value in section.items():
         if key not in known:
             violations.append(f"{name}: unknown key {key!r}")
             continue
         current = getattr(instance, key)
-        if isinstance(current, tuple) and isinstance(value, list):
+        if isinstance(current, tuple):
+            if not isinstance(value, list) or not all(
+                    isinstance(v, (int, float)) and not isinstance(v, bool) for v in value):
+                violations.append(f"{name}.{key} must be a list of numbers")
+                continue
             value = tuple(value)
-        setattr(instance, key, type(current)(value) if not isinstance(current, tuple) else value)
+        else:
+            try:
+                value = type(current)(value)
+            except (TypeError, ValueError):
+                violations.append(f"{name}.{key} must be of type "
+                                  f"{type(current).__name__}, got {value!r}")
+                continue
+        setattr(instance, key, value)
     for key in positive:
         if getattr(instance, key) <= 0:
             violations.append(f"{name}.{key} must be positive")
@@ -112,7 +125,7 @@ def validate_config(raw) -> AnalysisConfig:
     if not isinstance(raw, dict):
         raise ConfigError(["config must be a JSON object"])
     violations = []
-    known_top = {"schema", "family", "analyses", "radius_count", "seed",
+    known_top = {"schema", "family", "analyses", "radius_count",
                  "probes", "criteria", "quadrature", "pde"}
     for key in raw:
         if key not in known_top:
@@ -140,10 +153,13 @@ def validate_config(raw) -> AnalysisConfig:
         violations.append("compare requires pde")
 
     config = AnalysisConfig(family=family, analyses=tuple(analyses))
-    config.radius_count = int(raw.get("radius_count", 20))
+    try:
+        config.radius_count = int(raw.get("radius_count", 20))
+    except (TypeError, ValueError):
+        violations.append(f"radius_count must be an integer, "
+                          f"got {raw['radius_count']!r}")
     if config.radius_count < 1:
         violations.append("radius_count must be positive")
-    config.seed = int(raw.get("seed", 0))
     _apply_section(config.probes, raw.get("probes", {}), "probes", violations,
                    positive=("t_max", "rtol", "kappa_threshold", "slope_margin",
                              "const_tol", "growth_factor"))
@@ -155,10 +171,11 @@ def validate_config(raw) -> AnalysisConfig:
                    violations, positive=("base_nodes", "max_nodes", "rel_tol"))
     _apply_section(config.pde, raw.get("pde", {}), "pde", violations,
                    positive=("h", "half_width", "p", "solver_tol"))
-    if isinstance(raw.get("probes"), dict) and "s_grid" in raw["probes"]:
-        grid = raw["probes"]["s_grid"]
-        if not grid or sorted(grid) != list(grid):
-            violations.append("probes.s_grid must be nonempty and sorted")
+    grid = list(config.probes.s_grid)
+    if not grid or sorted(grid) != grid:
+        violations.append("probes.s_grid must be nonempty and sorted")
+    elif grid[-1] >= config.probes.t_max:
+        violations.append("probes.s_grid entries must lie below probes.t_max")
     if config.pde.boundary not in pdelab.BOUNDARY_LIBRARY:
         violations.append(f"pde.boundary must be one of "
                           f"{sorted(pdelab.BOUNDARY_LIBRARY)}")
@@ -311,8 +328,7 @@ def _stage_pde(config, field, out_dir):
     prof_control = pdelab.decompose(U_control, pc.h, pc.half_width, radii, pc.p,
                                     pc.nodes_per_circle)
     floor = {
-        "lip": np.linalg.norm(prof_control.V, axis=1) * 0.0
-        + np.linalg.norm(prof_control.rVprime, axis=1),
+        "lip": np.linalg.norm(prof_control.rVprime, axis=1),
         "rvp": np.linalg.norm(prof_control.rVprime, axis=1),
         "w_ratio": prof_control.M1p_W / np.maximum(
             np.asarray(field.modulus(prof_control.radii), dtype=float)
@@ -365,13 +381,13 @@ def _stage_compare(config, field, out_dir, pde_payload):
 
 
 def _verdict_block(results: dict) -> dict:
+    """Headline and probe note; a stage whose entry is an error adds nothing."""
     conclusion = NO_GUARANTEE
-    if "criteria" in results:
-        mapped = results["criteria"]["conclusion"]
-        if mapped != criteria.NONE:
-            conclusion = mapped
+    mapped = results.get("criteria", {}).get("conclusion", criteria.NONE)
+    if mapped != criteria.NONE:
+        conclusion = mapped
     probe_note = None
-    if "probes" in results:
+    if "uniform_stability" in results.get("probes", {}):
         stab = results["probes"]["uniform_stability"]
         const = results["probes"]["asymptotic_constancy"]
         probe_note = f"probes: {stab} / {const}"
@@ -461,10 +477,6 @@ def main(argv=None) -> int:
     run_p = sub.add_parser("run", help="run a configured analysis pipeline")
     run_p.add_argument("--config", required=True, help="path to a JSON config")
     run_p.add_argument("--out", required=True, help="output directory")
-    run_p.add_argument("--threads", type=int, default=1,
-                       help="recorded in the report; computation is single-threaded")
-    run_p.add_argument("--seed", type=int, default=None,
-                       help="override the config seed")
     sub.add_parser("families", help="list built-in family descriptors")
 
     args = parser.parse_args(argv)
@@ -483,8 +495,6 @@ def main(argv=None) -> int:
         for violation in exc.violations:
             print(f"config error: {violation}", file=sys.stderr)
         return 2
-    if args.seed is not None:
-        config.seed = args.seed
     _, code = run_pipeline(config, args.out)
     return code
 

@@ -170,8 +170,7 @@ def _check_profile_bound(profile: RadialProfile):
         )
 
 
-def _field_with_target(target, base_other, perturbation, modulus, label,
-                       ellipticity_lower):
+def _field_with_target(target, perturbation, modulus, label, ellipticity_lower):
     one = lambda x, y: np.ones_like(np.asarray(x, dtype=float))
     zero = lambda x, y: np.zeros_like(np.asarray(x, dtype=float))
     evals = {"a": one, "b": zero, "c": one}
@@ -213,7 +212,7 @@ def make_harmonic_family(target: str, radial_profile: RadialProfile,
         analytic_tail=radial_profile.analytic_tail,
     )
     label = f"harmonic({target}, n={n}, {radial_profile.label})"
-    return _field_with_target(target, None, perturbation, modulus, label,
+    return _field_with_target(target, perturbation, modulus, label,
                               ellipticity_lower=2.0)
 
 
@@ -233,7 +232,7 @@ def make_radial_family(target: str, radial_profile: RadialProfile) -> Coefficien
         analytic_tail=radial_profile.analytic_tail,
     )
     label = f"radial({target}, {radial_profile.label})"
-    return _field_with_target(target, None, perturbation, modulus, label,
+    return _field_with_target(target, perturbation, modulus, label,
                               ellipticity_lower=2.0)
 
 

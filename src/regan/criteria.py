@@ -11,19 +11,26 @@ windows and reported three-valued with witness tables:
                      by the two a-moments alone; boundedness/convergence of
                      their prefix integrals is tested separately
 
+Each check reads the drift matrix R(t) from a system with `matrix(t)`;
+the decoupled case also reads the six moments through `moments(t)`, which
+`dynsys.ReducedSystem` provides.  `run_all_criteria` builds one reduced
+system per field and passes it to all four checks, so every radius is
+evaluated once.
+
 Criteria are sufficient, not necessary: a failed criterion never refutes
 stability, and the report notes when probes and criteria disagree.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from . import tails
 from .coeff import CoefficientField
-from .moments import DEFAULT_QUADRATURE, QuadratureSettings, moment_matrix, moment_vector
+from .dynsys import ReducedSystem
+from .moments import DEFAULT_QUADRATURE, QuadratureSettings
+from .moments import moment_vector  # noqa: F401 - bench/tracer.py patches it here
 from .tails import CONVERGED, DIVERGED, FAILS, HOLDS, INCONCLUSIVE, LN2
 
 SECOND_ORDER = "second_order_differentiable"
@@ -61,30 +68,21 @@ class CriteriaSettings:
     applicability_samples: int = 33
 
 
-def _system_evaluator(field: CoefficientField, quad: QuadratureSettings):
-    def at(t: float) -> np.ndarray:
-        r = min(1.0, math.exp(-t))
-        return moment_matrix(moment_vector(field, r, quad))
-
-    return at
-
-
 def _window_sums_of(fn, n_windows: int) -> np.ndarray:
     """Window integrals of a scalar function of t given pointwise (non-vectorized)."""
     return tails.dyadic_window_sums(
         lambda ts: np.array([fn(float(t)) for t in np.atleast_1d(ts)]), n_windows)
 
 
-def check_dini_integrability(field: CoefficientField,
-                             settings: CriteriaSettings = CriteriaSettings(),
-                             quad: QuadratureSettings = DEFAULT_QUADRATURE) -> CriterionResult:
+def check_dini_integrability(system,
+                             settings: CriteriaSettings = CriteriaSettings()) -> CriterionResult:
     """Criterion dini_R: the drift matrix is integrable against dr/r.
 
     Equivalently integral over t of the max-entry norm of R(t).  Holding
     implies the full conclusion (second-order differentiability).
     """
-    R_at = _system_evaluator(field, quad)
-    sums = _window_sums_of(lambda t: float(np.max(np.abs(R_at(t)))), settings.n_windows)
+    sums = _window_sums_of(lambda t: float(np.max(np.abs(system.matrix(t)))),
+                           settings.n_windows)
     analysis = tails.analyze_sums(tails.group_sums(sums, settings.group), settings.tol)
     verdict = _VERDICT_FROM_TAIL[analysis.verdict]
     return CriterionResult(
@@ -96,19 +94,16 @@ def check_dini_integrability(field: CoefficientField,
     )
 
 
-def check_symmetric_part_bound(field: CoefficientField,
-                               settings: CriteriaSettings = CriteriaSettings(),
-                               quad: QuadratureSettings = DEFAULT_QUADRATURE) -> CriterionResult:
+def check_symmetric_part_bound(system,
+                               settings: CriteriaSettings = CriteriaSettings()) -> CriterionResult:
     """Criterion eigenvalue_bound: window integrals of mu(-(R+R^T)/2) stay bounded.
 
     The running sup over all dyadic window pairs of the integral must
     stabilize below a finite bound; the measured bound is recorded.
     Holding implies a Lipschitz gradient.
     """
-    R_at = _system_evaluator(field, quad)
-
     def mu(t: float) -> float:
-        R = R_at(t)
+        R = system.matrix(t)
         S = -0.5 * (R + R.T)
         return float(np.linalg.eigvalsh(S)[-1])
 
@@ -129,9 +124,8 @@ def check_symmetric_part_bound(field: CoefficientField,
     )
 
 
-def check_iterated_integral(field: CoefficientField,
-                            settings: CriteriaSettings = CriteriaSettings(),
-                            quad: QuadratureSettings = DEFAULT_QUADRATURE) -> CriterionResult:
+def check_iterated_integral(system,
+                            settings: CriteriaSettings = CriteriaSettings()) -> CriterionResult:
     """Criterion iterated_L1: |R(t) * int_t^inf R dtau| integrable in t.
 
     The inner integral is the r-form integral of R against dr/r from 0 to
@@ -142,8 +136,7 @@ def check_iterated_integral(field: CoefficientField,
     nodes_per_window = 16
     n_nodes = settings.n_windows * nodes_per_window + 1
     t_grid = np.linspace(0.0, settings.n_windows * LN2, n_nodes)
-    R_at = _system_evaluator(field, quad)
-    R_grid = np.array([R_at(float(t)) for t in t_grid])
+    R_grid = np.array([system.matrix(float(t)) for t in t_grid])
 
     dt = t_grid[1] - t_grid[0]
     increments = 0.5 * dt * (R_grid[1:] + R_grid[:-1])
@@ -181,9 +174,8 @@ def check_iterated_integral(field: CoefficientField,
     )
 
 
-def check_decoupled_case(field: CoefficientField,
-                         settings: CriteriaSettings = CriteriaSettings(),
-                         quad: QuadratureSettings = DEFAULT_QUADRATURE) -> list[CriterionResult]:
+def check_decoupled_case(system: ReducedSystem,
+                         settings: CriteriaSettings = CriteriaSettings()) -> list[CriterionResult]:
     """Decoupled special case: all b- and c-moments vanish.
 
     Then the system reduces to scalar integrating-factor equations in the
@@ -201,64 +193,52 @@ def check_decoupled_case(field: CoefficientField,
     t_samples = np.linspace(0.0, (settings.prefix_windows - 1) * LN2,
                             settings.applicability_samples)
     worst = 0.0
-    a_mom = []
     for t in t_samples:
-        m = moment_vector(field, min(1.0, math.exp(-t)), quad)
+        m = system.moments(t)
         worst = max(worst, abs(m.b1), abs(m.b2), abs(m.c1), abs(m.c2))
-        a_mom.append((m.a1, m.a2))
     if worst > settings.applicability_tol:
         return [CriterionResult(
             id="special_case", verdict=INCONCLUSIVE, flags=("not_applicable",),
             witness={"max_bc_moment": worst},
         )]
 
-    def a_moment(idx):
-        def fn(t: float) -> float:
-            m = moment_vector(field, min(1.0, math.exp(-t)), quad)
-            return (m.a1, m.a2)[idx]
-
-        return fn
-
-    results = []
-    prefixes = []
-    for idx in (0, 1):
-        sums = _window_sums_of(a_moment(idx), settings.prefix_windows)
-        prefixes.append(tails.prefix_from_sums(sums))
+    prefixes = [tails.prefix_from_sums(_window_sums_of(
+        lambda t: getattr(system.moments(t), name), settings.prefix_windows))
+        for name in ("a1", "a2")]
     floor0 = 1e-11 * (1.0 + float(np.max(np.abs(prefixes[0]))))
     floor1 = 1e-11 * (1.0 + float(np.max(np.abs(prefixes[1]))))
 
     bounded = tails.bounded_oscillation_verdict(prefixes[0], floor0)
     lower = tails.lower_bound_verdict(prefixes[1], floor1)
-    converges = tails.bounded_oscillation_verdict(prefixes[0], floor0)
     extended = tails.extended_lower_verdict(prefixes[1], floor1)
 
     stable_part = bounded.verdict == HOLDS and lower.verdict == HOLDS
-    full_part = stable_part and converges.verdict == HOLDS and extended.verdict == HOLDS
-    results.append(CriterionResult(
-        "special_a1_bounded", bounded.verdict,
-        LIPSCHITZ if stable_part else NONE, (), bounded.witness))
-    results.append(CriterionResult(
-        "special_a2_lower", lower.verdict,
-        LIPSCHITZ if stable_part else NONE, (), lower.witness))
-    results.append(CriterionResult(
-        "special_a1_converges", converges.verdict,
-        SECOND_ORDER if full_part else NONE, (), converges.witness))
-    results.append(CriterionResult(
-        "special_a2_extended", extended.verdict,
-        SECOND_ORDER if full_part else NONE, (), extended.witness))
-    return results
+    # convergence of int a1 is judged by the same bounded-oscillation test
+    # as its boundedness, so special_a1_converges shares that verdict
+    full_part = stable_part and extended.verdict == HOLDS
+    return [
+        CriterionResult("special_a1_bounded", bounded.verdict,
+                        LIPSCHITZ if stable_part else NONE, (), bounded.witness),
+        CriterionResult("special_a2_lower", lower.verdict,
+                        LIPSCHITZ if stable_part else NONE, (), lower.witness),
+        CriterionResult("special_a1_converges", bounded.verdict,
+                        SECOND_ORDER if full_part else NONE, (), bounded.witness),
+        CriterionResult("special_a2_extended", extended.verdict,
+                        SECOND_ORDER if full_part else NONE, (), extended.witness),
+    ]
 
 
 def run_all_criteria(field: CoefficientField,
                      settings: CriteriaSettings = CriteriaSettings(),
                      quad: QuadratureSettings = DEFAULT_QUADRATURE) -> list[CriterionResult]:
-    results = [
-        check_dini_integrability(field, settings, quad),
-        check_symmetric_part_bound(field, settings, quad),
-        check_iterated_integral(field, settings, quad),
+    """All four criteria on one shared reduced system of the field."""
+    system = ReducedSystem(field, quad)
+    return [
+        check_dini_integrability(system, settings),
+        check_symmetric_part_bound(system, settings),
+        check_iterated_integral(system, settings),
+        *check_decoupled_case(system, settings),
     ]
-    results.extend(check_decoupled_case(field, settings, quad))
-    return results
 
 
 def criteria_conclusion(results) -> str:

@@ -23,8 +23,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .coeff import CoefficientField
-from .moments import (DEFAULT_QUADRATURE, QuadratureSettings, block_table,
-                      moment_matrix, moment_vector)
+from .moments import (DEFAULT_QUADRATURE, MomentVector, QuadratureSettings,
+                      block_table, moment_matrix, moment_vector)
 
 STABLE = "stable"
 UNSTABLE = "unstable"
@@ -60,7 +60,12 @@ class MatrixSystem:
 
 
 class ReducedSystem:
-    """t -> 4x4 drift matrix of second-harmonic moments at r = e^-t."""
+    """t -> six second-harmonic moments and 4x4 drift matrix R(t) at r = e^-t.
+
+    This is the one path from a field to R(t): the probes and every
+    criterion read `matrix` and `moments` of a shared instance, which
+    evaluates each radius once and memoises the pair.
+    """
 
     dim = 4
 
@@ -68,15 +73,21 @@ class ReducedSystem:
                  quad: QuadratureSettings = DEFAULT_QUADRATURE):
         self.field = field
         self.quad = quad
-        self._cache: dict[float, np.ndarray] = {}
+        self._cache: dict[float, tuple[MomentVector, np.ndarray]] = {}
+
+    def _at(self, t: float) -> tuple[MomentVector, np.ndarray]:
+        r = min(1.0, math.exp(-t))
+        got = self._cache.get(r)
+        if got is None:
+            m = moment_vector(self.field, r, self.quad)
+            got = self._cache[r] = (m, moment_matrix(m))
+        return got
+
+    def moments(self, t: float) -> MomentVector:
+        return self._at(t)[0]
 
     def matrix(self, t: float) -> np.ndarray:
-        got = self._cache.get(t)
-        if got is None:
-            r = min(1.0, math.exp(-t))
-            got = moment_matrix(moment_vector(self.field, r, self.quad))
-            self._cache[t] = got
-        return got
+        return self._at(t)[1]
 
     def eps(self, t: float) -> float:
         return float(self.field.modulus(math.exp(-min(t, 700.0))))

@@ -7,8 +7,11 @@ The operator's coefficient matrices live in four 2x2 blocks
 
 and everything downstream is a circle mean of these blocks against small
 monomials in theta = (cos phi, sin phi).  The uniform trapezoid rule is
-spectrally accurate for these periodic integrands; node counts are doubled
-until two refinements agree.
+spectrally accurate for these periodic integrands.  One sampler,
+`_circle_samples`, evaluates and checks a, b, c on the nodes of a circle,
+and one loop, `_refine`, doubles the node count until two refinements
+agree; the moment vector, the block tables and `circle_mean` all go through
+that loop.
 
 All operations here are pure functions of immutable inputs and safe to
 evaluate concurrently over radius grids.
@@ -38,6 +41,48 @@ DEFAULT_QUADRATURE = QuadratureSettings()
 MOMENT_MATRIX_ZEROS = ((0, 1), (1, 2), (2, 1), (3, 2))
 
 
+def _finite(vals, phi: np.ndarray, what: str, where: str = "") -> np.ndarray:
+    """vals broadcast to the nodes phi; EvaluationError names the first bad angle."""
+    vals = np.broadcast_to(np.asarray(vals, dtype=float), phi.shape)
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        raise EvaluationError(f"{what} not finite at {where}phi={float(phi[bad][0]):.6g}")
+    return vals
+
+
+def _nodes(n: int) -> np.ndarray:
+    return 2.0 * math.pi * np.arange(n) / n
+
+
+def _circle_samples(field: CoefficientField, r: float, n: int):
+    """cos phi, sin phi and the checked coefficients (a, b, c) at n uniform nodes."""
+    phi = _nodes(n)
+    cos, sin = np.cos(phi), np.sin(phi)
+    abc = field.coefficients(r * cos, r * sin)
+    return cos, sin, tuple(_finite(vals, phi, f"coefficient {name}", f"r={r:.6g}, ")
+                           for name, vals in zip("abc", abc))
+
+
+def _refine(sample: Callable, quad: QuadratureSettings) -> tuple:
+    """Double the node count from quad.base_nodes until two samples agree.
+
+    sample(n) returns a tuple of arrays; successive tuples agree when
+    max|cur - prev| <= rel_tol * max(1, max|cur|) over all entries.  The
+    finest sample is returned, also when the doubling stops at max_nodes.
+    """
+    n = quad.base_nodes
+    prev = sample(n)
+    while n < quad.max_nodes:
+        n *= 2
+        cur = sample(n)
+        delta = max(float(np.max(np.abs(c - p))) for c, p in zip(cur, prev))
+        scale = max(1.0, max(float(np.max(np.abs(c))) for c in cur))
+        if delta <= quad.rel_tol * scale:
+            return cur
+        prev = cur
+    return prev
+
+
 def circle_mean(f: Callable, n_nodes: int = 16, *, rel_tol: float = 1e-13,
                 max_nodes: int = 2**14) -> float:
     """Mean of f over the circle, phi in [0, 2pi), by uniform nodes.
@@ -50,24 +95,10 @@ def circle_mean(f: Callable, n_nodes: int = 16, *, rel_tol: float = 1e-13,
         raise ValueError("n_nodes must be a power of two >= 16")
 
     def mean_at(n):
-        phi = 2.0 * math.pi * np.arange(n) / n
-        vals = np.asarray(f(phi), dtype=float)
-        if vals.shape != phi.shape:
-            vals = np.broadcast_to(vals, phi.shape)
-        if not np.all(np.isfinite(vals)):
-            phi_bad = float(phi[~np.isfinite(vals)][0])
-            raise EvaluationError(f"circle integrand not finite at phi={phi_bad:.6g}")
-        return float(vals.mean())
+        phi = _nodes(n)
+        return (_finite(f(phi), phi, "circle integrand").mean(),)
 
-    prev = mean_at(n_nodes)
-    n = n_nodes
-    while n < max_nodes:
-        n *= 2
-        cur = mean_at(n)
-        if abs(cur - prev) <= rel_tol * max(1.0, abs(cur)):
-            return cur
-        prev = cur
-    return prev
+    return float(_refine(mean_at, QuadratureSettings(n_nodes, max_nodes, rel_tol))[0])
 
 
 @dataclass(frozen=True)
@@ -100,8 +131,6 @@ class BlockTable:
     plain                mean A_kl, blocks (k,l)
 
     The 4x4 tables stack the 2x2 blocks as [[(1,1), (1,2)], [(2,1), (2,2)]].
-    `coefficient_blocks(x, y)` evaluates the raw A_ij pointwise and
-    `identity_offset(x, y)` their deviation from delta_ij * I.
     """
 
     r: float
@@ -113,54 +142,37 @@ class BlockTable:
     theta2_col: np.ndarray
     theta2_row: np.ndarray
     plain: np.ndarray
-    coefficient_blocks: Callable
-    identity_offset: Callable
 
 
-def coefficient_block_evaluator(field: CoefficientField):
-    """Pointwise evaluator of the four 2x2 coefficient blocks A_ij.
+def _blocks(a, b, c) -> np.ndarray:
+    """The four 2x2 coefficient blocks A_ij from node samples of a, b, c.
 
-    Returns an array of shape (2, 2, 2, 2) + broadcast shape, indexed
-    [i, j, row, col].
+    Returns an array of shape (2, 2, 2, 2) + a.shape, indexed [i, j, row, col].
     """
-
-    def blocks(x, y):
-        a, b, c = field.coefficients(x, y)
-        a = np.asarray(a, dtype=float)
-        shape = a.shape
-        one = np.ones(shape)
-        zero = np.zeros(shape)
-        A = np.empty((2, 2, 2, 2) + shape)
-        A[0, 0] = [[a, zero], [zero, one]]
-        A[0, 1] = [[b, c - 1.0], [zero, zero]]
-        A[1, 0] = [[zero, zero], [a - 1.0, b]]
-        A[1, 1] = [[one, zero], [zero, c]]
-        return A
-
-    return blocks
+    one = np.ones(a.shape)
+    zero = np.zeros(a.shape)
+    A = np.empty((2, 2, 2, 2) + a.shape)
+    A[0, 0] = [[a, zero], [zero, one]]
+    A[0, 1] = [[b, c - 1.0], [zero, zero]]
+    A[1, 0] = [[zero, zero], [a - 1.0, b]]
+    A[1, 1] = [[one, zero], [zero, c]]
+    return A
 
 
-def _tables_at(field: CoefficientField, r: float, n: int):
-    """All moment tables from one shared set of circle samples."""
-    phi = 2.0 * math.pi * np.arange(n) / n
-    x, y = r * np.cos(phi), r * np.sin(phi)
-    a, b, c = field.coefficients(x, y)
-    for name, vals in (("a", a), ("b", b), ("c", c)):
-        vals = np.asarray(vals, dtype=float)
-        if not np.all(np.isfinite(vals)):
-            phi_bad = float(phi[~np.isfinite(np.asarray(vals))][0])
-            raise EvaluationError(
-                f"coefficient {name} not finite at r={r:.6g}, phi={phi_bad:.6g}")
-    t = np.vstack([np.cos(phi), np.sin(phi)])
-    A = coefficient_block_evaluator(field)(x, y)
+def _second_harmonics(cos, sin, abc) -> np.ndarray:
+    """(a1, a2, b1, b2, c1, c2) at one node level: means of each coefficient
+    against sin^2 - cos^2 and -2 cos sin."""
+    w2 = sin ** 2 - cos ** 2
+    wx = cos * sin
+    return np.array([m for v in abc
+                     for m in (np.mean(v * w2), -2.0 * np.mean(v * wx))])
 
-    w2 = t[1] ** 2 - t[0] ** 2
-    wx = t[0] * t[1]
-    m6 = np.array([
-        float(np.mean(a * w2)), float(-2.0 * np.mean(a * wx)),
-        float(np.mean(b * w2)), float(-2.0 * np.mean(b * wx)),
-        float(np.mean(c * w2)), float(-2.0 * np.mean(c * wx)),
-    ])
+
+def _tables_at(field: CoefficientField, r: float, n: int) -> tuple:
+    """The six moments and the eight block tables from one set of circle samples."""
+    cos, sin, abc = _circle_samples(field, r, n)
+    t = np.vstack([cos, sin])
+    A = _blocks(*abc)
 
     theta2_mean = np.einsum("ijpqn,in,jn->pq", A, t, t) / n
     theta3_mean = np.einsum("ijpqn,kn,in,jn->kpq", A, t, t, t) / n
@@ -169,32 +181,22 @@ def _tables_at(field: CoefficientField, r: float, n: int):
     theta4_b = np.einsum("ijpqn,in,jn,kn,ln->klpq", A, t, t, t, t) / n
     theta2_col_b = np.einsum("ilpqn,in,kn->klpq", A, t, t) / n
     theta2_row_b = np.einsum("kipqn,in,ln->klpq", A, t, t) / n
-    plain_b = np.mean(A, axis=-1).transpose(0, 1, 2, 3)  # [k,l,p,q]
+    plain_b = np.mean(A, axis=-1)  # [k,l,p,q]
 
     def to4(blocks):  # blocks[k,l,p,q] -> 4x4
         return blocks.transpose(0, 2, 1, 3).reshape(4, 4)
 
-    return m6, (theta2_mean, theta3_mean, theta1_col, theta1_row,
-                to4(theta4_b), to4(theta2_col_b), to4(theta2_row_b), to4(plain_b))
+    return (_second_harmonics(cos, sin, abc), theta2_mean, theta3_mean,
+            theta1_col, theta1_row, to4(theta4_b), to4(theta2_col_b),
+            to4(theta2_row_b), to4(plain_b))
 
 
 def _converged_tables(field: CoefficientField, r: float,
                       quad: QuadratureSettings):
-    n = quad.base_nodes
-    m6_prev, tabs_prev = _tables_at(field, r, n)
-    while n < quad.max_nodes:
-        n *= 2
-        m6, tabs = _tables_at(field, r, n)
-        delta = max(
-            float(np.max(np.abs(m6 - m6_prev))),
-            max(float(np.max(np.abs(t1 - t0))) for t0, t1 in zip(tabs_prev, tabs)),
-        )
-        scale = max(1.0, float(np.max(np.abs(m6))),
-                    max(float(np.max(np.abs(t1))) for t1 in tabs))
-        if delta <= quad.rel_tol * scale:
-            return m6, tabs
-        m6_prev, tabs_prev = m6, tabs
-    return m6_prev, tabs_prev
+    """(six moments, eight block tables) at the first node level that agrees
+    with the previous one in every entry."""
+    m6, *tabs = _refine(lambda n: _tables_at(field, r, n), quad)
+    return m6, tuple(tabs)
 
 
 def moment_vector(field: CoefficientField, r: float,
@@ -202,36 +204,12 @@ def moment_vector(field: CoefficientField, r: float,
     """Second-harmonic circle moments of a, b, c at radius r.
 
     a1 = mean a*(theta2^2 - theta1^2), a2 = -2 mean a*theta1*theta2, and
-    likewise for b and c.
+    likewise for b and c.  Convergence is tested on the six moments alone.
     """
     if not 0.0 < r <= 1.0:
         raise ValueError("radius must lie in (0, 1]")
-
-    def light(n):
-        phi = 2.0 * math.pi * np.arange(n) / n
-        x, y = r * np.cos(phi), r * np.sin(phi)
-        a, b, c = field.coefficients(x, y)
-        for name, vals in (("a", a), ("b", b), ("c", c)):
-            if not np.all(np.isfinite(np.asarray(vals))):
-                raise EvaluationError(f"coefficient {name} not finite at r={r:.6g}")
-        w2 = np.sin(phi) ** 2 - np.cos(phi) ** 2
-        wx = np.cos(phi) * np.sin(phi)
-        return np.array([
-            np.mean(a * w2), -2.0 * np.mean(a * wx),
-            np.mean(b * w2), -2.0 * np.mean(b * wx),
-            np.mean(c * w2), -2.0 * np.mean(c * wx),
-        ])
-
-    n = quad.base_nodes
-    prev = light(n)
-    while n < quad.max_nodes:
-        n *= 2
-        cur = light(n)
-        if np.max(np.abs(cur - prev)) <= quad.rel_tol * max(1.0, float(np.max(np.abs(cur)))):
-            prev = cur
-            break
-        prev = cur
-    return MomentVector(r, *map(float, prev))
+    m6, = _refine(lambda n: (_second_harmonics(*_circle_samples(field, r, n)),), quad)
+    return MomentVector(r, *map(float, m6))
 
 
 def moment_matrix(m: MomentVector) -> np.ndarray:
@@ -250,18 +228,7 @@ def block_table(field: CoefficientField, r: float,
     if not 0.0 < r <= 1.0:
         raise ValueError("radius must lie in (0, 1]")
     _, tabs = _converged_tables(field, r, quad)
-    blocks_eval = coefficient_block_evaluator(field)
-
-    def identity_offset(x, y):
-        A = blocks_eval(x, y)
-        eye = np.zeros_like(A)
-        for i in range(2):
-            eye[i, i, 0, 0] = 1.0
-            eye[i, i, 1, 1] = 1.0
-        return A - eye
-
-    return BlockTable(r, *tabs, coefficient_blocks=blocks_eval,
-                      identity_offset=identity_offset)
+    return BlockTable(r, *tabs)
 
 
 def moment_matrix_residual(field: CoefficientField, r: float,
@@ -303,10 +270,10 @@ def forcing_functionals(field: CoefficientField, r: float, w_field,
     `w_field` provides value(x, y) -> (2, ...) and gradient(x, y) ->
     (2, 2, ...) with entries d W_p / d x_j at index [p, j].
     """
-    phi = 2.0 * math.pi * np.arange(n_nodes) / n_nodes
-    x, y = r * np.cos(phi), r * np.sin(phi)
-    t = np.vstack([np.cos(phi), np.sin(phi)])
-    A = coefficient_block_evaluator(field)(x, y)         # [i,j,p,q,n]
+    cos, sin, abc = _circle_samples(field, r, n_nodes)
+    x, y = r * cos, r * sin
+    t = np.vstack([cos, sin])
+    A = _blocks(*abc)                                    # [i,j,p,q,n]
     W = np.asarray(w_field.value(x, y), dtype=float)     # [p,n]
     G = np.asarray(w_field.gradient(x, y), dtype=float)  # [p,j,n]
 

@@ -124,6 +124,57 @@ def test_pipeline_stage_failure_exits_3(tmp_path):
     assert "error" in report["results"]["pde"]
 
 
+def test_config_type_errors_name_the_key(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="probes.t_max"):
+        validate_config(minimal_config(probes={"t_max": "abc"}))
+    with pytest.raises(ConfigError, match="probes.s_grid"):
+        validate_config(minimal_config(probes={"s_grid": "abc"}))
+    with pytest.raises(ConfigError, match="criteria must be an object"):
+        validate_config(minimal_config(criteria=5))
+    with pytest.raises(ConfigError, match="radius_count"):
+        validate_config(minimal_config(radius_count="many"))
+
+    bad = tmp_path / "typed.json"
+    bad.write_text(json.dumps(minimal_config(probes={"t_max": "abc"})))
+    assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "probes.t_max" in err
+    assert "Traceback" not in err
+
+
+def test_config_rejects_s_grid_at_or_past_t_max(tmp_path):
+    with pytest.raises(ConfigError, match="below probes.t_max"):
+        validate_config(minimal_config(probes={"s_grid": [0, 40], "t_max": 30}))
+    with pytest.raises(ConfigError, match="below probes.t_max"):
+        validate_config(minimal_config(probes={"t_max": 10.0}))  # default grid reaches 20
+    bad = tmp_path / "grid.json"
+    bad.write_text(json.dumps(minimal_config(probes={"s_grid": [0, 40], "t_max": 30})))
+    assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_failed_probes_stage_exits_3_with_report(tmp_path):
+    config = validate_config(minimal_config(analyses=["probes", "criteria"]))
+    config.probes.s_grid = (0.0, 40.0)   # past t_max: the probe itself refuses
+    report, code = run_pipeline(config, tmp_path)
+    assert code == 3
+    assert "error" in report["results"]["probes"]
+    assert "criteria" not in report["results"]
+    assert report["verdict"] == {"headline": "no_guarantee", "probe_annotation": None}
+    assert (tmp_path / "report.json").exists()
+
+
+def test_removed_knobs_are_rejected(tmp_path):
+    with pytest.raises(ConfigError, match="seed"):
+        validate_config(minimal_config(seed=3))
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(minimal_config(analyses=["validate"])))
+    for flag in ("--seed", "--threads"):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", str(good), "--out", str(tmp_path / "o"),
+                  flag, "1"])
+        assert exc.value.code == 2
+
+
 def test_report_determinism(tmp_path):
     config = validate_config(minimal_config())
     run_pipeline(config, tmp_path / "one")

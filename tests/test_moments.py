@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from oracles import oracle_moment_vector, oracle_tables
-from regan.coeff import (constant_laplacian, make_harmonic_family,
-                         make_radial_family, make_trig_field,
-                         profile_log_inverse, profile_power)
-from regan.moments import (MOMENT_MATRIX_ZEROS, MomentVector, block_table,
-                           circle_mean, forcing_functionals, moment_matrix,
-                           moment_matrix_residual, moment_vector,
-                           write_moment_csv)
+from regan.coeff import (CoefficientField, constant_laplacian,
+                         make_harmonic_family, make_radial_family,
+                         make_trig_field, profile_log_inverse, profile_power)
+from regan.moments import (DEFAULT_QUADRATURE, MOMENT_MATRIX_ZEROS, MomentVector,
+                           block_table, circle_mean, forcing_functionals,
+                           moment_matrix, moment_matrix_residual,
+                           moment_vector, write_moment_csv)
 from regan.tails import EvaluationError
 
 
@@ -186,6 +186,20 @@ def test_block_table_cos_mode_frozen():
     assert np.allclose(bt.theta2_row, theta2_row, atol=1e-13)
 
     assert np.allclose(bt.plain, np.eye(4), atol=1e-13)
+
+
+def test_block_table_samples_coefficients_once_per_level(monkeypatch):
+    sizes = []
+    original = CoefficientField.coefficients
+
+    def counting(self, x, y):
+        sizes.append(int(np.size(x)))
+        return original(self, x, y)
+
+    monkeypatch.setattr(CoefficientField, "coefficients", counting)
+    block_table(make_harmonic_family("a", profile_power(0.3, 0.5), 2), 0.5)
+    assert len(sizes) >= 2
+    assert sizes == [DEFAULT_QUADRATURE.base_nodes * 2**k for k in range(len(sizes))]
 
 
 def test_block_table_matches_fourier_oracle():
