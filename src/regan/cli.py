@@ -223,12 +223,13 @@ def _stage_moments(config, field, out_dir):
 def _stage_probes(config, field, out_dir):
     quad = config.quad_settings()
     pc = config.probes
+    reduced = dynsys.reduced_system(field, quad)
     if pc.system == "full":
         # the raw 8x8 system carries a genuine exp(+2t) branch; its
         # stability semantics live on the conjugated neutral block
         system = dynsys.full_system(field, quad).reduced_block_system()
     else:
-        system = dynsys.reduced_system(field, quad)
+        system = reduced
     settings = dynsys.ProbeSettings(rtol=pc.rtol, kappa_threshold=pc.kappa_threshold,
                                     slope_margin=pc.slope_margin,
                                     const_tol=pc.const_tol,
@@ -248,8 +249,7 @@ def _stage_probes(config, field, out_dir):
             fh.write(",".join("%.17g" % v for v in [t, *phi.ravel()]) + "\n")
 
     reduction = dynsys.reduction_deviation(
-        dynsys.full_system(field, quad), dynsys.reduced_system(field, quad),
-        np.linspace(1.0, pc.t_max, 30))
+        dynsys.full_system(field, quad), reduced, np.linspace(1.0, pc.t_max, 30))
     return {
         "system": pc.system,
         "uniform_stability": merged.uniform_stability,
@@ -266,7 +266,9 @@ def _stage_probes(config, field, out_dir):
             "tail_slope": reduction["tail_slope"],
             "t": reduction["t"],
             "ratio": reduction["ratio"],
+            "eps_zero": reduction["eps_zero"],
         },
+        "moments_work": dict(reduced.work),
     }
 
 
@@ -275,7 +277,8 @@ def _stage_criteria(config, field, out_dir):
                                          n_windows=config.criteria.n_windows,
                                          prefix_windows=config.criteria.prefix_windows,
                                          group=config.criteria.group)
-    results = criteria.run_all_criteria(field, settings, config.quad_settings())
+    system = dynsys.reduced_system(field, config.quad_settings())
+    results = criteria.run_all_criteria(system, settings)
     payload = []
     for res in results:
         csv_path = out_dir / f"criterion_{res.id}.csv"
@@ -288,7 +291,8 @@ def _stage_criteria(config, field, out_dir):
             "witness_csv_path": csv_path.name,
         })
     return {"criteria": payload,
-            "conclusion": criteria.criteria_conclusion(results)}
+            "conclusion": criteria.criteria_conclusion(results),
+            "moments_work": dict(system.work)}
 
 
 def _write_witness_csv(path, witness: dict):

@@ -11,10 +11,12 @@ windows and reported three-valued with witness tables:
                      by the two a-moments alone; boundedness/convergence of
                      their prefix integrals is tested separately
 
-Each check reads the drift matrix R(t) from a system with `matrix(t)`;
-the decoupled case also reads the six moments through `moments(t)`, which
-`dynsys.ReducedSystem` provides.  `run_all_criteria` builds one reduced
-system per field and passes it to all four checks, so every radius is
+Each check reads the drift matrix R(t) from a system with `matrices(ts)`,
+one whole Gauss-Legendre window (or the whole trapezoid grid of
+iterated_L1) per call, so a `dynsys.ReducedSystem` evaluates the radii of
+a window in one batch; the decoupled case also reads the six moments
+through `moments(t)` at its applicability samples.  `run_all_criteria`
+passes one reduced system to all four checks, so every radius is
 evaluated once.
 
 Criteria are sufficient, not necessary: a failed criterion never refutes
@@ -27,9 +29,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import tails
-from .coeff import CoefficientField
 from .dynsys import ReducedSystem
-from .moments import DEFAULT_QUADRATURE, QuadratureSettings
 from .moments import moment_vector  # noqa: F401 - bench/tracer.py patches it here
 from .tails import CONVERGED, DIVERGED, FAILS, HOLDS, INCONCLUSIVE, LN2
 
@@ -68,10 +68,15 @@ class CriteriaSettings:
     applicability_samples: int = 33
 
 
-def _window_sums_of(fn, n_windows: int) -> np.ndarray:
-    """Window integrals of a scalar function of t given pointwise (non-vectorized)."""
+# positions of the moments a1 and a2 in the drift matrix (`moment_matrix`)
+_A1, _A2 = (0, 0), (1, 0)
+
+
+def _window_sums_of(system, fn, n_windows: int) -> np.ndarray:
+    """Window integrals of fn(R stack) -> values, one `matrices` call per window."""
+    # contiguous values: np.dot sums a strided vector in another order
     return tails.dyadic_window_sums(
-        lambda ts: np.array([fn(float(t)) for t in np.atleast_1d(ts)]), n_windows)
+        lambda ts: np.ascontiguousarray(fn(system.matrices(ts))), n_windows)
 
 
 def check_dini_integrability(system,
@@ -81,7 +86,7 @@ def check_dini_integrability(system,
     Equivalently integral over t of the max-entry norm of R(t).  Holding
     implies the full conclusion (second-order differentiability).
     """
-    sums = _window_sums_of(lambda t: float(np.max(np.abs(system.matrix(t)))),
+    sums = _window_sums_of(system, lambda Rs: np.max(np.abs(Rs), axis=(1, 2)),
                            settings.n_windows)
     analysis = tails.analyze_sums(tails.group_sums(sums, settings.group), settings.tol)
     verdict = _VERDICT_FROM_TAIL[analysis.verdict]
@@ -102,12 +107,11 @@ def check_symmetric_part_bound(system,
     stabilize below a finite bound; the measured bound is recorded.
     Holding implies a Lipschitz gradient.
     """
-    def mu(t: float) -> float:
-        R = system.matrix(t)
-        S = -0.5 * (R + R.T)
-        return float(np.linalg.eigvalsh(S)[-1])
+    def mu(Rs: np.ndarray) -> np.ndarray:
+        # one eigvalsh per matrix: a stacked call is not bitwise equal
+        return np.array([np.linalg.eigvalsh(-0.5 * (R + R.T))[-1] for R in Rs])
 
-    sums = _window_sums_of(mu, settings.prefix_windows)
+    sums = _window_sums_of(system, mu, settings.prefix_windows)
     prefix = tails.prefix_from_sums(sums)
     # sup over window pairs [r1, r2] of the integral = prefix drawup;
     # upward escape is drawdown of the mirrored prefix
@@ -136,7 +140,7 @@ def check_iterated_integral(system,
     nodes_per_window = 16
     n_nodes = settings.n_windows * nodes_per_window + 1
     t_grid = np.linspace(0.0, settings.n_windows * LN2, n_nodes)
-    R_grid = np.array([system.matrix(float(t)) for t in t_grid])
+    R_grid = system.matrices(t_grid)
 
     dt = t_grid[1] - t_grid[0]
     increments = 0.5 * dt * (R_grid[1:] + R_grid[:-1])
@@ -203,8 +207,8 @@ def check_decoupled_case(system: ReducedSystem,
         )]
 
     prefixes = [tails.prefix_from_sums(_window_sums_of(
-        lambda t: getattr(system.moments(t), name), settings.prefix_windows))
-        for name in ("a1", "a2")]
+        system, lambda Rs: Rs[:, i, j], settings.prefix_windows))
+        for i, j in (_A1, _A2)]
     floor0 = 1e-11 * (1.0 + float(np.max(np.abs(prefixes[0]))))
     floor1 = 1e-11 * (1.0 + float(np.max(np.abs(prefixes[1]))))
 
@@ -228,11 +232,9 @@ def check_decoupled_case(system: ReducedSystem,
     ]
 
 
-def run_all_criteria(field: CoefficientField,
-                     settings: CriteriaSettings = CriteriaSettings(),
-                     quad: QuadratureSettings = DEFAULT_QUADRATURE) -> list[CriterionResult]:
-    """All four criteria on one shared reduced system of the field."""
-    system = ReducedSystem(field, quad)
+def run_all_criteria(system: ReducedSystem,
+                     settings: CriteriaSettings = CriteriaSettings()) -> list[CriterionResult]:
+    """All four criteria on one shared reduced system."""
     return [
         check_dini_integrability(system, settings),
         check_symmetric_part_bound(system, settings),

@@ -10,9 +10,10 @@ t = -log r:
   M_inf = [[-I, 2I], [I/2, -I]] and remainder split M = M_inf + S1 + S2.
 
 Fundamental matrices are propagated with an adaptive Dormand-Prince 5(4)
-pair; uniform stability and asymptotic constancy are probed on a finite
-horizon with trend extrapolation (heuristic verdicts, thresholds recorded
-in the report).
+pair, which hands the six stage times of each step to the system's
+`prefetch` before it evaluates the stages.  Uniform stability and
+asymptotic constancy are probed on a finite horizon with trend
+extrapolation (heuristic verdicts, thresholds recorded in the report).
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ import numpy as np
 
 from .coeff import CoefficientField
 from .moments import (DEFAULT_QUADRATURE, MomentVector, QuadratureSettings,
-                      block_table, moment_matrix, moment_vector)
+                      block_table, moment_matrix, moment_vector, moment_vectors)
 
 STABLE = "stable"
 UNSTABLE = "unstable"
@@ -41,7 +42,17 @@ class StepUnderflowError(RuntimeError):
     """The adaptive integrator could not make progress."""
 
 
-class MatrixSystem:
+class _PointwiseSystem:
+    """`prefetch` and `matrices` for a system evaluated one t at a time."""
+
+    def prefetch(self, ts) -> None:
+        pass
+
+    def matrices(self, ts) -> np.ndarray:
+        return np.array([self.matrix(t) for t in ts])
+
+
+class MatrixSystem(_PointwiseSystem):
     """A linear system y' + K(t) y = 0 given by an explicit matrix callable."""
 
     def __init__(self, dim: int, matrix_fn: Callable[[float], np.ndarray],
@@ -63,8 +74,11 @@ class ReducedSystem:
     """t -> six second-harmonic moments and 4x4 drift matrix R(t) at r = e^-t.
 
     This is the one path from a field to R(t): the probes and every
-    criterion read `matrix` and `moments` of a shared instance, which
-    evaluates each radius once and memoises the pair.
+    criterion read `matrix`, `matrices` and `moments` of a shared instance,
+    which evaluates each radius once and memoises the pair.  `prefetch(ts)`
+    evaluates the uncached radii of a whole grid in one `moment_vectors`
+    batch (chunked there); a single uncached t goes through `moment_vector`.
+    `work` counts the radii evaluated and those that hit the node cap.
     """
 
     dim = 4
@@ -74,14 +88,34 @@ class ReducedSystem:
         self.field = field
         self.quad = quad
         self._cache: dict[float, tuple[MomentVector, np.ndarray]] = {}
+        self.work = {"radii": 0, "cap_hits": 0}
+
+    def _store(self, m: MomentVector) -> tuple[MomentVector, np.ndarray]:
+        self.work["radii"] += 1
+        self.work["cap_hits"] += int(m.capped)
+        got = self._cache[m.r] = (m, moment_matrix(m))
+        return got
 
     def _at(self, t: float) -> tuple[MomentVector, np.ndarray]:
         r = min(1.0, math.exp(-t))
         got = self._cache.get(r)
         if got is None:
-            m = moment_vector(self.field, r, self.quad)
-            got = self._cache[r] = (m, moment_matrix(m))
+            got = self._store(moment_vector(self.field, r, self.quad))
         return got
+
+    def prefetch(self, ts) -> None:
+        """Evaluate the radii min(1, e^-t) of ts that are not cached, in one batch."""
+        radii = [r for r in dict.fromkeys(min(1.0, math.exp(-t)) for t in ts)
+                 if r not in self._cache]
+        if radii:
+            m6, capped = moment_vectors(self.field, radii, self.quad)
+            for r, row, cap in zip(radii, m6, capped):
+                self._store(MomentVector(r, *map(float, row), capped=bool(cap)))
+
+    def matrices(self, ts) -> np.ndarray:
+        """The stack of R(t) over ts, shape (len(ts), 4, 4)."""
+        self.prefetch(ts)
+        return np.array([self._at(t)[1] for t in ts])
 
     def moments(self, t: float) -> MomentVector:
         return self._at(t)[0]
@@ -129,7 +163,7 @@ J_BASIS_INV = _block4(0.25 * _I4, 0.5 * _I4, 0.25 * _I4, -0.5 * _I4)
 _DIAG_LIMIT = np.diag([0.0] * 4 + [-2.0] * 4)
 
 
-class FullSystem:
+class FullSystem(_PointwiseSystem):
     """Exact 8x8 first-order system in (V, U) after circle-mean elimination.
 
     The elimination is carried out exactly, so the second-order remainder
@@ -253,7 +287,10 @@ def propagate_dense(system, s: float, t_eval, rtol: float = 1e-10,
 
     t_eval must be monotone starting at or after s (or at or before s for
     backward integration).  Steps are capped at the next output time, so
-    samples are exact integration endpoints, not interpolants.  Returns
+    samples are exact integration endpoints, not interpolants.  Each step
+    (accepted or rejected) first passes its six stage times t + c_i h to
+    `system.prefetch`, so a `ReducedSystem` evaluates their radii in one
+    batch; the stages then read the cache, at the same times.  Returns
     (array of Phi with shape (len(t_eval), d, d), accumulated error).
     """
     if not 1e-12 <= rtol <= 1e-3:
@@ -290,6 +327,7 @@ def propagate_dense(system, s: float, t_eval, rtol: float = 1e-10,
                 raise StepUnderflowError(
                     f"step underflow at t={t:.6g} (h={h:.3g}, target={target:.6g})")
             ks[0] = k1
+            system.prefetch([t + _DP_C[i] * h for i in range(1, 7)])
             for i in range(1, 7):
                 Yi = Y + h * sum(a * ks[j] for j, a in enumerate(_DP_A[i]))
                 ks[i] = rhs(t + _DP_C[i] * h, Yi)
@@ -458,23 +496,28 @@ def reduction_deviation(full: FullSystem, reduced: ReducedSystem,
 
     The gap between the conjugated top block of the exact system and the
     moment drift matrix should stay a bounded multiple of eps^2; the
-    measured bound is recorded, not asserted a priori.
+    measured bound is recorded, not asserted a priori.  Where eps(t)^2 is
+    0 (a constant field) the ratio is undefined: it is recorded as None,
+    `eps_zero` is set, and max_ratio and tail_slope use the defined ratios
+    (None when there are none, or fewer than three in the later half).
     """
     ts = np.asarray(list(ts), dtype=float)
-    devs, epss = [], []
-    for t in ts:
-        devs.append(float(np.max(np.abs(full.reduced_block(t) - reduced.matrix(t)))))
-        epss.append(max(full.eps(t), 1e-300))
-    devs = np.array(devs)
-    epss = np.array(epss)
-    ratio = devs / epss**2
+    devs = np.array([float(np.max(np.abs(full.reduced_block(t) - reduced.matrix(t))))
+                     for t in ts])
+    epss = np.array([full.eps(t) for t in ts])
+    defined = epss**2 > 0.0
+    ratio = np.full(len(ts), math.nan)
+    ratio[defined] = devs[defined] / epss[defined]**2
     half = len(ts) // 2
-    slope = float(np.polyfit(ts[half:], ratio[half:], 1)[0]) if len(ts) - half >= 3 else math.nan
+    tail = defined[half:]
+    slope = (float(np.polyfit(ts[half:][tail], ratio[half:][tail], 1)[0])
+             if np.count_nonzero(tail) >= 3 else None)
     return {
         "t": ts.tolist(),
         "deviation": devs.tolist(),
         "eps": epss.tolist(),
-        "ratio": ratio.tolist(),
-        "max_ratio": float(np.max(ratio)),
+        "ratio": [float(v) if ok else None for v, ok in zip(ratio, defined)],
+        "max_ratio": float(np.max(ratio[defined])) if defined.any() else None,
         "tail_slope": slope,
+        "eps_zero": bool(not defined.all()),
     }

@@ -8,10 +8,17 @@ The operator's coefficient matrices live in four 2x2 blocks
 and everything downstream is a circle mean of these blocks against small
 monomials in theta = (cos phi, sin phi).  The uniform trapezoid rule is
 spectrally accurate for these periodic integrands.  One sampler,
-`_circle_samples`, evaluates and checks a, b, c on the nodes of a circle,
-and one loop, `_refine`, doubles the node count until two refinements
-agree; the moment vector, the block tables and `circle_mean` all go through
-that loop.
+`_circle_samples`, evaluates and checks a, b, c on the nodes of one circle
+or of a batch of circles, and one loop, `_refine`, doubles the node count
+per radius until two refinements agree; the moment vectors, the block
+tables and `circle_mean` all go through that loop.
+
+`moment_vectors` is the batched path of the six moments: it evaluates the
+coefficients once per node level on a (radii x nodes) grid, in calls of at
+most `_CHUNK_POINTS` points, and only the radii that have not converged go
+on to the next level.  Each radius gets the node count and, bit for bit,
+the moments it gets when evaluated alone; `moment_vector` is the
+one-radius case.
 
 All operations here are pure functions of immutable inputs and safe to
 evaluate concurrently over radius grids.
@@ -40,13 +47,17 @@ DEFAULT_QUADRATURE = QuadratureSettings()
 # positions that are identically zero in the assembled 4x4 moment matrix
 MOMENT_MATRIX_ZEROS = ((0, 1), (1, 2), (2, 1), (3, 2))
 
+# coefficient points per call of the batched sampler: a batch never holds a
+# larger grid than one radius at the default node cap
+_CHUNK_POINTS = 2**14
 
-def _finite(vals, phi: np.ndarray, what: str, where: str = "") -> np.ndarray:
+
+def _finite(vals, phi: np.ndarray, what: str) -> np.ndarray:
     """vals broadcast to the nodes phi; EvaluationError names the first bad angle."""
     vals = np.broadcast_to(np.asarray(vals, dtype=float), phi.shape)
     bad = ~np.isfinite(vals)
     if bad.any():
-        raise EvaluationError(f"{what} not finite at {where}phi={float(phi[bad][0]):.6g}")
+        raise EvaluationError(f"{what} not finite at phi={float(phi[bad][0]):.6g}")
     return vals
 
 
@@ -54,33 +65,55 @@ def _nodes(n: int) -> np.ndarray:
     return 2.0 * math.pi * np.arange(n) / n
 
 
-def _circle_samples(field: CoefficientField, r: float, n: int):
-    """cos phi, sin phi and the checked coefficients (a, b, c) at n uniform nodes."""
+def _circle_samples(field: CoefficientField, r, n: int):
+    """cos phi, sin phi and the checked coefficients a, b, c at n uniform nodes.
+
+    r is one radius, or a 1-D array of radii: the coefficients then come
+    from one call on the (radii x nodes) grid.  They are stacked into one
+    array of shape (3, n), or (3, len(r), n); EvaluationError names the
+    coefficient, radius and angle of the first value that is not finite.
+    """
     phi = _nodes(n)
     cos, sin = np.cos(phi), np.sin(phi)
-    abc = field.coefficients(r * cos, r * sin)
-    return cos, sin, tuple(_finite(vals, phi, f"coefficient {name}", f"r={r:.6g}, ")
-                           for name, vals in zip("abc", abc))
+    rows = np.asarray(r, dtype=float)[..., None]
+    x, y = rows * cos, rows * sin
+    abc = np.empty((3,) + x.shape)
+    for k, vals in enumerate(field.coefficients(x, y)):
+        abc[k] = vals
+    bad = ~np.isfinite(abc)
+    if bad.any():
+        k, *row, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
+        r_bad = float(np.reshape(rows, -1)[row[0] if row else 0])
+        raise EvaluationError(f"coefficient {'abc'[k]} not finite at "
+                              f"r={r_bad:.6g}, phi={float(phi[j]):.6g}")
+    return cos, sin, abc
 
 
-def _refine(sample: Callable, quad: QuadratureSettings) -> tuple:
-    """Double the node count from quad.base_nodes until two samples agree.
+def _refine(sample: Callable, quad: QuadratureSettings, count: int = 1):
+    """Double the node count from quad.base_nodes until two samples agree, per row.
 
-    sample(n) returns a tuple of arrays; successive tuples agree when
-    max|cur - prev| <= rel_tol * max(1, max|cur|) over all entries.  The
-    finest sample is returned, also when the doubling stops at max_nodes.
+    sample(n, rows) returns a (len(rows), width) array for `rows`, an index
+    array into range(count).  A row has converged when max|cur - prev| <=
+    rel_tol * max(1, max|cur|) over its entries; only the rows that have
+    not are sampled again.  Returns the (count, width) array of each row's
+    finest sample and the mask of rows that stopped at max_nodes without
+    agreeing (cap hits).
     """
+    rows = np.arange(count)
     n = quad.base_nodes
-    prev = sample(n)
-    while n < quad.max_nodes:
+    prev = sample(n, rows)
+    out = np.empty((count, prev.shape[1]))
+    while rows.size and n < quad.max_nodes:
         n *= 2
-        cur = sample(n)
-        delta = max(float(np.max(np.abs(c - p))) for c, p in zip(cur, prev))
-        scale = max(1.0, max(float(np.max(np.abs(c))) for c in cur))
-        if delta <= quad.rel_tol * scale:
-            return cur
-        prev = cur
-    return prev
+        cur = sample(n, rows)
+        scale = np.maximum(1.0, np.max(np.abs(cur), axis=1))
+        done = np.max(np.abs(cur - prev), axis=1) <= quad.rel_tol * scale
+        out[rows[done]] = cur[done]
+        rows, prev = rows[~done], cur[~done]
+    out[rows] = prev
+    capped = np.zeros(count, dtype=bool)
+    capped[rows] = True
+    return out, capped
 
 
 def circle_mean(f: Callable, n_nodes: int = 16, *, rel_tol: float = 1e-13,
@@ -94,16 +127,21 @@ def circle_mean(f: Callable, n_nodes: int = 16, *, rel_tol: float = 1e-13,
     if n_nodes < 16 or n_nodes & (n_nodes - 1):
         raise ValueError("n_nodes must be a power of two >= 16")
 
-    def mean_at(n):
+    def mean_at(n, rows):
         phi = _nodes(n)
-        return (_finite(f(phi), phi, "circle integrand").mean(),)
+        return np.array([[_finite(f(phi), phi, "circle integrand").mean()]])
 
-    return float(_refine(mean_at, QuadratureSettings(n_nodes, max_nodes, rel_tol))[0])
+    mean, _ = _refine(mean_at, QuadratureSettings(n_nodes, max_nodes, rel_tol))
+    return float(mean[0, 0])
 
 
 @dataclass(frozen=True)
 class MomentVector:
-    """The six second-harmonic circle moments of (a, b, c) at radius r."""
+    """The six second-harmonic circle moments of (a, b, c) at radius r.
+
+    capped is True when the node doubling stopped at max_nodes without two
+    levels agreeing: the moments are then those of the finest level.
+    """
 
     r: float
     a1: float
@@ -112,6 +150,7 @@ class MomentVector:
     b2: float
     c1: float
     c2: float
+    capped: bool = False
 
     def as_array(self) -> np.ndarray:
         return np.array([self.a1, self.a2, self.b1, self.b2, self.c1, self.c2])
@@ -161,15 +200,27 @@ def _blocks(a, b, c) -> np.ndarray:
 
 def _second_harmonics(cos, sin, abc) -> np.ndarray:
     """(a1, a2, b1, b2, c1, c2) at one node level: means of each coefficient
-    against sin^2 - cos^2 and -2 cos sin."""
+    against sin^2 - cos^2 and -2 cos sin along the node axis.
+
+    abc of shape (3, n) gives shape (6,); abc of shape (3, k, n), one row
+    of nodes per radius, gives shape (k, 6).
+    """
     w2 = sin ** 2 - cos ** 2
     wx = cos * sin
-    return np.array([m for v in abc
-                     for m in (np.mean(v * w2), -2.0 * np.mean(v * wx))])
+    m = np.empty(abc.shape[1:-1] + (3, 2))
+    m[..., 0] = np.mean(abc * w2, axis=-1).T
+    m[..., 1] = -2.0 * np.mean(abc * wx, axis=-1).T
+    return m.reshape(abc.shape[1:-1] + (6,))
 
 
-def _tables_at(field: CoefficientField, r: float, n: int) -> tuple:
-    """The six moments and the eight block tables from one set of circle samples."""
+# shapes of the six moments and the eight block tables, in `BlockTable` order
+_TABLE_SHAPES = ((6,), (2, 2), (2, 2, 2), (2, 2, 2), (2, 2, 2),
+                 (4, 4), (4, 4), (4, 4), (4, 4))
+
+
+def _tables_at(field: CoefficientField, r: float, n: int) -> np.ndarray:
+    """The six moments and the eight block tables from one set of circle
+    samples, raveled into one vector in `_TABLE_SHAPES` order."""
     cos, sin, abc = _circle_samples(field, r, n)
     t = np.vstack([cos, sin])
     A = _blocks(*abc)
@@ -186,17 +237,46 @@ def _tables_at(field: CoefficientField, r: float, n: int) -> tuple:
     def to4(blocks):  # blocks[k,l,p,q] -> 4x4
         return blocks.transpose(0, 2, 1, 3).reshape(4, 4)
 
-    return (_second_harmonics(cos, sin, abc), theta2_mean, theta3_mean,
-            theta1_col, theta1_row, to4(theta4_b), to4(theta2_col_b),
-            to4(theta2_row_b), to4(plain_b))
+    return np.concatenate([np.ravel(v) for v in (
+        _second_harmonics(cos, sin, abc), theta2_mean, theta3_mean,
+        theta1_col, theta1_row, to4(theta4_b), to4(theta2_col_b),
+        to4(theta2_row_b), to4(plain_b))])
 
 
 def _converged_tables(field: CoefficientField, r: float,
                       quad: QuadratureSettings):
     """(six moments, eight block tables) at the first node level that agrees
     with the previous one in every entry."""
-    m6, *tabs = _refine(lambda n: _tables_at(field, r, n), quad)
+    flat, _ = _refine(lambda n, rows: _tables_at(field, r, n)[None], quad)
+    ends = np.cumsum([math.prod(shape) for shape in _TABLE_SHAPES])
+    m6, *tabs = (part.reshape(shape) for part, shape
+                 in zip(np.split(flat[0], ends[:-1]), _TABLE_SHAPES))
     return m6, tuple(tabs)
+
+
+def moment_vectors(field: CoefficientField, radii,
+                   quad: QuadratureSettings = DEFAULT_QUADRATURE):
+    """Second-harmonic circle moments of a, b, c at each of k radii.
+
+    Returns (moments, capped): a (k, 6) array of (a1, a2, b1, b2, c1, c2)
+    rows and a (k,) mask of the radii whose node doubling stopped at
+    max_nodes without converging.  Each node level is one coefficient call
+    on the grid of the radii still unconverged, split into calls of at most
+    `_CHUNK_POINTS` points (one radius per call past that many nodes).
+    """
+    radii = np.reshape(np.asarray(radii, dtype=float), -1)
+    if not np.all((radii > 0.0) & (radii <= 1.0)):
+        raise ValueError("radius must lie in (0, 1]")
+    if not radii.size:
+        return np.zeros((0, 6)), np.zeros(0, dtype=bool)
+
+    def sample(n, rows):
+        step = max(1, _CHUNK_POINTS // n)
+        return np.concatenate([
+            _second_harmonics(*_circle_samples(field, radii[rows[i:i + step]], n))
+            for i in range(0, rows.size, step)])
+
+    return _refine(sample, quad, radii.size)
 
 
 def moment_vector(field: CoefficientField, r: float,
@@ -205,11 +285,10 @@ def moment_vector(field: CoefficientField, r: float,
 
     a1 = mean a*(theta2^2 - theta1^2), a2 = -2 mean a*theta1*theta2, and
     likewise for b and c.  Convergence is tested on the six moments alone.
+    This is the one-radius case of `moment_vectors`.
     """
-    if not 0.0 < r <= 1.0:
-        raise ValueError("radius must lie in (0, 1]")
-    m6, = _refine(lambda n: (_second_harmonics(*_circle_samples(field, r, n)),), quad)
-    return MomentVector(r, *map(float, m6))
+    m6, capped = moment_vectors(field, [r], quad)
+    return MomentVector(r, *map(float, m6[0]), capped=bool(capped[0]))
 
 
 def moment_matrix(m: MomentVector) -> np.ndarray:

@@ -55,6 +55,13 @@ def test_pipeline_constant_field(tmp_path):
     assert report["results"]["moments"]["max_identity_residual"] <= 1e-12
     assert report["results"]["probes"]["uniform_stability"] == "stable"
     assert report["results"]["probes"]["asymptotic_constancy"] == "constant"
+    # eps = 0: the reduction ratios are undefined and flagged, not "inf"
+    reduction = report["results"]["probes"]["reduction_check"]
+    assert reduction["eps_zero"] and reduction["max_ratio"] is None
+    assert set(reduction["ratio"]) == {None}
+    for stage in ("probes", "criteria"):
+        work = report["results"][stage]["moments_work"]
+        assert work["radii"] > 0 and work["cap_hits"] == 0
     assert (tmp_path / "report.json").exists()
     assert (tmp_path / "moments.csv").exists()
     assert (tmp_path / "trajectory.csv").exists()

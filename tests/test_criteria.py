@@ -133,26 +133,32 @@ def test_special_case_sin_mode_declining_a2():
 
 
 def test_conclusion_precedence():
-    results = run_all_criteria(OSC_FIELD)
+    results = run_all_criteria(reduced_system(OSC_FIELD))
     assert criteria_conclusion(results) == SECOND_ORDER
-    results = run_all_criteria(HARMONIC_FIELD)
+    results = run_all_criteria(reduced_system(HARMONIC_FIELD))
     assert criteria_conclusion(results) == NONE
-    results = run_all_criteria(DINI_FIELD)
+    results = run_all_criteria(reduced_system(DINI_FIELD))
     assert criteria_conclusion(results) == SECOND_ORDER
 
 
 def test_run_all_criteria_evaluates_each_radius_once(monkeypatch):
     calls = Counter()
-    original = dynsys.moment_vector
+    single, batched = dynsys.moment_vector, dynsys.moment_vectors
 
     def counting(field, r, quad=DEFAULT_QUADRATURE):
         calls[r] += 1
-        return original(field, r, quad)
+        return single(field, r, quad)
+
+    def counting_batch(field, radii, quad=DEFAULT_QUADRATURE):
+        calls.update(float(r) for r in radii)
+        return batched(field, radii, quad)
 
     monkeypatch.setattr(dynsys, "moment_vector", counting)
+    monkeypatch.setattr(dynsys, "moment_vectors", counting_batch)
     # a radial family on b keeps the decoupled case (and its a-moments) active
-    results = run_all_criteria(make_radial_family("b", profile_power(0.2, 0.5)),
-                               CriteriaSettings(n_windows=16, prefix_windows=24))
+    results = run_all_criteria(
+        reduced_system(make_radial_family("b", profile_power(0.2, 0.5))),
+        CriteriaSettings(n_windows=16, prefix_windows=24))
     assert "special_a1_bounded" in by_id(results)
     assert calls and max(calls.values()) == 1
 

@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from regan.coeff import (constant_laplacian, make_harmonic_family,
+from regan.coeff import (CoefficientField, constant_laplacian, make_harmonic_family,
                          make_radial_family, make_trig_field,
                          profile_log_inverse, profile_log_oscillatory,
                          profile_power)
@@ -14,6 +15,7 @@ from regan.dynsys import (CONSTANT, DIVERGENT, J_BASIS, J_BASIS_INV, M_INF,
                           full_system, propagate, propagate_dense,
                           reduced_system, reduction_deviation,
                           second_harmonic_system, uniform_stability_probe)
+from regan.moments import QuadratureSettings
 
 
 def harmonic_decay(gamma):
@@ -47,6 +49,32 @@ def test_reduced_system_matches_pattern():
     pattern = second_harmonic_system(harmonic_decay(gamma))
     for t in (0.0, 1.0, 7.5, 22.0):
         assert np.allclose(sys.matrix(t), pattern.matrix(t), atol=1e-12)
+
+
+def test_reduced_matrices_batch_the_uncached_radii():
+    field = make_harmonic_family("a", profile_log_oscillatory(0.4, 1.0), 2)
+    sys = reduced_system(field)
+    grid = np.linspace(0.5, 40.0, 50)
+    ts = np.concatenate([[-1.0, 0.0], grid, grid[:3]])
+    stack = sys.matrices(ts)
+    assert stack.shape == (len(ts), 4, 4)
+    pointwise = reduced_system(field)
+    assert all(np.array_equal(R, pointwise.matrix(t)) for R, t in zip(stack, ts))
+    # t = -1 and t = 0 share r = 1, and three times come twice
+    assert sys.work == {"radii": 51, "cap_hits": 0}
+    sys.matrices(ts[::-1])
+    assert sys.work["radii"] == 51
+
+
+def test_reduced_system_counts_cap_hits():
+    base = constant_laplacian()
+    chirp = CoefficientField(lambda x, y: 1.0 + 0.2 * np.cos(40.0 * x), base.b,
+                             base.c, base.modulus, ellipticity_lower=2.0)
+    sys = reduced_system(chirp, QuadratureSettings(32, 64, 1e-13))
+    sys.prefetch([0.0, math.log(2.0), 10.0])
+    sys.matrix(0.1)
+    assert sys.work == {"radii": 4, "cap_hits": 3}
+    assert sys.moments(0.0).capped and not sys.moments(10.0).capped
 
 
 def test_full_system_constant_field_matches_limit():
@@ -98,6 +126,23 @@ def test_reduction_gap_bounded_on_builtins():
         assert ratio[-1] <= 1.25 * np.max(ratio[:8]) + 1e-9
 
 
+def test_reduction_deviation_flags_zero_eps():
+    field = constant_laplacian()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = reduction_deviation(full_system(field), reduced_system(field),
+                                    np.linspace(1.0, 30.0, 16))
+    assert table["eps_zero"]
+    assert table["ratio"] == [None] * 16
+    assert table["max_ratio"] is None and table["tail_slope"] is None
+    field = make_harmonic_family("a", profile_power(0.2, 0.0), 2)
+    table = reduction_deviation(full_system(field), reduced_system(field),
+                                np.linspace(1.0, 30.0, 16))
+    assert not table["eps_zero"]
+    assert np.isfinite(np.array(table["ratio"])).all()
+    assert table["max_ratio"] == max(table["ratio"])
+
+
 # ---------------------------------------------------------------------------
 # propagation
 # ---------------------------------------------------------------------------
@@ -122,6 +167,20 @@ def test_propagate_constant_diagonal_oracle():
     sys = MatrixSystem(4, lambda t: c * np.eye(4))
     got = propagate(sys, 1.0, 5.0, rtol=1e-10)
     assert np.allclose(got.Phi, math.exp(-c * 4.0) * np.eye(4), rtol=1e-9)
+
+
+@pytest.mark.parametrize("field", [
+    make_harmonic_family("a", profile_log_oscillatory(0.4, 1.0), 2),
+    make_trig_field(3)], ids=["oscillatory_log", "trig_random-3"])
+def test_stage_prefetch_leaves_propagation_bitwise_unchanged(field):
+    # a MatrixSystem evaluates every stage alone: no prefetch, same times
+    batched = reduced_system(field)
+    pointwise = MatrixSystem(4, reduced_system(field).matrix)
+    ts = np.linspace(0.5, 12.0, 47)
+    got, err = propagate_dense(batched, 0.0, ts, rtol=1e-10)
+    want, want_err = propagate_dense(pointwise, 0.0, ts, rtol=1e-10)
+    assert np.array_equal(got, want) and err == want_err
+    assert batched.work["radii"] > 0
 
 
 @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])

@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 
 from oracles import oracle_moment_vector, oracle_tables
-from regan.coeff import (CoefficientField, constant_laplacian,
-                         make_harmonic_family, make_radial_family,
-                         make_trig_field, profile_log_inverse, profile_power)
+from regan import moments
+from regan.coeff import (CoefficientField, builtin_families, constant_laplacian,
+                         family_from_descriptor, make_harmonic_family,
+                         make_radial_family, make_trig_field,
+                         profile_log_inverse, profile_power)
 from regan.moments import (DEFAULT_QUADRATURE, MOMENT_MATRIX_ZEROS, MomentVector,
-                           block_table, circle_mean, forcing_functionals,
-                           moment_matrix, moment_matrix_residual,
-                           moment_vector, write_moment_csv)
+                           QuadratureSettings, block_table, circle_mean,
+                           forcing_functionals, moment_matrix,
+                           moment_matrix_residual, moment_vector, moment_vectors,
+                           write_moment_csv)
 from regan.tails import EvaluationError
 
 
@@ -136,6 +139,87 @@ def test_structural_zeros_always_hold():
 def test_zero_moments_give_zero_matrix():
     m = MomentVector(0.5, 0, 0, 0, 0, 0, 0)
     assert np.array_equal(moment_matrix(m), np.zeros((4, 4)))
+
+
+# ---------------------------------------------------------------------------
+# batched moment vectors
+# ---------------------------------------------------------------------------
+
+
+def _field_with_a(a, label):
+    base = constant_laplacian()
+    return CoefficientField(a, base.b, base.c, base.modulus,
+                            ellipticity_lower=2.0, label=label)
+
+
+# needs more circle nodes the larger r is, so a batch converges level by level
+CHIRP = _field_with_a(lambda x, y: 1.0 + 0.2 * np.cos(40.0 * x), "chirp")
+
+
+def _per_radius_moments(field, r, quad):
+    """Six moments of one radius by the one-circle doubling loop on 1-D nodes."""
+
+    def level(n):
+        phi = 2.0 * math.pi * np.arange(n) / n
+        cos, sin = np.cos(phi), np.sin(phi)
+        w2, wx = sin ** 2 - cos ** 2, cos * sin
+        abc = [np.broadcast_to(v, phi.shape) for v in field.coefficients(r * cos, r * sin)]
+        return np.array([m for v in abc
+                         for m in (np.mean(v * w2), -2.0 * np.mean(v * wx))])
+
+    n = quad.base_nodes
+    prev = level(n)
+    while n < quad.max_nodes:
+        n *= 2
+        cur = level(n)
+        scale = max(1.0, float(np.max(np.abs(cur))))
+        if float(np.max(np.abs(cur - prev))) <= quad.rel_tol * scale:
+            return cur, False
+        prev = cur
+    return prev, True
+
+
+BATCH_FIELDS = ([family_from_descriptor(d) for d in builtin_families().values()]
+                + [make_trig_field(seed) for seed in range(8)] + [CHIRP])
+
+
+@pytest.mark.parametrize("chunk_points", [moments._CHUNK_POINTS, 100])
+@pytest.mark.parametrize("field", BATCH_FIELDS, ids=lambda f: f.label)
+def test_moment_vectors_bitwise_equal_per_radius(field, chunk_points, monkeypatch):
+    monkeypatch.setattr(moments, "_CHUNK_POINTS", chunk_points)
+    radii = [min(1.0, math.exp(-t)) for t in np.linspace(0.0, 85.0, 120)]
+    got, capped = moment_vectors(field, radii)
+    assert got.shape == (120, 6) and not capped.any()
+    for r, row in zip(radii, got):
+        want, _ = _per_radius_moments(field, r, DEFAULT_QUADRATURE)
+        assert np.array_equal(row, want)
+        assert np.array_equal(row, moment_vector(field, r).as_array())
+
+
+def test_moment_vectors_cap_hit_returns_finest_level():
+    quad = QuadratureSettings(base_nodes=32, max_nodes=64, rel_tol=1e-13)
+    radii = [1.0, 0.5, 0.01, 1e-4]
+    got, capped = moment_vectors(CHIRP, radii, quad)
+    assert capped.tolist() == [True, True, False, False]
+    for r, row, cap in zip(radii, got, capped):
+        want, want_cap = _per_radius_moments(CHIRP, r, quad)
+        assert cap == want_cap
+        assert np.array_equal(row, want)
+    assert moment_vector(CHIRP, 1.0, quad).capped
+    assert not moment_vector(CHIRP, 1e-4, quad).capped
+    assert not moment_vectors(CHIRP, [1.0])[1][0]   # the default cap suffices
+
+
+def test_moment_vectors_name_the_bad_radius():
+    field = _field_with_a(lambda x, y: np.where(np.hypot(x, y) > 0.6, np.nan, 1.0),
+                          "hole")
+    with pytest.raises(EvaluationError, match=r"coefficient a not finite at r=0\.75, phi="):
+        moment_vectors(field, [0.25, 0.5, 0.75, 0.125])
+    for bad in ([0.5, 1.5], [0.0], [-0.25], [math.nan]):
+        with pytest.raises(ValueError, match="radius"):
+            moment_vectors(CHIRP, bad)
+    got, capped = moment_vectors(CHIRP, [])
+    assert got.shape == (0, 6) and capped.shape == (0,)
 
 
 # ---------------------------------------------------------------------------
