@@ -22,8 +22,7 @@ from .dynsys import (FullSystem, ReducedSystem, StabilityReport,
                      propagate, propagate_dense, reduced_system,
                      second_harmonic_system, uniform_stability_probe)
 from .moments import (BlockTable, MomentVector, block_table, circle_mean,
-                      forcing_functionals, moment_matrix,
-                      moment_matrix_residual, moment_vector)
+                      moment_matrix, moment_matrix_residual, moment_vector)
 from .pdelab import (DecompositionProfile, GridSolution, compare_with_dynamics,
                      decompose, gradient_field, hessian_quotients,
                      regularity_diagnostics, solve_dirichlet)

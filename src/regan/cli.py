@@ -23,6 +23,13 @@ ANALYSES = ("validate", "moments", "probes", "criteria", "pde", "compare")
 
 NO_GUARANTEE = "no_guarantee"
 
+# size limits checked up front: past about 1075 dyadic windows e^-t
+# underflows to r = 0, `eps` clamps t at 700, and each halving of pde.h
+# quadruples the unknowns (123,201 at h = 2^-8)
+MAX_WINDOWS = 1000
+MAX_T = 700.0
+MIN_H = 2.0**-9
+
 
 class ConfigError(ValueError):
     def __init__(self, violations):
@@ -171,6 +178,15 @@ def validate_config(raw) -> AnalysisConfig:
                    violations, positive=("base_nodes", "max_nodes", "rel_tol"))
     _apply_section(config.pde, raw.get("pde", {}), "pde", violations,
                    positive=("h", "half_width", "p", "solver_tol"))
+    for key, value in (("radius_count", config.radius_count),
+                       ("criteria.n_windows", config.criteria.n_windows),
+                       ("criteria.prefix_windows", config.criteria.prefix_windows)):
+        if value > MAX_WINDOWS:
+            violations.append(f"{key} must be at most {MAX_WINDOWS}")
+    if not config.probes.t_max <= MAX_T:
+        violations.append(f"probes.t_max must be at most {MAX_T:g}")
+    if not config.pde.h >= MIN_H:
+        violations.append("pde.h must be at least 2^-9")
     grid = list(config.probes.s_grid)
     if not grid or sorted(grid) != grid:
         violations.append("probes.s_grid must be nonempty and sorted")
@@ -237,7 +253,6 @@ def _stage_probes(config, field, out_dir):
     stability = dynsys.uniform_stability_probe(system, list(pc.s_grid), pc.t_max,
                                                settings)
     constancy = dynsys.asymptotic_constancy_probe(system, pc.t0, pc.t_max, settings)
-    merged = stability.merged_with(constancy)
 
     ts = np.linspace(min(pc.s_grid), pc.t_max, 201)
     phis, _ = dynsys.propagate_dense(system, float(ts[0]), ts, pc.rtol)
@@ -252,14 +267,15 @@ def _stage_probes(config, field, out_dir):
         dynsys.full_system(field, quad), reduced, np.linspace(1.0, pc.t_max, 30))
     return {
         "system": pc.system,
-        "uniform_stability": merged.uniform_stability,
-        "kappa_max": merged.kappa_max,
-        "growth_slope": merged.growth_slope,
-        "kappa_samples": [[float(v) for v in row] for row in merged.kappa_samples],
-        "asymptotic_constancy": merged.asymptotic_constancy,
-        "deviation_half": merged.deviation_half,
-        "norm_growth": merged.norm_growth,
-        "constancy_samples": [[float(v) for v in row] for row in merged.constancy_samples],
+        "uniform_stability": stability.uniform_stability,
+        "kappa_max": stability.kappa_max,
+        "growth_slope": stability.growth_slope,
+        "kappa_samples": [[float(v) for v in row] for row in stability.kappa_samples],
+        "asymptotic_constancy": constancy.asymptotic_constancy,
+        "deviation_half": constancy.deviation_half,
+        "norm_growth": constancy.norm_growth,
+        "constancy_samples": [[float(v) for v in row]
+                              for row in constancy.constancy_samples],
         "trajectory_csv": traj_path.name,
         "reduction_check": {
             "max_ratio": reduction["max_ratio"],

@@ -14,10 +14,10 @@ windows and reported three-valued with witness tables:
 Each check reads the drift matrix R(t) from a system with `matrices(ts)`,
 one whole Gauss-Legendre window (or the whole trapezoid grid of
 iterated_L1) per call, so a `dynsys.ReducedSystem` evaluates the radii of
-a window in one batch; the decoupled case also reads the six moments
-through `moments(t)` at its applicability samples.  `run_all_criteria`
-passes one reduced system to all four checks, so every radius is
-evaluated once.
+a window in one batch; the decoupled case also reads the b- and c-moments
+off R through `matrix(t)` at its applicability samples.
+`run_all_criteria` passes one reduced system to all four checks, so every
+radius is evaluated once.
 
 Criteria are sufficient, not necessary: a failed criterion never refutes
 stability, and the report notes when probes and criteria disagree.
@@ -68,8 +68,9 @@ class CriteriaSettings:
     applicability_samples: int = 33
 
 
-# positions of the moments a1 and a2 in the drift matrix (`moment_matrix`)
+# positions of the moments in the drift matrix (`moment_matrix`)
 _A1, _A2 = (0, 0), (1, 0)
+_BC = ((0, 2), (1, 1), (0, 3), (1, 3))     # b1, b2, c1, c2
 
 
 def _window_sums_of(system, fn, n_windows: int) -> np.ndarray:
@@ -178,7 +179,7 @@ def check_iterated_integral(system,
     )
 
 
-def check_decoupled_case(system: ReducedSystem,
+def check_decoupled_case(system,
                          settings: CriteriaSettings = CriteriaSettings()) -> list[CriterionResult]:
     """Decoupled special case: all b- and c-moments vanish.
 
@@ -198,8 +199,8 @@ def check_decoupled_case(system: ReducedSystem,
                             settings.applicability_samples)
     worst = 0.0
     for t in t_samples:
-        m = system.moments(t)
-        worst = max(worst, abs(m.b1), abs(m.b2), abs(m.c1), abs(m.c2))
+        R = system.matrix(t)
+        worst = max(worst, *(abs(float(R[ij])) for ij in _BC))
     if worst > settings.applicability_tol:
         return [CriterionResult(
             id="special_case", verdict=INCONCLUSIVE, flags=("not_applicable",),

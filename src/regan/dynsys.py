@@ -9,10 +9,12 @@ t = -log r:
   derivative from the radial balance equations, with constant part
   M_inf = [[-I, 2I], [I/2, -I]] and remainder split M = M_inf + S1 + S2.
 
-Fundamental matrices are propagated with an adaptive Dormand-Prince 5(4)
-pair, which hands the six stage times of each step to the system's
-`prefetch` before it evaluates the stages.  Uniform stability and
-asymptotic constancy are probed on a finite horizon with trend
+Both are radial systems: each radius r = min(1, e^-t) is evaluated once
+and memoised by r, and a system reads as `dim`, `matrix(t)`,
+`matrices(ts)` and `eps(t)`.  Fundamental matrices are propagated with an
+adaptive Dormand-Prince 5(4) pair, which reads the drift matrices of the
+six stage times of each step in one `matrices` call.  Uniform stability
+and asymptotic constancy are probed on a finite horizon with trend
 extrapolation (heuristic verdicts, thresholds recorded in the report).
 """
 from __future__ import annotations
@@ -42,17 +44,7 @@ class StepUnderflowError(RuntimeError):
     """The adaptive integrator could not make progress."""
 
 
-class _PointwiseSystem:
-    """`prefetch` and `matrices` for a system evaluated one t at a time."""
-
-    def prefetch(self, ts) -> None:
-        pass
-
-    def matrices(self, ts) -> np.ndarray:
-        return np.array([self.matrix(t) for t in ts])
-
-
-class MatrixSystem(_PointwiseSystem):
+class MatrixSystem:
     """A linear system y' + K(t) y = 0 given by an explicit matrix callable."""
 
     def __init__(self, dim: int, matrix_fn: Callable[[float], np.ndarray],
@@ -66,65 +58,90 @@ class MatrixSystem(_PointwiseSystem):
     def matrix(self, t: float) -> np.ndarray:
         return np.asarray(self._fn(t), dtype=float)
 
+    def matrices(self, ts) -> np.ndarray:
+        return np.array([self.matrix(t) for t in ts])
+
     def eps(self, t: float) -> float:
         return float(self._eps(t)) if self._eps is not None else math.nan
 
 
-class ReducedSystem:
-    """t -> six second-harmonic moments and 4x4 drift matrix R(t) at r = e^-t.
+class _RadialSystem:
+    """A system in t = -log r built from circle means of a field at r = min(1, e^-t).
+
+    Each radius is evaluated once and memoised, whatever t asked for it.
+    A subclass says how to evaluate one radius (`_one`) and, when it has a
+    faster path, a batch of radii (`_batch`); `_drift` picks the drift
+    matrix out of a memo entry.  `matrices(ts)` evaluates the uncached
+    radii of ts in one `_batch` call; `matrix(t)` of a single uncached t
+    goes through `_one`.
+    """
+
+    def __init__(self, field: CoefficientField,
+                 quad: QuadratureSettings = DEFAULT_QUADRATURE):
+        self.field = field
+        self.quad = quad
+        self._memo: dict = {}
+
+    def _batch(self, radii: list) -> list:
+        return [self._one(r) for r in radii]
+
+    @staticmethod
+    def _drift(entry) -> np.ndarray:
+        return entry
+
+    def _at(self, t: float):
+        r = min(1.0, math.exp(-t))
+        entry = self._memo.get(r)
+        if entry is None:
+            entry = self._memo[r] = self._one(r)
+        return entry
+
+    def matrices(self, ts) -> np.ndarray:
+        """The stack of drift matrices over ts, shape (len(ts), dim, dim)."""
+        radii = [min(1.0, math.exp(-t)) for t in ts]
+        new = [r for r in dict.fromkeys(radii) if r not in self._memo]
+        if new:
+            self._memo.update(zip(new, self._batch(new)))
+        return np.array([self._drift(self._memo[r]) for r in radii])
+
+    def eps(self, t: float) -> float:
+        return float(self.field.modulus(math.exp(-min(t, 700.0))))
+
+
+class ReducedSystem(_RadialSystem):
+    """t -> 4x4 drift matrix R(t) of the six second-harmonic moments at r = e^-t.
 
     This is the one path from a field to R(t): the probes and every
-    criterion read `matrix`, `matrices` and `moments` of a shared instance,
-    which evaluates each radius once and memoises the pair.  `prefetch(ts)`
-    evaluates the uncached radii of a whole grid in one `moment_vectors`
-    batch (chunked there); a single uncached t goes through `moment_vector`.
-    `work` counts the radii evaluated and those that hit the node cap.
+    criterion read `matrix` and `matrices` of a shared instance.  A batch
+    of radii is one `moment_vectors` call (chunked there), a single radius
+    one `moment_vector` call.  `work` counts the radii evaluated and those
+    that hit the node cap.
     """
 
     dim = 4
 
     def __init__(self, field: CoefficientField,
                  quad: QuadratureSettings = DEFAULT_QUADRATURE):
-        self.field = field
-        self.quad = quad
-        self._cache: dict[float, tuple[MomentVector, np.ndarray]] = {}
+        super().__init__(field, quad)
         self.work = {"radii": 0, "cap_hits": 0}
 
-    def _store(self, m: MomentVector) -> tuple[MomentVector, np.ndarray]:
-        self.work["radii"] += 1
-        self.work["cap_hits"] += int(m.capped)
-        got = self._cache[m.r] = (m, moment_matrix(m))
-        return got
+    def _count(self, capped) -> None:
+        self.work["radii"] += len(capped)
+        self.work["cap_hits"] += int(np.count_nonzero(capped))
 
-    def _at(self, t: float) -> tuple[MomentVector, np.ndarray]:
-        r = min(1.0, math.exp(-t))
-        got = self._cache.get(r)
-        if got is None:
-            got = self._store(moment_vector(self.field, r, self.quad))
-        return got
+    def _one(self, r: float) -> np.ndarray:
+        m = moment_vector(self.field, r, self.quad)
+        self._count([m.capped])
+        return moment_matrix(m)
 
-    def prefetch(self, ts) -> None:
-        """Evaluate the radii min(1, e^-t) of ts that are not cached, in one batch."""
-        radii = [r for r in dict.fromkeys(min(1.0, math.exp(-t)) for t in ts)
-                 if r not in self._cache]
-        if radii:
-            m6, capped = moment_vectors(self.field, radii, self.quad)
-            for r, row, cap in zip(radii, m6, capped):
-                self._store(MomentVector(r, *map(float, row), capped=bool(cap)))
-
-    def matrices(self, ts) -> np.ndarray:
-        """The stack of R(t) over ts, shape (len(ts), 4, 4)."""
-        self.prefetch(ts)
-        return np.array([self._at(t)[1] for t in ts])
-
-    def moments(self, t: float) -> MomentVector:
-        return self._at(t)[0]
+    def _batch(self, radii: list) -> list:
+        m6, capped = moment_vectors(self.field, radii, self.quad)
+        self._count(capped)
+        return [moment_matrix(MomentVector(r, *map(float, row)))
+                for r, row in zip(radii, m6)]
 
     def matrix(self, t: float) -> np.ndarray:
-        return self._at(t)[1]
-
-    def eps(self, t: float) -> float:
-        return float(self.field.modulus(math.exp(-min(t, 700.0))))
+        return self._at(t)
 
 
 def reduced_system(field: CoefficientField,
@@ -163,35 +180,25 @@ J_BASIS_INV = _block4(0.25 * _I4, 0.5 * _I4, 0.25 * _I4, -0.5 * _I4)
 _DIAG_LIMIT = np.diag([0.0] * 4 + [-2.0] * 4)
 
 
-class FullSystem(_PointwiseSystem):
+class FullSystem(_RadialSystem):
     """Exact 8x8 first-order system in (V, U) after circle-mean elimination.
 
     The elimination is carried out exactly, so the second-order remainder
     S2 := M - M_inf - S1 is fully determined rather than an unspecified
     O(eps^2) term.  All forcing from the higher-harmonic remainder field is
     dropped: this is the homogeneous system the stability statements
-    condition on.
+    condition on.  Each radius memoises (M, S1, effective blocks), built
+    from one `block_table`; a batch loops over the radii.
     """
 
     dim = 8
 
-    def __init__(self, field: CoefficientField,
-                 quad: QuadratureSettings = DEFAULT_QUADRATURE):
-        self.field = field
-        self.quad = quad
-        self.m_inf = M_INF
-        self.j_basis = J_BASIS
-        self.j_basis_inv = J_BASIS_INV
-        self._cache: dict[float, tuple] = {}
+    def _one(self, r: float):
+        return self._assemble(block_table(self.field, r, self.quad), r)
 
-    def _tables(self, t: float):
-        got = self._cache.get(t)
-        if got is None:
-            r = min(1.0, math.exp(-t))
-            bt = block_table(self.field, r, self.quad)
-            got = self._assemble(bt, r)
-            self._cache[t] = got
-        return got
+    @staticmethod
+    def _drift(entry) -> np.ndarray:
+        return entry[0]
 
     def _assemble(self, bt, r):
         A2 = bt.theta2_mean
@@ -220,21 +227,21 @@ class FullSystem(_PointwiseSystem):
         return m, s1, (a_eff, b_eff, bt_eff, c_eff)
 
     def matrix(self, t: float) -> np.ndarray:
-        return self._tables(t)[0]
+        return self._at(t)[0]
 
     def s1(self, t: float) -> np.ndarray:
-        return self._tables(t)[1]
+        return self._at(t)[1]
 
     def s2(self, t: float) -> np.ndarray:
-        m, s1, _ = self._tables(t)
-        return m - self.m_inf - s1
+        m, s1, _ = self._at(t)
+        return m - M_INF - s1
 
     def eff_blocks(self, t: float):
-        return self._tables(t)[2]
+        return self._at(t)[2]
 
     def conjugated_remainder(self, t: float) -> np.ndarray:
         """J^-1 M(t) J minus the limiting diagonal diag(0_4, -2 I_4)."""
-        return self.j_basis_inv @ self.matrix(t) @ self.j_basis - _DIAG_LIMIT
+        return J_BASIS_INV @ self.matrix(t) @ J_BASIS - _DIAG_LIMIT
 
     def reduced_block(self, t: float) -> np.ndarray:
         """Top-left 4x4 block of the conjugated remainder."""
@@ -243,9 +250,6 @@ class FullSystem(_PointwiseSystem):
     def reduced_block_system(self) -> MatrixSystem:
         return MatrixSystem(4, self.reduced_block, eps_fn=self.eps,
                             label=f"reduced block of {self.field.label}")
-
-    def eps(self, t: float) -> float:
-        return float(self.field.modulus(math.exp(-min(t, 700.0))))
 
 
 def full_system(field: CoefficientField,
@@ -288,10 +292,10 @@ def propagate_dense(system, s: float, t_eval, rtol: float = 1e-10,
     t_eval must be monotone starting at or after s (or at or before s for
     backward integration).  Steps are capped at the next output time, so
     samples are exact integration endpoints, not interpolants.  Each step
-    (accepted or rejected) first passes its six stage times t + c_i h to
-    `system.prefetch`, so a `ReducedSystem` evaluates their radii in one
-    batch; the stages then read the cache, at the same times.  Returns
-    (array of Phi with shape (len(t_eval), d, d), accumulated error).
+    (accepted or rejected) reads the drift matrices of its six stage times
+    t + c_i h in one `system.matrices` call, so a radial system evaluates
+    their uncached radii in one batch.  Returns (array of Phi with shape
+    (len(t_eval), d, d), accumulated error).
     """
     if not 1e-12 <= rtol <= 1e-3:
         raise ValueError("rtol must lie in [1e-12, 1e-3]")
@@ -308,12 +312,9 @@ def propagate_dense(system, s: float, t_eval, rtol: float = 1e-10,
             raise ValueError("t_eval must be monotone away from s")
         prev = v
 
-    def rhs(t, Y):
-        return -system.matrix(t) @ Y
-
     Y = np.eye(d)
     t = s
-    k1 = rhs(t, Y)
+    k1 = -system.matrix(t) @ Y
     span = max(abs(ts[-1] - s), 1e-6)
     h = min(0.05, span) * direction
     err_total = 0.0
@@ -327,10 +328,10 @@ def propagate_dense(system, s: float, t_eval, rtol: float = 1e-10,
                 raise StepUnderflowError(
                     f"step underflow at t={t:.6g} (h={h:.3g}, target={target:.6g})")
             ks[0] = k1
-            system.prefetch([t + _DP_C[i] * h for i in range(1, 7)])
+            Ks = system.matrices([t + _DP_C[i] * h for i in range(1, 7)])
             for i in range(1, 7):
                 Yi = Y + h * sum(a * ks[j] for j, a in enumerate(_DP_A[i]))
-                ks[i] = rhs(t + _DP_C[i] * h, Yi)
+                ks[i] = -Ks[i - 1] @ Yi
             Y_new = Y + h * sum(a * ks[j] for j, a in enumerate(_DP_A[6]))
             # the last stage was evaluated at (t + h, Y_new): FSAL
             err_mat = h * sum(e * ks[j] for j, e in enumerate(_DP_ERR))
@@ -385,21 +386,6 @@ class StabilityReport:
     asymptotic_constancy: Optional[str] = None
     deviation_half: float = math.nan
     norm_growth: float = math.nan
-
-    def merged_with(self, other: "StabilityReport") -> "StabilityReport":
-        merged = StabilityReport(horizon=max(self.horizon, other.horizon))
-        for part in (self, other):
-            if part.uniform_stability is not None:
-                merged.kappa_samples = part.kappa_samples
-                merged.uniform_stability = part.uniform_stability
-                merged.kappa_max = part.kappa_max
-                merged.growth_slope = part.growth_slope
-            if part.asymptotic_constancy is not None:
-                merged.constancy_samples = part.constancy_samples
-                merged.asymptotic_constancy = part.asymptotic_constancy
-                merged.deviation_half = part.deviation_half
-                merged.norm_growth = part.norm_growth
-        return merged
 
 
 def _dense_times(s: float, t_max: float, settings: ProbeSettings) -> np.ndarray:

@@ -323,60 +323,6 @@ def moment_matrix_residual(field: CoefficientField, r: float,
     return float(np.max(np.abs(R - (plain - 2.0 * theta2_col))))
 
 
-@dataclass(frozen=True)
-class ForcingFunctionals:
-    """Circle functionals of a remainder field W entering the radial systems.
-
-    bound_ok is None when W fails the zero-mean / zero-first-moment
-    conditions on the sampled circle (the bound is then not asserted).
-    """
-
-    r: float
-    Lambda: np.ndarray          # 2-vector
-    P: np.ndarray               # (2, 2): P_k components
-    Q: np.ndarray               # (2, 2): Q_k components
-    grad_mean: float            # mean |grad W| over the circle
-    bound_rhs: float            # omega(r) * grad_mean
-    projection_residual: float
-    bound_ok: bool | None
-
-
-def forcing_functionals(field: CoefficientField, r: float, w_field,
-                        n_nodes: int = 256,
-                        projection_tol: float = 1e-8) -> ForcingFunctionals:
-    """Circle means Lambda, P_k, Q_k of the coefficient blocks against grad W.
-
-    `w_field` provides value(x, y) -> (2, ...) and gradient(x, y) ->
-    (2, 2, ...) with entries d W_p / d x_j at index [p, j].
-    """
-    cos, sin, abc = _circle_samples(field, r, n_nodes)
-    x, y = r * cos, r * sin
-    t = np.vstack([cos, sin])
-    A = _blocks(*abc)                                    # [i,j,p,q,n]
-    W = np.asarray(w_field.value(x, y), dtype=float)     # [p,n]
-    G = np.asarray(w_field.gradient(x, y), dtype=float)  # [p,j,n]
-
-    lam = np.einsum("ijpqn,in,qjn->p", A, t, G) / n_nodes
-    P = np.einsum("ijpqn,in,kn,qjn->kp", A, t, t, G) / n_nodes
-    Q = np.einsum("kjpqn,qjn->kp", A, G) / n_nodes
-
-    scale = max(1.0, float(np.max(np.abs(W))))
-    moments = [float(np.mean(W[p])) for p in range(2)]
-    moments += [float(np.mean(W[p] * t[i])) for p in range(2) for i in range(2)]
-    proj_res = max(abs(v) for v in moments) / scale
-    grad_mean = float(np.mean(np.sqrt(np.einsum("pjn,pjn->n", G, G))))
-    rhs = float(field.modulus(r)) * grad_mean
-
-    if proj_res > projection_tol:
-        bound_ok = None
-    else:
-        norms = [float(np.linalg.norm(lam))]
-        norms += [float(np.linalg.norm(P[k])) for k in range(2)]
-        norms += [float(np.linalg.norm(Q[k])) for k in range(2)]
-        bound_ok = bool(max(norms) <= rhs + 1e-10)
-    return ForcingFunctionals(r, lam, P, Q, grad_mean, rhs, proj_res, bound_ok)
-
-
 def write_moment_csv(path, field: CoefficientField, radii,
                      quad: QuadratureSettings = DEFAULT_QUADRATURE) -> None:
     """Moment table as CSV: r, a1, a2, b1, b2, c1, c2 (17 significant digits)."""

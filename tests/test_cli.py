@@ -159,6 +159,25 @@ def test_config_rejects_s_grid_at_or_past_t_max(tmp_path):
     assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("key, extra", [
+    ("radius_count", {"radius_count": 1001}),
+    ("criteria.n_windows", {"criteria": {"n_windows": 1001}}),
+    ("criteria.prefix_windows", {"criteria": {"prefix_windows": 1001}}),
+    ("probes.t_max", {"probes": {"t_max": 701.0}}),
+    ("probes.t_max", {"probes": {"t_max": 1e6}}),
+    ("pde.h", {"pde": {"h": 2.0**-10}}),
+])
+def test_runaway_sizes_exit_2_naming_the_key(tmp_path, capsys, key, extra):
+    # rejected by validation: nothing of the oversized run is started
+    bad = tmp_path / "big.json"
+    bad.write_text(json.dumps(minimal_config(**extra)))
+    assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {key} must be at" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_failed_probes_stage_exits_3_with_report(tmp_path):
     config = validate_config(minimal_config(analyses=["probes", "criteria"]))
     config.probes.s_grid = (0.0, 40.0)   # past t_max: the probe itself refuses

@@ -92,13 +92,18 @@ def test_iterated_integral_verdicts():
     assert res.implied_conclusion == SECOND_ORDER
 
 
-def test_special_case_detector():
+@pytest.mark.parametrize("target", ["b", "c"])
+def test_special_case_not_applicable(target):
+    # R carries the b- and c-moments the applicability test reads
     res = check_decoupled_case(reduced_system(
-        make_harmonic_family("c", profile_power(0.2, 0.0), 2)))
+        make_harmonic_family(target, profile_power(0.2, 0.0), 2)))
     assert len(res) == 1
     assert res[0].verdict == "inconclusive"
     assert "not_applicable" in res[0].flags
+    assert res[0].witness["max_bc_moment"] == pytest.approx(0.1, abs=1e-12)
 
+
+def test_special_case_detector():
     radial = check_decoupled_case(reduced_system(
         make_radial_family("b", profile_power(0.2, 0.5))))
     assert {r.id for r in radial} == {"special_a1_bounded", "special_a2_lower",

@@ -9,13 +9,15 @@ from regan.coeff import (CoefficientField, constant_laplacian, make_harmonic_fam
                          make_radial_family, make_trig_field,
                          profile_log_inverse, profile_log_oscillatory,
                          profile_power)
+from regan import dynsys
 from regan.dynsys import (CONSTANT, DIVERGENT, J_BASIS, J_BASIS_INV, M_INF,
                           STABLE, UNSTABLE, FullSystem, MatrixSystem,
-                          ProbeSettings, asymptotic_constancy_probe,
+                          ProbeSettings, ReducedSystem,
+                          asymptotic_constancy_probe,
                           full_system, propagate, propagate_dense,
                           reduced_system, reduction_deviation,
                           second_harmonic_system, uniform_stability_probe)
-from regan.moments import QuadratureSettings
+from regan.moments import QuadratureSettings, moment_vectors
 
 
 def harmonic_decay(gamma):
@@ -51,19 +53,39 @@ def test_reduced_system_matches_pattern():
         assert np.allclose(sys.matrix(t), pattern.matrix(t), atol=1e-12)
 
 
-def test_reduced_matrices_batch_the_uncached_radii():
+def _count_radius_evaluations(monkeypatch) -> list:
+    """Patch the per-radius evaluators bound in dynsys; returns the radii seen."""
+    seen = []
+
+    def counting(fn, batched):
+        def wrapper(field, radii, quad):
+            seen.extend(radii if batched else [radii])
+            return fn(field, radii, quad)
+        return wrapper
+
+    for name, batched in (("moment_vector", False), ("moment_vectors", True),
+                          ("block_table", False)):
+        monkeypatch.setattr(dynsys, name, counting(getattr(dynsys, name), batched))
+    return seen
+
+
+@pytest.mark.parametrize("system_cls", [ReducedSystem, FullSystem])
+def test_reduced_matrices_batch_the_uncached_radii(monkeypatch, system_cls):
     field = make_harmonic_family("a", profile_log_oscillatory(0.4, 1.0), 2)
-    sys = reduced_system(field)
+    seen = _count_radius_evaluations(monkeypatch)
+    sys = system_cls(field)
     grid = np.linspace(0.5, 40.0, 50)
     ts = np.concatenate([[-1.0, 0.0], grid, grid[:3]])
     stack = sys.matrices(ts)
-    assert stack.shape == (len(ts), 4, 4)
-    pointwise = reduced_system(field)
-    assert all(np.array_equal(R, pointwise.matrix(t)) for R, t in zip(stack, ts))
+    assert stack.shape == (len(ts), sys.dim, sys.dim)
     # t = -1 and t = 0 share r = 1, and three times come twice
-    assert sys.work == {"radii": 51, "cap_hits": 0}
+    assert len(seen) == 51 and len(set(seen)) == 51
     sys.matrices(ts[::-1])
-    assert sys.work["radii"] == 51
+    assert len(seen) == 51
+    if system_cls is ReducedSystem:
+        assert sys.work == {"radii": 51, "cap_hits": 0}
+    fresh = system_cls(field)
+    assert all(np.array_equal(M, fresh.matrix(t)) for M, t in zip(stack, ts))
 
 
 def test_reduced_system_counts_cap_hits():
@@ -71,10 +93,11 @@ def test_reduced_system_counts_cap_hits():
     chirp = CoefficientField(lambda x, y: 1.0 + 0.2 * np.cos(40.0 * x), base.b,
                              base.c, base.modulus, ellipticity_lower=2.0)
     sys = reduced_system(chirp, QuadratureSettings(32, 64, 1e-13))
-    sys.prefetch([0.0, math.log(2.0), 10.0])
+    sys.matrices([0.0, math.log(2.0), 10.0])
     sys.matrix(0.1)
     assert sys.work == {"radii": 4, "cap_hits": 3}
-    assert sys.moments(0.0).capped and not sys.moments(10.0).capped
+    _, capped = moment_vectors(chirp, [1.0, math.exp(-10.0)], sys.quad)
+    assert capped.tolist() == [True, False]
 
 
 def test_full_system_constant_field_matches_limit():
@@ -101,7 +124,7 @@ def test_remainder_orders_on_builtin_family():
         eps = sys.eps(t)
         assert np.max(np.abs(sys.s1(t))) <= 6.0 * eps
         assert np.max(np.abs(sys.s2(t))) <= 10.0 * eps**2
-        assert np.allclose(sys.m_inf + sys.s1(t) + sys.s2(t), sys.matrix(t),
+        assert np.allclose(M_INF + sys.s1(t) + sys.s2(t), sys.matrix(t),
                            atol=1e-14)
 
 
@@ -169,18 +192,23 @@ def test_propagate_constant_diagonal_oracle():
     assert np.allclose(got.Phi, math.exp(-c * 4.0) * np.eye(4), rtol=1e-9)
 
 
+@pytest.mark.parametrize("system_cls, t_end", [(ReducedSystem, 12.0),
+                                               (FullSystem, 3.0)],
+                         ids=["reduced", "full"])
 @pytest.mark.parametrize("field", [
     make_harmonic_family("a", profile_log_oscillatory(0.4, 1.0), 2),
     make_trig_field(3)], ids=["oscillatory_log", "trig_random-3"])
-def test_stage_prefetch_leaves_propagation_bitwise_unchanged(field):
-    # a MatrixSystem evaluates every stage alone: no prefetch, same times
-    batched = reduced_system(field)
-    pointwise = MatrixSystem(4, reduced_system(field).matrix)
-    ts = np.linspace(0.5, 12.0, 47)
+def test_stage_batches_leave_propagation_bitwise_unchanged(field, system_cls, t_end):
+    # a MatrixSystem evaluates every stage alone through `matrix`, at the
+    # same times
+    batched = system_cls(field)
+    pointwise = MatrixSystem(system_cls.dim, system_cls(field).matrix)
+    ts = np.linspace(0.5, t_end, 47)
     got, err = propagate_dense(batched, 0.0, ts, rtol=1e-10)
     want, want_err = propagate_dense(pointwise, 0.0, ts, rtol=1e-10)
     assert np.array_equal(got, want) and err == want_err
-    assert batched.work["radii"] > 0
+    if system_cls is ReducedSystem:
+        assert batched.work["radii"] > 0
 
 
 @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
@@ -294,13 +322,3 @@ def test_full_system_propagation_matches_matrix_exponential():
     span = 1.5
     got = propagate(sys, 0.0, span, rtol=1e-11).Phi
     assert np.allclose(got, expm(-M_INF * span), atol=1e-9)
-
-
-def test_probe_report_merge():
-    sys = reduced_system(constant_laplacian())
-    stab = uniform_stability_probe(sys, [0.0], 10.0)
-    const = asymptotic_constancy_probe(sys, 0.0, 10.0)
-    merged = stab.merged_with(const)
-    assert merged.uniform_stability == STABLE
-    assert merged.asymptotic_constancy == CONSTANT
-    assert merged.kappa_samples and merged.constancy_samples

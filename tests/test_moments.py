@@ -11,9 +11,8 @@ from regan.coeff import (CoefficientField, builtin_families, constant_laplacian,
                          profile_log_inverse, profile_power)
 from regan.moments import (DEFAULT_QUADRATURE, MOMENT_MATRIX_ZEROS, MomentVector,
                            QuadratureSettings, block_table, circle_mean,
-                           forcing_functionals, moment_matrix,
-                           moment_matrix_residual, moment_vector, moment_vectors,
-                           write_moment_csv)
+                           moment_matrix, moment_matrix_residual, moment_vector,
+                           moment_vectors, write_moment_csv)
 from regan.tails import EvaluationError
 
 
@@ -334,74 +333,6 @@ def test_identity_residual_random_fields():
         for r in radii:
             worst = max(worst, moment_matrix_residual(field, float(r)))
     assert worst <= 1e-10
-
-
-# ---------------------------------------------------------------------------
-# forcing functionals
-# ---------------------------------------------------------------------------
-
-
-class SecondHarmonicW:
-    """W = (x^2 - y^2, 0): zero circle mean and first moments at every radius."""
-
-    def value(self, x, y):
-        return np.stack([x**2 - y**2, np.zeros_like(x)])
-
-    def gradient(self, x, y):
-        zero = np.zeros_like(x)
-        return np.stack([np.stack([2 * x, -2 * y]), np.stack([zero, zero])])
-
-
-class FirstHarmonicW:
-    """W = (x, 0): violates the first-moment condition."""
-
-    def value(self, x, y):
-        return np.stack([x, np.zeros_like(x)])
-
-    def gradient(self, x, y):
-        one, zero = np.ones_like(x), np.zeros_like(x)
-        return np.stack([np.stack([one, zero]), np.stack([zero, zero])])
-
-
-class ZeroW:
-    def value(self, x, y):
-        return np.zeros((2,) + np.shape(x))
-
-    def gradient(self, x, y):
-        return np.zeros((2, 2) + np.shape(x))
-
-
-def test_forcing_functionals_zero_w():
-    got = forcing_functionals(constant_laplacian(), 0.5, ZeroW())
-    assert np.allclose(got.Lambda, 0.0) and np.allclose(got.P, 0.0)
-    assert np.allclose(got.Q, 0.0) and got.bound_ok
-
-
-def test_forcing_functionals_identity_blocks():
-    got = forcing_functionals(constant_laplacian(), 0.5, SecondHarmonicW())
-    # identity blocks pair grad W with exact derivatives of vanishing moments
-    assert np.max(np.abs(got.Lambda)) <= 1e-14
-    assert np.max(np.abs(got.P)) <= 1e-14
-    assert np.max(np.abs(got.Q)) <= 1e-14
-    assert got.bound_ok
-
-
-def test_forcing_functionals_cos_mode_frozen():
-    r = 0.5
-    field = make_harmonic_family("a", const_profile(0.2), 2)
-    got = forcing_functionals(field, r, SecondHarmonicW())
-    assert got.Lambda == pytest.approx([0.1 * r, 0.0], abs=1e-13)
-    assert np.max(np.abs(got.P)) <= 1e-13
-    assert np.max(np.abs(got.Q)) <= 1e-13
-    assert got.grad_mean == pytest.approx(2.0 * r, abs=1e-12)
-    assert got.bound_rhs == pytest.approx(0.4 * r, abs=1e-12)
-    assert got.bound_ok
-
-
-def test_forcing_functionals_flags_bad_w():
-    got = forcing_functionals(constant_laplacian(), 0.5, FirstHarmonicW())
-    assert got.bound_ok is None
-    assert got.projection_residual > 1e-3
 
 
 def test_moment_csv_format(tmp_path):
