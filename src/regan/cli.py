@@ -108,18 +108,32 @@ def _apply_section(instance, section, name: str, violations: list,
                     isinstance(v, (int, float)) and not isinstance(v, bool) for v in value):
                 violations.append(f"{name}.{key} must be a list of numbers")
                 continue
+            if not all(map(_finite, value)):
+                violations.append(f"{name}.{key} entries must be finite")
+                continue
             value = tuple(value)
         else:
             try:
                 value = type(current)(value)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 violations.append(f"{name}.{key} must be of type "
                                   f"{type(current).__name__}, got {value!r}")
                 continue
+            if isinstance(value, float) and not math.isfinite(value):
+                violations.append(f"{name}.{key} must be finite, got {value!r}")
+                continue
         setattr(instance, key, value)
     for key in positive:
-        if getattr(instance, key) <= 0:
+        if not getattr(instance, key) > 0:
             violations.append(f"{name}.{key} must be positive")
+
+
+def _finite(value) -> bool:
+    """True for a finite number; an int too large for a float is not."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def validate_config(raw) -> AnalysisConfig:
@@ -162,7 +176,7 @@ def validate_config(raw) -> AnalysisConfig:
     config = AnalysisConfig(family=family, analyses=tuple(analyses))
     try:
         config.radius_count = int(raw.get("radius_count", 20))
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         violations.append(f"radius_count must be an integer, "
                           f"got {raw['radius_count']!r}")
     if config.radius_count < 1:
@@ -240,12 +254,10 @@ def _stage_probes(config, field, out_dir):
     quad = config.quad_settings()
     pc = config.probes
     reduced = dynsys.reduced_system(field, quad)
-    if pc.system == "full":
-        # the raw 8x8 system carries a genuine exp(+2t) branch; its
-        # stability semantics live on the conjugated neutral block
-        system = dynsys.full_system(field, quad).reduced_block_system()
-    else:
-        system = reduced
+    full = dynsys.full_system(field, quad)
+    # the raw 8x8 system carries a genuine exp(+2t) branch; its stability
+    # semantics live on the conjugated neutral block
+    system = full.reduced_block_system() if pc.system == "full" else reduced
     settings = dynsys.ProbeSettings(rtol=pc.rtol, kappa_threshold=pc.kappa_threshold,
                                     slope_margin=pc.slope_margin,
                                     const_tol=pc.const_tol,
@@ -263,8 +275,8 @@ def _stage_probes(config, field, out_dir):
         for t, phi in zip(ts, phis):
             fh.write(",".join("%.17g" % v for v in [t, *phi.ravel()]) + "\n")
 
-    reduction = dynsys.reduction_deviation(
-        dynsys.full_system(field, quad), reduced, np.linspace(1.0, pc.t_max, 30))
+    reduction = dynsys.reduction_deviation(full, reduced,
+                                           np.linspace(1.0, pc.t_max, 30))
     return {
         "system": pc.system,
         "uniform_stability": stability.uniform_stability,

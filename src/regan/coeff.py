@@ -136,11 +136,23 @@ _PROFILE_KINDS = {
 }
 
 
+def _number(desc: dict, key: str, convert=float, default=None):
+    """desc[key] (or default) as a finite number; ValueError names the key."""
+    value = desc.get(key, default)
+    try:
+        number = convert(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{key} must be a number, got {value!r}") from None
+    if isinstance(number, float) and not math.isfinite(number):
+        raise ValueError(f"{key} must be finite, got {value!r}")
+    return number
+
+
 def profile_from_descriptor(desc: dict) -> RadialProfile:
-    if "kind" not in desc:
+    if not isinstance(desc, dict) or "kind" not in desc:
         raise ValueError("profile descriptor needs a 'kind'")
     kind = desc["kind"]
-    if kind not in _PROFILE_KINDS:
+    if not isinstance(kind, str) or kind not in _PROFILE_KINDS:
         raise ValueError(f"unknown profile kind {kind!r}")
     maker, params = _PROFILE_KINDS[kind]
     extra = set(desc) - {"kind"} - set(params)
@@ -149,7 +161,7 @@ def profile_from_descriptor(desc: dict) -> RadialProfile:
     missing = set(params) - set(desc)
     if missing:
         raise ValueError(f"profile kind {kind!r} missing {sorted(missing)}")
-    return maker(**{p: float(desc[p]) for p in params})
+    return maker(**{p: _number(desc, p) for p in params})
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +293,11 @@ def make_trig_field(seed: int, degree: int = 6, amplitude: float = 0.2) -> Coeff
 # ---------------------------------------------------------------------------
 
 
+# a trig_random degree past this would only allocate: the fields are for
+# circle-structure cross-checks at low degree
+MAX_TRIG_DEGREE = 64
+
+
 def family_from_descriptor(desc: dict) -> CoefficientField:
     """Build a field from a JSON-style descriptor.
 
@@ -298,8 +315,8 @@ def family_from_descriptor(desc: dict) -> CoefficientField:
                       optional={"phase"})
         return make_harmonic_family(desc["target"],
                                     profile_from_descriptor(desc["profile"]),
-                                    int(desc["mode"]),
-                                    float(desc.get("phase", 0.0)))
+                                    _number(desc, "mode", int),
+                                    _number(desc, "phase", float, 0.0))
     if kind == "radial":
         _require_keys(desc, {"family", "target", "profile"})
         return make_radial_family(desc["target"],
@@ -307,8 +324,11 @@ def family_from_descriptor(desc: dict) -> CoefficientField:
     if kind == "trig_random":
         _require_keys(desc, {"family", "seed", "degree", "amplitude"},
                       optional={"degree", "amplitude"})
-        return make_trig_field(int(desc["seed"]), int(desc.get("degree", 6)),
-                               float(desc.get("amplitude", 0.2)))
+        degree = _number(desc, "degree", int, 6)
+        if not 0 <= degree <= MAX_TRIG_DEGREE:
+            raise ValueError(f"degree must lie in [0, {MAX_TRIG_DEGREE}]")
+        return make_trig_field(_number(desc, "seed", int), degree,
+                               _number(desc, "amplitude", float, 0.2))
     raise ValueError(f"unknown family kind {kind!r}")
 
 

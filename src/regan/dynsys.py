@@ -10,24 +10,30 @@ t = -log r:
   M_inf = [[-I, 2I], [I/2, -I]] and remainder split M = M_inf + S1 + S2.
 
 Both are radial systems: each radius r = min(1, e^-t) is evaluated once
-and memoised by r, and a system reads as `dim`, `matrix(t)`,
-`matrices(ts)` and `eps(t)`.  Fundamental matrices are propagated with an
-adaptive Dormand-Prince 5(4) pair, which reads the drift matrices of the
-six stage times of each step in one `matrices` call.  Uniform stability
-and asymptotic constancy are probed on a finite horizon with trend
-extrapolation (heuristic verdicts, thresholds recorded in the report).
+and memoised by r, a batch of uncached radii is one batched moments call
+and one stacked assembly, and a system reads as `dim`, `matrix(t)`,
+`matrices(ts)` and `eps(t)`.  The neutral 4x4 block of the conjugated
+8x8 system, on which the stability statements are made, is a view that
+reads the same memo (`FullSystem.reduced_block_system`).
+
+Fundamental matrices are propagated with an adaptive Dormand-Prince 5(4)
+pair, which reads the drift matrices of the six stage times of each step
+in one `matrices` call.  Uniform stability and asymptotic constancy are
+probed on a finite horizon with trend extrapolation (heuristic verdicts,
+thresholds recorded in the report).
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .coeff import CoefficientField
-from .moments import (DEFAULT_QUADRATURE, MomentVector, QuadratureSettings,
-                      block_table, moment_matrix, moment_vector, moment_vectors)
+from .moments import (DEFAULT_QUADRATURE, BlockTable, MomentVector,
+                      QuadratureSettings, block_table, block_tables,
+                      moment_matrix, moment_vector, moment_vectors)
 
 STABLE = "stable"
 UNSTABLE = "unstable"
@@ -69,9 +75,9 @@ class _RadialSystem:
     """A system in t = -log r built from circle means of a field at r = min(1, e^-t).
 
     Each radius is evaluated once and memoised, whatever t asked for it.
-    A subclass says how to evaluate one radius (`_one`) and, when it has a
-    faster path, a batch of radii (`_batch`); `_drift` picks the drift
-    matrix out of a memo entry.  `matrices(ts)` evaluates the uncached
+    A subclass says how to evaluate one radius (`_one`) and a batch of
+    radii (`_batch`, which returns one memo entry per radius); `_drift`
+    picks the drift matrix out of a memo entry.  `matrices(ts)` evaluates the uncached
     radii of ts in one `_batch` call; `matrix(t)` of a single uncached t
     goes through `_one`.
     """
@@ -81,9 +87,6 @@ class _RadialSystem:
         self.field = field
         self.quad = quad
         self._memo: dict = {}
-
-    def _batch(self, radii: list) -> list:
-        return [self._one(r) for r in radii]
 
     @staticmethod
     def _drift(entry) -> np.ndarray:
@@ -169,15 +172,59 @@ def second_harmonic_system(g_tilde: Callable[[float], float],
                         label=label)
 
 
-def _block4(tl, tr, bl, br):
-    return np.block([[tl, tr], [bl, br]])
+def _join(tl, tr, bl, br) -> np.ndarray:
+    """The 8x8 matrices [[tl, tr], [bl, br]] of 4x4 blocks, stacked over any
+    leading axes of tl."""
+    out = np.empty(np.shape(tl)[:-2] + (8, 8))
+    out[..., :4, :4] = tl
+    out[..., :4, 4:] = tr
+    out[..., 4:, :4] = bl
+    out[..., 4:, 4:] = br
+    return out
 
 
 _I4 = np.eye(4)
-M_INF = _block4(-_I4, 2.0 * _I4, 0.5 * _I4, -_I4)
-J_BASIS = _block4(2.0 * _I4, 2.0 * _I4, _I4, -_I4)
-J_BASIS_INV = _block4(0.25 * _I4, 0.5 * _I4, 0.25 * _I4, -0.5 * _I4)
+M_INF = _join(-_I4, 2.0 * _I4, 0.5 * _I4, -_I4)
+J_BASIS = _join(2.0 * _I4, 2.0 * _I4, _I4, -_I4)
+J_BASIS_INV = _join(0.25 * _I4, 0.5 * _I4, 0.25 * _I4, -0.5 * _I4)
 _DIAG_LIMIT = np.diag([0.0] * 4 + [-2.0] * 4)
+
+
+def _conjugate(m: np.ndarray) -> np.ndarray:
+    """J^-1 M J minus the limiting diagonal diag(0_4, -2 I_4), for one M or a stack."""
+    return J_BASIS_INV @ m @ J_BASIS - _DIAG_LIMIT
+
+
+def _assemble(bt: BlockTable):
+    """Drift matrices M and effective blocks from block tables stacked over k radii.
+
+    Returns M of shape (k, 8, 8) and (a_eff, b_eff, bt_eff, c_eff), each of
+    shape (k, 4, 4).  np.linalg.LinAlgError when a block is singular.
+    """
+    A2 = bt.theta2_mean[:, None]
+
+    def corr(left, right):  # block (k, l) is left[k] A2^-1 right[l]
+        cols = np.linalg.solve(A2, right)
+        out = np.empty((len(left), 4, 4))
+        for k in range(2):
+            for l in range(2):
+                out[:, 2 * k:2 * k + 2, 2 * l:2 * l + 2] = left[:, k] @ cols[:, l]
+        return out
+
+    a_eff = bt.theta4 - corr(bt.theta3_mean, bt.theta3_mean)
+    b_eff = bt.theta2_col - corr(bt.theta3_mean, bt.theta1_col)
+    bt_eff = bt.theta2_row - corr(bt.theta1_row, bt.theta3_mean)
+    c_eff = bt.plain - corr(bt.theta1_row, bt.theta1_col)
+    a_eff_inv = np.linalg.inv(a_eff)
+    bt_a_inv = bt_eff @ a_eff_inv
+    m = _join(-a_eff_inv @ b_eff, a_eff_inv, c_eff - bt_a_inv @ b_eff,
+              bt_a_inv - 2.0 * _I4)
+    return m, (a_eff, b_eff, bt_eff, c_eff)
+
+
+def _map_tables(fn, bt: BlockTable) -> BlockTable:
+    """The table with fn applied to r and to each of its eight tables."""
+    return BlockTable(*(fn(getattr(bt, f.name)) for f in fields(BlockTable)))
 
 
 class FullSystem(_RadialSystem):
@@ -187,69 +234,93 @@ class FullSystem(_RadialSystem):
     S2 := M - M_inf - S1 is fully determined rather than an unspecified
     O(eps^2) term.  All forcing from the higher-harmonic remainder field is
     dropped: this is the homogeneous system the stability statements
-    condition on.  Each radius memoises (M, S1, effective blocks), built
-    from one `block_table`; a batch loops over the radii.
+    condition on.  Each radius memoises (M, effective blocks).  A batch of
+    radii is one `block_tables` call and one stacked `_assemble`; a single
+    radius reads `block_table` and goes through the same assembly as a
+    stack of one.  S1 and S2 are recomputed from a fresh `block_table`
+    when asked for.
     """
 
     dim = 8
 
     def _one(self, r: float):
-        return self._assemble(block_table(self.field, r, self.quad), r)
+        bt = block_table(self.field, r, self.quad)
+        return self._entries(_map_tables(lambda v: np.asarray(v)[None], bt))[0]
+
+    def _batch(self, radii: list) -> list:
+        return self._entries(block_tables(self.field, radii, self.quad))
+
+    @staticmethod
+    def _entries(bt: BlockTable) -> list:
+        """One memo entry (M, effective blocks) per row of a stacked table."""
+        try:
+            m, eff = _assemble(bt)
+        except np.linalg.LinAlgError as exc:
+            # name the first radius whose own assembly fails
+            for i, r in enumerate(bt.r):
+                try:
+                    _assemble(_map_tables(lambda v: v[i:i + 1], bt))
+                except np.linalg.LinAlgError:
+                    break
+            raise SingularSystemError(
+                f"quadrature block singular at r={r:.6g}") from exc
+        return [(m[i], tuple(block[i] for block in eff)) for i in range(len(m))]
 
     @staticmethod
     def _drift(entry) -> np.ndarray:
         return entry[0]
 
-    def _assemble(self, bt, r):
-        A2 = bt.theta2_mean
-        try:
-            def corr(left, right):
-                cols = [np.linalg.solve(A2, right[l]) for l in range(2)]
-                return np.block([[left[k] @ cols[l] for l in range(2)]
-                                 for k in range(2)])
-
-            a_eff = bt.theta4 - corr(bt.theta3_mean, bt.theta3_mean)
-            b_eff = bt.theta2_col - corr(bt.theta3_mean, bt.theta1_col)
-            bt_eff = bt.theta2_row - corr(bt.theta1_row, bt.theta3_mean)
-            c_eff = bt.plain - corr(bt.theta1_row, bt.theta1_col)
-            a_eff_inv = np.linalg.inv(a_eff)
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystemError(
-                f"quadrature block singular at r={r:.6g}") from exc
-        m = _block4(-a_eff_inv @ b_eff, a_eff_inv,
-                    c_eff - bt_eff @ a_eff_inv @ b_eff,
-                    bt_eff @ a_eff_inv - 2.0 * _I4)
-        raw_inv = np.linalg.inv(bt.theta4)
-        s1 = _block4(_I4 - raw_inv @ bt.theta2_col,
-                     raw_inv - 2.0 * _I4,
-                     bt.plain - bt.theta2_row @ raw_inv @ bt.theta2_col - 0.5 * _I4,
-                     bt.theta2_row @ raw_inv - _I4)
-        return m, s1, (a_eff, b_eff, bt_eff, c_eff)
-
     def matrix(self, t: float) -> np.ndarray:
         return self._at(t)[0]
 
     def s1(self, t: float) -> np.ndarray:
-        return self._at(t)[1]
+        """First-order remainder S1, from the raw (uncorrected) blocks."""
+        bt = block_table(self.field, min(1.0, math.exp(-t)), self.quad)
+        raw_inv = np.linalg.inv(bt.theta4)
+        return _join(_I4 - raw_inv @ bt.theta2_col,
+                     raw_inv - 2.0 * _I4,
+                     bt.plain - bt.theta2_row @ raw_inv @ bt.theta2_col - 0.5 * _I4,
+                     bt.theta2_row @ raw_inv - _I4)
 
     def s2(self, t: float) -> np.ndarray:
-        m, s1, _ = self._at(t)
-        return m - M_INF - s1
+        return self.matrix(t) - M_INF - self.s1(t)
 
     def eff_blocks(self, t: float):
-        return self._at(t)[2]
+        return self._at(t)[1]
 
     def conjugated_remainder(self, t: float) -> np.ndarray:
         """J^-1 M(t) J minus the limiting diagonal diag(0_4, -2 I_4)."""
-        return J_BASIS_INV @ self.matrix(t) @ J_BASIS - _DIAG_LIMIT
+        return _conjugate(self.matrix(t))
 
     def reduced_block(self, t: float) -> np.ndarray:
         """Top-left 4x4 block of the conjugated remainder."""
         return self.conjugated_remainder(t)[:4, :4]
 
-    def reduced_block_system(self) -> MatrixSystem:
-        return MatrixSystem(4, self.reduced_block, eps_fn=self.eps,
-                            label=f"reduced block of {self.field.label}")
+    def reduced_block_system(self) -> ReducedBlockSystem:
+        return ReducedBlockSystem(self)
+
+
+class ReducedBlockSystem:
+    """The neutral 4x4 block of the conjugated remainder, read through a FullSystem.
+
+    A radial view with no memo of its own: `matrices(ts)` conjugates the
+    stack `full.matrices(ts)`, so the view and the 8x8 system share one
+    memo and one batch per call; `matrix(t)` is `full.reduced_block(t)`.
+    """
+
+    dim = 4
+
+    def __init__(self, full: FullSystem):
+        self.full = full
+
+    def matrix(self, t: float) -> np.ndarray:
+        return self.full.reduced_block(t)
+
+    def matrices(self, ts) -> np.ndarray:
+        return _conjugate(self.full.matrices(ts))[:, :4, :4]
+
+    def eps(self, t: float) -> float:
+        return self.full.eps(t)
 
 
 def full_system(field: CoefficientField,
@@ -488,8 +559,8 @@ def reduction_deviation(full: FullSystem, reduced: ReducedSystem,
     (None when there are none, or fewer than three in the later half).
     """
     ts = np.asarray(list(ts), dtype=float)
-    devs = np.array([float(np.max(np.abs(full.reduced_block(t) - reduced.matrix(t))))
-                     for t in ts])
+    gaps = full.reduced_block_system().matrices(ts) - reduced.matrices(ts)
+    devs = np.max(np.abs(gaps), axis=(1, 2))
     epss = np.array([full.eps(t) for t in ts])
     defined = epss**2 > 0.0
     ratio = np.full(len(ts), math.nan)

@@ -8,17 +8,18 @@ The operator's coefficient matrices live in four 2x2 blocks
 and everything downstream is a circle mean of these blocks against small
 monomials in theta = (cos phi, sin phi).  The uniform trapezoid rule is
 spectrally accurate for these periodic integrands.  One sampler,
-`_circle_samples`, evaluates and checks a, b, c on the nodes of one circle
-or of a batch of circles, and one loop, `_refine`, doubles the node count
+`_circle_samples`, evaluates and checks a, b, c on the nodes of a batch of
+circles, and one loop, `_refine`, doubles the node count
 per radius until two refinements agree; the moment vectors, the block
 tables and `circle_mean` all go through that loop.
 
-`moment_vectors` is the batched path of the six moments: it evaluates the
-coefficients once per node level on a (radii x nodes) grid, in calls of at
-most `_CHUNK_POINTS` points, and only the radii that have not converged go
-on to the next level.  Each radius gets the node count and, bit for bit,
-the moments it gets when evaluated alone; `moment_vector` is the
-one-radius case.
+`moment_vectors` and `block_tables` are the batched paths of the six
+moments and of the block tables: they evaluate the coefficients once per
+node level on a (radii x nodes) grid, in calls of at most `_CHUNK_POINTS`
+points, and only the radii that have not converged go on to the next
+level.  Each radius gets the node count and, bit for bit, the values it
+gets when evaluated alone; `moment_vector` and `block_table` are the
+one-radius cases.
 
 All operations here are pure functions of immutable inputs and safe to
 evaluate concurrently over radius grids.
@@ -65,27 +66,26 @@ def _nodes(n: int) -> np.ndarray:
     return 2.0 * math.pi * np.arange(n) / n
 
 
-def _circle_samples(field: CoefficientField, r, n: int):
-    """cos phi, sin phi and the checked coefficients a, b, c at n uniform nodes.
+def _circle_samples(field: CoefficientField, radii: np.ndarray, n: int):
+    """cos phi, sin phi and the checked coefficients a, b, c at n uniform
+    nodes on each circle of a 1-D array of radii.
 
-    r is one radius, or a 1-D array of radii: the coefficients then come
-    from one call on the (radii x nodes) grid.  They are stacked into one
-    array of shape (3, n), or (3, len(r), n); EvaluationError names the
-    coefficient, radius and angle of the first value that is not finite.
+    The coefficients come from one call on the (radii x nodes) grid and are
+    stacked into one array of shape (3, len(radii), n); EvaluationError
+    names the coefficient, radius and angle of the first value that is not
+    finite.
     """
     phi = _nodes(n)
     cos, sin = np.cos(phi), np.sin(phi)
-    rows = np.asarray(r, dtype=float)[..., None]
-    x, y = rows * cos, rows * sin
+    x, y = radii[:, None] * cos, radii[:, None] * sin
     abc = np.empty((3,) + x.shape)
     for k, vals in enumerate(field.coefficients(x, y)):
         abc[k] = vals
     bad = ~np.isfinite(abc)
     if bad.any():
-        k, *row, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
-        r_bad = float(np.reshape(rows, -1)[row[0] if row else 0])
+        k, row, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
         raise EvaluationError(f"coefficient {'abc'[k]} not finite at "
-                              f"r={r_bad:.6g}, phi={float(phi[j]):.6g}")
+                              f"r={float(radii[row]):.6g}, phi={float(phi[j]):.6g}")
     return cos, sin, abc
 
 
@@ -202,15 +202,14 @@ def _second_harmonics(cos, sin, abc) -> np.ndarray:
     """(a1, a2, b1, b2, c1, c2) at one node level: means of each coefficient
     against sin^2 - cos^2 and -2 cos sin along the node axis.
 
-    abc of shape (3, n) gives shape (6,); abc of shape (3, k, n), one row
-    of nodes per radius, gives shape (k, 6).
+    abc of shape (3, k, n), one row of nodes per radius, gives shape (k, 6).
     """
     w2 = sin ** 2 - cos ** 2
     wx = cos * sin
-    m = np.empty(abc.shape[1:-1] + (3, 2))
+    m = np.empty((abc.shape[1], 3, 2))
     m[..., 0] = np.mean(abc * w2, axis=-1).T
     m[..., 1] = -2.0 * np.mean(abc * wx, axis=-1).T
-    return m.reshape(abc.shape[1:-1] + (6,))
+    return m.reshape(-1, 6)
 
 
 # shapes of the six moments and the eight block tables, in `BlockTable` order
@@ -218,40 +217,71 @@ _TABLE_SHAPES = ((6,), (2, 2), (2, 2, 2), (2, 2, 2), (2, 2, 2),
                  (4, 4), (4, 4), (4, 4), (4, 4))
 
 
-def _tables_at(field: CoefficientField, r: float, n: int) -> np.ndarray:
-    """The six moments and the eight block tables from one set of circle
-    samples, raveled into one vector in `_TABLE_SHAPES` order."""
-    cos, sin, abc = _circle_samples(field, r, n)
+def _tables_at(field: CoefficientField, radii: np.ndarray, n: int) -> np.ndarray:
+    """The six moments and the eight block tables at each of k radii from one
+    set of circle samples: a (k, width) array, each row raveled in
+    `_TABLE_SHAPES` order."""
+    cos, sin, abc = _circle_samples(field, radii, n)
     t = np.vstack([cos, sin])
-    A = _blocks(*abc)
+    A = _blocks(*abc)  # [i, j, p, q, r, n]
 
-    theta2_mean = np.einsum("ijpqn,in,jn->pq", A, t, t) / n
-    theta3_mean = np.einsum("ijpqn,kn,in,jn->kpq", A, t, t, t) / n
-    theta1_col = np.einsum("ikpqn,in->kpq", A, t) / n
-    theta1_row = np.einsum("kipqn,in->kpq", A, t) / n
-    theta4_b = np.einsum("ijpqn,in,jn,kn,ln->klpq", A, t, t, t, t) / n
-    theta2_col_b = np.einsum("ilpqn,in,kn->klpq", A, t, t) / n
-    theta2_row_b = np.einsum("kipqn,in,ln->klpq", A, t, t) / n
-    plain_b = np.mean(A, axis=-1)  # [k,l,p,q]
+    theta2_mean = np.einsum("ijpqrn,in,jn->rpq", A, t, t) / n
+    theta3_mean = np.einsum("ijpqrn,kn,in,jn->rkpq", A, t, t, t) / n
+    theta1_col = np.einsum("ikpqrn,in->rkpq", A, t) / n
+    theta1_row = np.einsum("kipqrn,in->rkpq", A, t) / n
+    theta4_b = np.einsum("ijpqrn,in,jn,kn,ln->rklpq", A, t, t, t, t) / n
+    theta2_col_b = np.einsum("ilpqrn,in,kn->rklpq", A, t, t) / n
+    theta2_row_b = np.einsum("kipqrn,in,ln->rklpq", A, t, t) / n
+    plain_b = np.moveaxis(np.mean(A, axis=-1), -1, 0)  # [r, k, l, p, q]
 
-    def to4(blocks):  # blocks[k,l,p,q] -> 4x4
-        return blocks.transpose(0, 2, 1, 3).reshape(4, 4)
+    def to4(blocks):  # blocks[r, k, l, p, q] -> (k, 4, 4)
+        return blocks.transpose(0, 1, 3, 2, 4).reshape(-1, 4, 4)
 
-    return np.concatenate([np.ravel(v) for v in (
+    return np.concatenate([np.reshape(v, (len(radii), -1)) for v in (
         _second_harmonics(cos, sin, abc), theta2_mean, theta3_mean,
         theta1_col, theta1_row, to4(theta4_b), to4(theta2_col_b),
-        to4(theta2_row_b), to4(plain_b))])
+        to4(theta2_row_b), to4(plain_b))], axis=1)
+
+
+def _radius_array(radii) -> np.ndarray:
+    radii = np.reshape(np.asarray(radii, dtype=float), -1)
+    if not np.all((radii > 0.0) & (radii <= 1.0)):
+        raise ValueError("radius must lie in (0, 1]")
+    return radii
+
+
+def _refine_radii(level: Callable, field: CoefficientField, radii: np.ndarray,
+                  quad: QuadratureSettings):
+    """`_refine` over a batch of radii, where level(field, radii, n) samples
+    one node level of some radii as rows.  Each level is one call on the
+    radii still unconverged, split into calls of at most `_CHUNK_POINTS`
+    points (one radius per call past that many nodes)."""
+
+    def sample(n, rows):
+        step = max(1, _CHUNK_POINTS // n)
+        return np.concatenate([level(field, radii[rows[i:i + step]], n)
+                               for i in range(0, rows.size, step)])
+
+    return _refine(sample, quad, radii.size)
+
+
+def _stacked_tables(field: CoefficientField, radii: np.ndarray,
+                    quad: QuadratureSettings) -> list:
+    """The six moments and the eight block tables at each radius, converged
+    per radius in every entry, each with a leading radius axis."""
+    ends = np.cumsum([math.prod(shape) for shape in _TABLE_SHAPES])
+    flat = (_refine_radii(_tables_at, field, radii, quad)[0] if radii.size
+            else np.zeros((0, ends[-1])))
+    return [part.reshape((radii.size,) + shape) for part, shape
+            in zip(np.split(flat, ends[:-1], axis=1), _TABLE_SHAPES)]
 
 
 def _converged_tables(field: CoefficientField, r: float,
                       quad: QuadratureSettings):
     """(six moments, eight block tables) at the first node level that agrees
     with the previous one in every entry."""
-    flat, _ = _refine(lambda n, rows: _tables_at(field, r, n)[None], quad)
-    ends = np.cumsum([math.prod(shape) for shape in _TABLE_SHAPES])
-    m6, *tabs = (part.reshape(shape) for part, shape
-                 in zip(np.split(flat[0], ends[:-1]), _TABLE_SHAPES))
-    return m6, tuple(tabs)
+    m6, *tabs = _stacked_tables(field, np.array([float(r)]), quad)
+    return m6[0], tuple(tab[0] for tab in tabs)
 
 
 def moment_vectors(field: CoefficientField, radii,
@@ -264,19 +294,14 @@ def moment_vectors(field: CoefficientField, radii,
     on the grid of the radii still unconverged, split into calls of at most
     `_CHUNK_POINTS` points (one radius per call past that many nodes).
     """
-    radii = np.reshape(np.asarray(radii, dtype=float), -1)
-    if not np.all((radii > 0.0) & (radii <= 1.0)):
-        raise ValueError("radius must lie in (0, 1]")
+    radii = _radius_array(radii)
     if not radii.size:
         return np.zeros((0, 6)), np.zeros(0, dtype=bool)
 
-    def sample(n, rows):
-        step = max(1, _CHUNK_POINTS // n)
-        return np.concatenate([
-            _second_harmonics(*_circle_samples(field, radii[rows[i:i + step]], n))
-            for i in range(0, rows.size, step)])
+    def level(field, rows, n):
+        return _second_harmonics(*_circle_samples(field, rows, n))
 
-    return _refine(sample, quad, radii.size)
+    return _refine_radii(level, field, radii, quad)
 
 
 def moment_vector(field: CoefficientField, r: float,
@@ -303,11 +328,28 @@ def moment_matrix(m: MomentVector) -> np.ndarray:
 
 def block_table(field: CoefficientField, r: float,
                 quad: QuadratureSettings = DEFAULT_QUADRATURE) -> BlockTable:
-    """All quadrature blocks of the coefficient matrices at radius r."""
+    """All quadrature blocks of the coefficient matrices at radius r.
+
+    This is the one-radius case of `block_tables`.
+    """
     if not 0.0 < r <= 1.0:
         raise ValueError("radius must lie in (0, 1]")
     _, tabs = _converged_tables(field, r, quad)
     return BlockTable(r, *tabs)
+
+
+def block_tables(field: CoefficientField, radii,
+                 quad: QuadratureSettings = DEFAULT_QUADRATURE) -> BlockTable:
+    """The block tables at each of k radii, stacked: a `BlockTable` whose r
+    is the (k,) array of radii and whose tables carry a leading radius axis.
+
+    The node levels run as in `moment_vectors`, with convergence tested on
+    every entry of a radius's moments and tables; each row is, bit for bit,
+    the `block_table` of its radius.
+    """
+    radii = _radius_array(radii)
+    _, *tabs = _stacked_tables(field, radii, quad)
+    return BlockTable(radii, *tabs)
 
 
 def moment_matrix_residual(field: CoefficientField, r: float,

@@ -1,8 +1,14 @@
 import json
+from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from regan.cli import (ConfigError, main, run_pipeline, validate_config)
+from regan.cli import (AnalysisConfig, ConfigError, CriteriaConfig, PdeConfig,
+                       ProbeConfig, QuadConfig, main, run_pipeline,
+                       validate_config)
+from regan.coeff import builtin_families
 
 
 def minimal_config(**extra):
@@ -176,6 +182,102 @@ def test_runaway_sizes_exit_2_naming_the_key(tmp_path, capsys, key, extra):
     assert f"config error: {key} must be at" in err
     assert "Traceback" not in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("key, section, literal", [
+    ("criteria.tol", "criteria", "NaN"),
+    ("probes.rtol", "probes", "NaN"),
+    ("quadrature.rel_tol", "quadrature", "NaN"),
+    ("probes.kappa_threshold", "probes", "Infinity"),
+    ("pde.h", "pde", "-Infinity"),
+    ("probes.t0", "probes", "1e400"),
+    ("radius_count", None, "Infinity"),
+    ("radius_count", None, "1e400"),
+    ("criteria.n_windows", "criteria", "Infinity"),
+    ("criteria.n_windows", "criteria", "1e400"),
+    ("quadrature.max_nodes", "quadrature", "-Infinity"),
+    ("quadrature.max_nodes", "quadrature", "1e400"),
+])
+def test_non_finite_values_exit_2_naming_the_key(tmp_path, capsys, key, section,
+                                                 literal):
+    # NaN passes a `<= 0` test, and int(inf) overflows: both must be config errors
+    name = key.split(".")[-1]
+    cfg = minimal_config(**({section: {name: "@"}} if section else {name: "@"}))
+    bad = tmp_path / "nonfinite.json"
+    bad.write_text(json.dumps(cfg).replace('"@"', literal))
+    assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {key} must be" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_non_finite_s_grid_entries_are_rejected():
+    with pytest.raises(ConfigError, match="probes.s_grid entries must be finite"):
+        validate_config(minimal_config(probes={"s_grid": [0.0, float("nan")]}))
+    with pytest.raises(ConfigError, match="probes.s_grid entries must be finite"):
+        validate_config(minimal_config(probes={"s_grid": [0.0, 10**400]}))
+
+
+JSON_LEAVES = (st.none() | st.booleans() | st.text(max_size=8)
+               | st.integers(-10**400, 10**400) | st.integers(-3, 2000)
+               | st.floats(allow_nan=True, allow_infinity=True)
+               | st.sampled_from([0.0, -0.0, 1e-300, 1e400, 0.5, 30.0]))
+JSON_VALUES = st.recursive(
+    JSON_LEAVES, lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4), max_leaves=12)
+
+
+def _section(cls):
+    names = [f.name for f in fields(cls)] + ["bogus"]
+    return st.dictionaries(st.sampled_from(names), JSON_VALUES, max_size=4)
+
+
+def _perturbed(desc: dict):
+    # a built-in descriptor with one key, or one key of its profile, set to
+    # any value
+    keys = sorted(desc) + [("profile", k) for k in
+                           ("kind", "gamma", "alpha", "eta", "x")]
+
+    def put(key, value):
+        if isinstance(key, tuple):
+            return {**desc, "profile": {**desc.get("profile", {}), key[1]: value}}
+        return {**desc, key: value}
+
+    return st.builds(put, st.sampled_from(keys), JSON_VALUES)
+
+
+FAMILIES = (JSON_VALUES | st.sampled_from(list(builtin_families().values()))
+            | st.sampled_from(list(builtin_families().values())).flatmap(_perturbed)
+            | st.fixed_dictionaries({"family": st.just("trig_random"),
+                                     "seed": JSON_VALUES},
+                                    optional={"degree": JSON_VALUES,
+                                              "amplitude": JSON_VALUES}))
+CONFIGS = st.fixed_dictionaries({}, optional={
+    "schema": st.just(1) | JSON_VALUES,
+    "family": FAMILIES,
+    "analyses": st.lists(st.sampled_from(["validate", "moments", "probes",
+                                          "criteria", "pde", "compare", "x"]),
+                         max_size=4) | JSON_VALUES,
+    "radius_count": JSON_VALUES,
+    "probes": _section(ProbeConfig) | JSON_VALUES,
+    "criteria": _section(CriteriaConfig) | JSON_VALUES,
+    "quadrature": _section(QuadConfig) | JSON_VALUES,
+    "pde": _section(PdeConfig) | JSON_VALUES,
+    "bogus": JSON_VALUES,
+})
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw=CONFIGS | JSON_VALUES)
+def test_validate_config_accepts_or_raises_config_error(raw):
+    # validation only: any JSON value is a config or a ConfigError, nothing else
+    try:
+        config = validate_config(raw)
+    except ConfigError as exc:
+        assert exc.violations
+    else:
+        assert isinstance(config, AnalysisConfig)
 
 
 def test_failed_probes_stage_exits_3_with_report(tmp_path):

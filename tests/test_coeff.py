@@ -144,6 +144,25 @@ def test_family_descriptor_roundtrip():
         family_from_descriptor(d)
 
 
+@pytest.mark.parametrize("desc, message", [
+    ({"profile": {"kind": "log_inverse", "gamma": float("nan")}}, "gamma must be finite"),
+    ({"profile": {"kind": "log_inverse", "gamma": [0.4]}}, "gamma must be a number"),
+    ({"profile": {"kind": ["log_inverse"]}}, "unknown profile kind"),
+    ({"profile": 7}, "needs a 'kind'"),
+    ({"mode": None}, "mode must be a number"),
+    ({"phase": float("inf")}, "phase must be finite"),
+    ({"family": "trig_random", "seed": float("inf")}, "seed must be a number"),
+    ({"family": "trig_random", "seed": 1, "degree": 10**9}, "degree must lie in"),
+])
+def test_family_descriptor_rejects_bad_values(desc, message):
+    base = {"family": "harmonic", "target": "a",
+            "profile": {"kind": "log_inverse", "gamma": 0.4}, "mode": 2}
+    if desc.get("family") == "trig_random":
+        base = {}
+    with pytest.raises(ValueError, match=message):
+        family_from_descriptor({**base, **desc})
+
+
 def test_modulus_eps_matches_analytic_tail():
     prof = profile_log_inverse(0.4)
     field = make_harmonic_family("a", prof, 2)

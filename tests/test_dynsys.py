@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -12,7 +13,7 @@ from regan.coeff import (CoefficientField, constant_laplacian, make_harmonic_fam
 from regan import dynsys
 from regan.dynsys import (CONSTANT, DIVERGENT, J_BASIS, J_BASIS_INV, M_INF,
                           STABLE, UNSTABLE, FullSystem, MatrixSystem,
-                          ProbeSettings, ReducedSystem,
+                          ProbeSettings, ReducedSystem, SingularSystemError,
                           asymptotic_constancy_probe,
                           full_system, propagate, propagate_dense,
                           reduced_system, reduction_deviation,
@@ -64,7 +65,7 @@ def _count_radius_evaluations(monkeypatch) -> list:
         return wrapper
 
     for name, batched in (("moment_vector", False), ("moment_vectors", True),
-                          ("block_table", False)):
+                          ("block_table", False), ("block_tables", True)):
         monkeypatch.setattr(dynsys, name, counting(getattr(dynsys, name), batched))
     return seen
 
@@ -86,6 +87,47 @@ def test_reduced_matrices_batch_the_uncached_radii(monkeypatch, system_cls):
         assert sys.work == {"radii": 51, "cap_hits": 0}
     fresh = system_cls(field)
     assert all(np.array_equal(M, fresh.matrix(t)) for M, t in zip(stack, ts))
+
+
+@pytest.mark.parametrize("field", [
+    constant_laplacian(),
+    make_harmonic_family("a", profile_log_oscillatory(0.4, 1.0), 2),
+    make_trig_field(3), make_trig_field(6)], ids=lambda f: f.label)
+def test_block_view_matrices_bitwise_equal_per_t(field):
+    ts = np.concatenate([np.linspace(0.0, 30.0, 97), [-0.5, 12.0]])
+    full = full_system(field)
+    view = full.reduced_block_system()
+    stack = view.matrices(ts)
+    pointwise = full_system(field)   # every radius through `_one`
+    assert stack.shape == (len(ts), 4, 4)
+    assert np.array_equal(stack, np.array([pointwise.reduced_block(t) for t in ts]))
+    assert all(np.array_equal(view.matrix(t), pointwise.reduced_block(t)) for t in ts)
+    assert np.array_equal(full.matrices(ts),
+                          np.array([pointwise.matrix(t) for t in ts]))
+    for t in ts[::12]:
+        for got, want in zip(full.eff_blocks(t), pointwise.eff_blocks(t)):
+            assert np.array_equal(got, want)
+    # the view reads the 8x8 memo and keeps none of its own
+    assert len(full._memo) == 98 and not hasattr(view, "_memo")
+    assert view.eps(7.0) == full.eps(7.0) and view.dim == 4
+
+
+def test_singular_batch_names_its_first_singular_radius(monkeypatch):
+    tables = dynsys.block_tables
+
+    def with_zero_rows(field, radii, quad):
+        bt = tables(field, radii, quad)
+        theta2_mean = bt.theta2_mean.copy()
+        theta2_mean[[2, 4]] = 0.0
+        return dataclasses.replace(bt, theta2_mean=theta2_mean)
+
+    monkeypatch.setattr(dynsys, "block_tables", with_zero_rows)
+    sys = full_system(make_trig_field(3))
+    ts = [0.5, 1.0, 2.0, 3.0, 4.0]
+    with pytest.raises(SingularSystemError, match=rf"r={math.exp(-2.0):.6g}$"):
+        sys.matrices(ts)
+    assert not sys._memo
+    assert np.isfinite(sys.matrix(2.0)).all()   # alone, through `block_table`
 
 
 def test_reduced_system_counts_cap_hits():

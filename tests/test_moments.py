@@ -10,9 +10,9 @@ from regan.coeff import (CoefficientField, builtin_families, constant_laplacian,
                          make_radial_family, make_trig_field,
                          profile_log_inverse, profile_power)
 from regan.moments import (DEFAULT_QUADRATURE, MOMENT_MATRIX_ZEROS, MomentVector,
-                           QuadratureSettings, block_table, circle_mean,
-                           moment_matrix, moment_matrix_residual, moment_vector,
-                           moment_vectors, write_moment_csv)
+                           QuadratureSettings, block_table, block_tables,
+                           circle_mean, moment_matrix, moment_matrix_residual,
+                           moment_vector, moment_vectors, write_moment_csv)
 from regan.tails import EvaluationError
 
 
@@ -155,17 +155,27 @@ def _field_with_a(a, label):
 CHIRP = _field_with_a(lambda x, y: 1.0 + 0.2 * np.cos(40.0 * x), "chirp")
 
 
+def _one_circle(field, r, n):
+    """cos, sin and the coefficients a, b, c at n uniform nodes of one circle."""
+    phi = 2.0 * math.pi * np.arange(n) / n
+    cos, sin = np.cos(phi), np.sin(phi)
+    abc = [np.broadcast_to(v, phi.shape) for v in field.coefficients(r * cos, r * sin)]
+    return cos, sin, abc
+
+
+def _six_moments(cos, sin, abc):
+    w2, wx = sin ** 2 - cos ** 2, cos * sin
+    return np.array([m for v in abc
+                     for m in (np.mean(v * w2), -2.0 * np.mean(v * wx))])
+
+
 def _per_radius_moments(field, r, quad):
     """Six moments of one radius by the one-circle doubling loop on 1-D nodes."""
+    return _doubling(lambda n: _six_moments(*_one_circle(field, r, n)), quad)
 
-    def level(n):
-        phi = 2.0 * math.pi * np.arange(n) / n
-        cos, sin = np.cos(phi), np.sin(phi)
-        w2, wx = sin ** 2 - cos ** 2, cos * sin
-        abc = [np.broadcast_to(v, phi.shape) for v in field.coefficients(r * cos, r * sin)]
-        return np.array([m for v in abc
-                         for m in (np.mean(v * w2), -2.0 * np.mean(v * wx))])
 
+def _doubling(level, quad):
+    """The finest level(n) at which two levels agree, and whether the cap hit."""
     n = quad.base_nodes
     prev = level(n)
     while n < quad.max_nodes:
@@ -193,6 +203,66 @@ def test_moment_vectors_bitwise_equal_per_radius(field, chunk_points, monkeypatc
         want, _ = _per_radius_moments(field, r, DEFAULT_QUADRATURE)
         assert np.array_equal(row, want)
         assert np.array_equal(row, moment_vector(field, r).as_array())
+
+
+TABLE_NAMES = ("theta2_mean", "theta3_mean", "theta1_col", "theta1_row",
+               "theta4", "theta2_col", "theta2_row", "plain")
+
+
+def _per_radius_tables(field, r, quad):
+    """The eight block tables of one radius by the one-circle doubling loop:
+    einsums over 1-D nodes, converged on the six moments and the tables."""
+
+    def level(n):
+        cos, sin, (a, b, c) = _one_circle(field, r, n)
+        t = np.vstack([cos, sin])
+        one, zero = np.ones(n), np.zeros(n)
+        A = np.array([[[[a, zero], [zero, one]], [[b, c - 1.0], [zero, zero]]],
+                      [[[zero, zero], [a - 1.0, b]], [[one, zero], [zero, c]]]])
+        to4 = lambda blocks: blocks.transpose(0, 2, 1, 3).reshape(4, 4)
+        tabs = (np.einsum("ijpqn,in,jn->pq", A, t, t) / n,
+                np.einsum("ijpqn,kn,in,jn->kpq", A, t, t, t) / n,
+                np.einsum("ikpqn,in->kpq", A, t) / n,
+                np.einsum("kipqn,in->kpq", A, t) / n,
+                to4(np.einsum("ijpqn,in,jn,kn,ln->klpq", A, t, t, t, t) / n),
+                to4(np.einsum("ilpqn,in,kn->klpq", A, t, t) / n),
+                to4(np.einsum("kipqn,in,ln->klpq", A, t, t) / n),
+                to4(np.mean(A, axis=-1)))
+        return np.concatenate([_six_moments(cos, sin, (a, b, c))]
+                              + [np.ravel(tab) for tab in tabs])
+
+    flat, _ = _doubling(level, quad)
+    shapes = moments._TABLE_SHAPES
+    ends = np.cumsum([math.prod(shape) for shape in shapes])
+    return [part.reshape(shape) for part, shape
+            in zip(np.split(flat, ends[:-1])[1:], shapes[1:])]
+
+
+@pytest.mark.parametrize("field", BATCH_FIELDS, ids=lambda f: f.label)
+def test_block_tables_bitwise_equal_per_radius(field, monkeypatch):
+    radii = [min(1.0, math.exp(-t)) for t in np.linspace(0.0, 40.0, 97)]
+    want = [_per_radius_tables(field, r, DEFAULT_QUADRATURE) for r in radii]
+    for r, tabs in zip(radii, want):
+        one = block_table(field, r)
+        assert all(np.array_equal(getattr(one, name), tab)
+                   for name, tab in zip(TABLE_NAMES, tabs))
+    for chunk_points in (moments._CHUNK_POINTS, 100):
+        monkeypatch.setattr(moments, "_CHUNK_POINTS", chunk_points)
+        got = block_tables(field, radii)
+        assert np.array_equal(got.r, radii)
+        for name, *tabs in zip(TABLE_NAMES, *want):
+            assert np.array_equal(getattr(got, name), np.array(tabs))
+
+
+def test_block_tables_name_the_bad_radius():
+    field = _field_with_a(lambda x, y: np.where(np.hypot(x, y) > 0.6, np.nan, 1.0),
+                          "hole")
+    with pytest.raises(EvaluationError, match=r"coefficient a not finite at r=0\.75, phi="):
+        block_tables(field, [0.25, 0.5, 0.75, 0.125])
+    with pytest.raises(ValueError, match="radius"):
+        block_tables(CHIRP, [0.5, 1.5])
+    empty = block_tables(CHIRP, [])
+    assert empty.r.shape == (0,) and empty.theta4.shape == (0, 4, 4)
 
 
 def test_moment_vectors_cap_hit_returns_finest_level():
