@@ -21,8 +21,8 @@ from .dynsys import (FullSystem, ReducedSystem, StabilityReport,
                      TransitionMatrix, asymptotic_constancy_probe, full_system,
                      propagate, propagate_dense, reduced_system,
                      second_harmonic_system, uniform_stability_probe)
-from .moments import (BlockTable, MomentVector, block_table, circle_mean,
-                      moment_matrix, moment_matrix_residual, moment_vector)
+from .moments import (BlockTable, MomentVector, block_table, moment_matrix,
+                      moment_matrix_residual, moment_vector)
 from .pdelab import (DecompositionProfile, GridSolution, compare_with_dynamics,
                      decompose, gradient_field, hessian_quotients,
                      regularity_diagnostics, solve_dirichlet)

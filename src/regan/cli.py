@@ -4,6 +4,30 @@
 dependency order and writes a JSON report plus CSV witness tables.  The
 report is byte-reproducible for a fixed config and version except for its
 "timings" block.  Exit codes: 0 success, 2 config error, 3 numeric failure.
+
+A config is a JSON object with a required "family" descriptor (see
+`regan families`), an optional "schema" (must be 1) and these ten
+settable values; any other key is a config error:
+
+    analyses                 ["validate", "moments", "probes", "criteria"]
+                             any nonempty subset of ANALYSES; compare needs pde
+    radius_count             20      dyadic radii of validate/moments, 1..1000
+    probes.system            "reduced"   or "full" (its conjugated 4x4 block)
+    probes.s_grid            [0, 2, 5, 10, 20]   sorted, finite, below t_max
+    probes.t_max             30.0    horizon in t = -log r, in (1, 700]
+    probes.rtol              1e-10   integrator tolerance, in [1e-12, 1e-3]
+    criteria.n_windows       80      dyadic windows, 1..1000
+    criteria.prefix_windows  120     windows of the signed prefix tests, 1..1000
+    pde.h                    2^-6    mesh width 1.375 / N on [-0.6875, 0.6875]
+                                     for an even cell count N in [56, 704]
+                                     (2^-6 to 2^-9 among the powers of two)
+    pde.boundary             "v_rich_mix"   a key of pdelab.BOUNDARY_LIBRARY
+
+The verdict thresholds are the library's and no config bends them: the
+probe thresholds live in `dynsys.ProbeSettings`, the criteria tolerance and
+window grouping in `criteria.CriteriaSettings`, the circle quadrature in
+`moments.DEFAULT_QUADRATURE`, and the pde sizes in the defaults of
+`pdelab.solve_dirichlet`, `decompose` and `geometric_radii`.
 """
 from __future__ import annotations
 
@@ -30,6 +54,9 @@ MAX_WINDOWS = 1000
 MAX_T = 700.0
 MIN_H = 2.0**-9
 
+# the constancy probe starts its trajectories at t = 1, i.e. r = 1/e
+CONSTANCY_T0 = 1.0
+
 
 class ConfigError(ValueError):
     def __init__(self, violations):
@@ -41,39 +68,20 @@ class ConfigError(ValueError):
 class ProbeConfig:
     system: str = "reduced"
     s_grid: tuple = (0.0, 2.0, 5.0, 10.0, 20.0)
-    t0: float = 1.0
     t_max: float = 30.0
     rtol: float = 1e-10
-    kappa_threshold: float = 1e3
-    slope_margin: float = 0.01
-    const_tol: float = 0.25
-    growth_factor: float = 2.5
 
 
 @dataclass
 class CriteriaConfig:
-    tol: float = 0.05
     n_windows: int = 80
     prefix_windows: int = 120
-    group: int = 4
-
-
-@dataclass
-class QuadConfig:
-    base_nodes: int = 32
-    max_nodes: int = 2**14
-    rel_tol: float = 1e-13
 
 
 @dataclass
 class PdeConfig:
     h: float = 2.0**-6
-    half_width: float = 0.6875
     boundary: str = "v_rich_mix"
-    p: float = 4.0
-    solver_tol: float = 1e-10
-    nodes_per_circle: int = 256
-    radii_per_octave: int = 4
 
 
 @dataclass
@@ -83,13 +91,7 @@ class AnalysisConfig:
     radius_count: int = 20
     probes: ProbeConfig = dc_field(default_factory=ProbeConfig)
     criteria: CriteriaConfig = dc_field(default_factory=CriteriaConfig)
-    quadrature: QuadConfig = dc_field(default_factory=QuadConfig)
     pde: PdeConfig = dc_field(default_factory=PdeConfig)
-
-    def quad_settings(self) -> moments.QuadratureSettings:
-        return moments.QuadratureSettings(self.quadrature.base_nodes,
-                                          self.quadrature.max_nodes,
-                                          self.quadrature.rel_tol)
 
 
 def _apply_section(instance, section, name: str, violations: list,
@@ -147,7 +149,7 @@ def validate_config(raw) -> AnalysisConfig:
         raise ConfigError(["config must be a JSON object"])
     violations = []
     known_top = {"schema", "family", "analyses", "radius_count",
-                 "probes", "criteria", "quadrature", "pde"}
+                 "probes", "criteria", "pde"}
     for key in raw:
         if key not in known_top:
             violations.append(f"unknown top-level key {key!r}")
@@ -182,25 +184,38 @@ def validate_config(raw) -> AnalysisConfig:
     if config.radius_count < 1:
         violations.append("radius_count must be positive")
     _apply_section(config.probes, raw.get("probes", {}), "probes", violations,
-                   positive=("t_max", "rtol", "kappa_threshold", "slope_margin",
-                             "const_tol", "growth_factor"))
+                   positive=("rtol",))
     if config.probes.system not in ("reduced", "full"):
         violations.append("probes.system must be 'reduced' or 'full'")
     _apply_section(config.criteria, raw.get("criteria", {}), "criteria",
-                   violations, positive=("tol", "n_windows", "prefix_windows"))
-    _apply_section(config.quadrature, raw.get("quadrature", {}), "quadrature",
-                   violations, positive=("base_nodes", "max_nodes", "rel_tol"))
+                   violations, positive=("n_windows", "prefix_windows"))
     _apply_section(config.pde, raw.get("pde", {}), "pde", violations,
-                   positive=("h", "half_width", "p", "solver_tol"))
+                   positive=("h",))
     for key, value in (("radius_count", config.radius_count),
                        ("criteria.n_windows", config.criteria.n_windows),
                        ("criteria.prefix_windows", config.criteria.prefix_windows)):
         if value > MAX_WINDOWS:
             violations.append(f"{key} must be at most {MAX_WINDOWS}")
-    if not config.probes.t_max <= MAX_T:
+    if not config.probes.t_max > CONSTANCY_T0:
+        violations.append(f"probes.t_max must exceed {CONSTANCY_T0:g}, "
+                          f"where the constancy probe starts")
+    elif not config.probes.t_max <= MAX_T:
         violations.append(f"probes.t_max must be at most {MAX_T:g}")
+    lo, hi = dynsys.RTOL_RANGE
+    if config.probes.rtol > 0 and not lo <= config.probes.rtol <= hi:
+        violations.append(f"probes.rtol must lie in [{lo:g}, {hi:g}]")
     if not config.pde.h >= MIN_H:
         violations.append("pde.h must be at least 2^-9")
+    else:
+        try:
+            pdelab.cell_count(config.pde.h)
+        except ValueError as exc:
+            violations.append(f"pde.h: {exc}")
+        else:
+            n = _pde_radii(config.pde.h).size
+            if n < pdelab.MIN_PROFILE_RADII:
+                violations.append(f"pde.h must leave {pdelab.MIN_PROFILE_RADII} "
+                                  f"decomposition radii; {config.pde.h:g} leaves {n}")
     grid = list(config.probes.s_grid)
     if not grid or sorted(grid) != grid:
         violations.append("probes.s_grid must be nonempty and sorted")
@@ -221,7 +236,8 @@ def validate_config(raw) -> AnalysisConfig:
 
 def _stage_validate(config, field, out_dir):
     report = coeff.validate_field(field, coeff.dyadic_radii(config.radius_count))
-    classification = coeff.classify_modulus(field.modulus, config.criteria.tol,
+    tol = criteria.CriteriaSettings.tol
+    classification = coeff.classify_modulus(field.modulus, tol,
                                             n_windows=config.criteria.n_windows)
     return {
         "passes": bool(report.passes),
@@ -238,10 +254,9 @@ def _stage_validate(config, field, out_dir):
 
 def _stage_moments(config, field, out_dir):
     radii = coeff.dyadic_radii(config.radius_count)
-    quad = config.quad_settings()
     path = out_dir / "moments.csv"
-    moments.write_moment_csv(path, field, radii, quad)
-    residuals = [moments.moment_matrix_residual(field, float(r), quad)
+    moments.write_moment_csv(path, field, radii)
+    residuals = [moments.moment_matrix_residual(field, float(r))
                  for r in radii[:10]]
     return {
         "csv": path.name,
@@ -251,20 +266,17 @@ def _stage_moments(config, field, out_dir):
 
 
 def _stage_probes(config, field, out_dir):
-    quad = config.quad_settings()
     pc = config.probes
-    reduced = dynsys.reduced_system(field, quad)
-    full = dynsys.full_system(field, quad)
+    reduced = dynsys.reduced_system(field)
+    full = dynsys.full_system(field)
     # the raw 8x8 system carries a genuine exp(+2t) branch; its stability
     # semantics live on the conjugated neutral block
     system = full.reduced_block_system() if pc.system == "full" else reduced
-    settings = dynsys.ProbeSettings(rtol=pc.rtol, kappa_threshold=pc.kappa_threshold,
-                                    slope_margin=pc.slope_margin,
-                                    const_tol=pc.const_tol,
-                                    growth_factor=pc.growth_factor)
+    settings = dynsys.ProbeSettings(rtol=pc.rtol)
     stability = dynsys.uniform_stability_probe(system, list(pc.s_grid), pc.t_max,
                                                settings)
-    constancy = dynsys.asymptotic_constancy_probe(system, pc.t0, pc.t_max, settings)
+    constancy = dynsys.asymptotic_constancy_probe(system, CONSTANCY_T0, pc.t_max,
+                                                  settings)
 
     ts = np.linspace(min(pc.s_grid), pc.t_max, 201)
     phis, _ = dynsys.propagate_dense(system, float(ts[0]), ts, pc.rtol)
@@ -301,12 +313,10 @@ def _stage_probes(config, field, out_dir):
 
 
 def _stage_criteria(config, field, out_dir):
-    settings = criteria.CriteriaSettings(tol=config.criteria.tol,
-                                         n_windows=config.criteria.n_windows,
-                                         prefix_windows=config.criteria.prefix_windows,
-                                         group=config.criteria.group)
-    system = dynsys.reduced_system(field, config.quad_settings())
-    results = criteria.run_all_criteria(system, settings)
+    system = dynsys.reduced_system(field)
+    results = criteria.run_all_criteria(system, criteria.CriteriaSettings(
+        n_windows=config.criteria.n_windows,
+        prefix_windows=config.criteria.prefix_windows))
     payload = []
     for res in results:
         csv_path = out_dir / f"criterion_{res.id}.csv"
@@ -343,41 +353,38 @@ def _write_witness_csv(path, witness: dict):
             fh.write(",".join(row) + "\n")
 
 
+def _pde_radii(h: float) -> np.ndarray:
+    """The decomposition radii at mesh width h: inside the band (4h, L/2)
+    where bilinear interpolation is trustworthy and the annuli fit."""
+    return pdelab.geometric_radii(4.0 * h * 1.01, pdelab.HALF_WIDTH / 2.0 * 0.99)
+
+
 def _stage_pde(config, field, out_dir):
     pc = config.pde
-    quad = config.quad_settings()
-    sol = pdelab.solve_dirichlet(field, pc.h, pc.boundary, pc.half_width,
-                                 pc.solver_tol)
-    control_field = coeff.constant_laplacian()
-    control = pdelab.solve_dirichlet(control_field, pc.h, pc.boundary,
-                                     pc.half_width, pc.solver_tol)
-    radii = pdelab.geometric_radii(4.0 * pc.h * 1.01, pc.half_width / 2.0 * 0.99,
-                                   pc.radii_per_octave)
-    U = pdelab.gradient_field(sol)
-    U_control = pdelab.gradient_field(control)
-    prof = pdelab.decompose(U, pc.h, pc.half_width, radii, pc.p,
-                            pc.nodes_per_circle)
-    prof_control = pdelab.decompose(U_control, pc.h, pc.half_width, radii, pc.p,
-                                    pc.nodes_per_circle)
+    L = pdelab.HALF_WIDTH
+    sol = pdelab.solve_dirichlet(field, pc.h, pc.boundary)
+    control = pdelab.solve_dirichlet(coeff.constant_laplacian(), pc.h, pc.boundary)
+    radii = _pde_radii(pc.h)
+    prof = pdelab.decompose(pdelab.gradient_field(sol), pc.h, L, radii)
+    prof_control = pdelab.decompose(pdelab.gradient_field(control), pc.h, L, radii)
+    rvp = np.linalg.norm(prof_control.rVprime, axis=1)
+    scale = np.maximum(np.asarray(field.modulus(prof_control.radii), dtype=float)
+                       * prof_control.radii, 1e-300)
     floor = {
-        "lip": np.linalg.norm(prof_control.rVprime, axis=1),
-        "rvp": np.linalg.norm(prof_control.rVprime, axis=1),
-        "w_ratio": prof_control.M1p_W / np.maximum(
-            np.asarray(field.modulus(prof_control.radii), dtype=float)
-            * prof_control.radii, 1e-300),
+        "lip": rvp,
+        "rvp": rvp,
+        "w_ratio": prof_control.M1p_W / scale,
         "u0_ratio": np.linalg.norm(prof_control.U0 - prof_control.U0[0], axis=1)
-        / np.maximum(np.asarray(field.modulus(prof_control.radii), dtype=float)
-                     * prof_control.radii, 1e-300),
+        / scale,
     }
-    steps = [2, 4, 8, 16]
-    hq = pdelab.hessian_quotients(sol, steps)
+    hq = pdelab.hessian_quotients(sol, [2, 4, 8, 16])
     diag = pdelab.regularity_diagnostics(prof, field.modulus, hq, floor)
     pdelab.write_profile_csv(out_dir / "profile.csv", prof)
     pdelab.write_profile_csv(out_dir / "profile_control.csv", prof_control)
     pdelab.write_solution_csv(out_dir / "solution.csv", sol)
     return {
         "h": pc.h,
-        "half_width": pc.half_width,
+        "half_width": L,
         "boundary": pc.boundary,
         "residual_norm": sol.residual_norm,
         "control_residual_norm": control.residual_norm,
@@ -394,11 +401,10 @@ def _stage_pde(config, field, out_dir):
 
 
 def _stage_compare(config, field, out_dir, pde_payload):
-    quad = config.quad_settings()
     prof = pde_payload.pop("_profile")
     prof_control = pde_payload.pop("_profile_control")
-    system = dynsys.full_system(field, quad)
-    control_sys = dynsys.full_system(coeff.constant_laplacian(), quad)
+    system = dynsys.full_system(field)
+    control_sys = dynsys.full_system(coeff.constant_laplacian())
     table = pdelab.compare_with_dynamics(prof, system, config.probes.rtol)
     control_table = pdelab.compare_with_dynamics(prof_control, control_sys,
                                                  config.probes.rtol)

@@ -41,6 +41,9 @@ CONSTANT = "constant"
 DIVERGENT = "divergent"
 INCONCLUSIVE = "inconclusive"
 
+# the relative tolerances `propagate_dense` accepts
+RTOL_RANGE = (1e-12, 1e-3)
+
 
 class SingularSystemError(RuntimeError):
     """A quadrature block that must be inverted was singular."""
@@ -368,8 +371,8 @@ def propagate_dense(system, s: float, t_eval, rtol: float = 1e-10,
     their uncached radii in one batch.  Returns (array of Phi with shape
     (len(t_eval), d, d), accumulated error).
     """
-    if not 1e-12 <= rtol <= 1e-3:
-        raise ValueError("rtol must lie in [1e-12, 1e-3]")
+    if not RTOL_RANGE[0] <= rtol <= RTOL_RANGE[1]:
+        raise ValueError("rtol must lie in [%g, %g]" % RTOL_RANGE)
     if atol is None:
         atol = rtol * 1e-2
     ts = [float(v) for v in t_eval]

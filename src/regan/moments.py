@@ -10,8 +10,8 @@ monomials in theta = (cos phi, sin phi).  The uniform trapezoid rule is
 spectrally accurate for these periodic integrands.  One sampler,
 `_circle_samples`, evaluates and checks a, b, c on the nodes of a batch of
 circles, and one loop, `_refine`, doubles the node count
-per radius until two refinements agree; the moment vectors, the block
-tables and `circle_mean` all go through that loop.
+per radius until two refinements agree; the moment vectors and the block
+tables both go through that loop.
 
 `moment_vectors` and `block_tables` are the batched paths of the six
 moments and of the block tables: they evaluate the coefficients once per
@@ -53,15 +53,6 @@ MOMENT_MATRIX_ZEROS = ((0, 1), (1, 2), (2, 1), (3, 2))
 _CHUNK_POINTS = 2**14
 
 
-def _finite(vals, phi: np.ndarray, what: str) -> np.ndarray:
-    """vals broadcast to the nodes phi; EvaluationError names the first bad angle."""
-    vals = np.broadcast_to(np.asarray(vals, dtype=float), phi.shape)
-    bad = ~np.isfinite(vals)
-    if bad.any():
-        raise EvaluationError(f"{what} not finite at phi={float(phi[bad][0]):.6g}")
-    return vals
-
-
 def _nodes(n: int) -> np.ndarray:
     return 2.0 * math.pi * np.arange(n) / n
 
@@ -89,7 +80,7 @@ def _circle_samples(field: CoefficientField, radii: np.ndarray, n: int):
     return cos, sin, abc
 
 
-def _refine(sample: Callable, quad: QuadratureSettings, count: int = 1):
+def _refine(sample: Callable, quad: QuadratureSettings, count: int):
     """Double the node count from quad.base_nodes until two samples agree, per row.
 
     sample(n, rows) returns a (len(rows), width) array for `rows`, an index
@@ -114,25 +105,6 @@ def _refine(sample: Callable, quad: QuadratureSettings, count: int = 1):
     capped = np.zeros(count, dtype=bool)
     capped[rows] = True
     return out, capped
-
-
-def circle_mean(f: Callable, n_nodes: int = 16, *, rel_tol: float = 1e-13,
-                max_nodes: int = 2**14) -> float:
-    """Mean of f over the circle, phi in [0, 2pi), by uniform nodes.
-
-    n_nodes must be a power of two >= 16.  The node count doubles until two
-    successive values agree to rel_tol (relative, with floor 1) or the cap
-    is reached; the converged value is returned.
-    """
-    if n_nodes < 16 or n_nodes & (n_nodes - 1):
-        raise ValueError("n_nodes must be a power of two >= 16")
-
-    def mean_at(n, rows):
-        phi = _nodes(n)
-        return np.array([[_finite(f(phi), phi, "circle integrand").mean()]])
-
-    mean, _ = _refine(mean_at, QuadratureSettings(n_nodes, max_nodes, rel_tol))
-    return float(mean[0, 0])
 
 
 @dataclass(frozen=True)
@@ -368,10 +340,9 @@ def moment_matrix_residual(field: CoefficientField, r: float,
 def write_moment_csv(path, field: CoefficientField, radii,
                      quad: QuadratureSettings = DEFAULT_QUADRATURE) -> None:
     """Moment table as CSV: r, a1, a2, b1, b2, c1, c2 (17 significant digits)."""
-    rows = ["r,a1,a2,b1,b2,c1,c2"]
-    for r in radii:
-        m = moment_vector(field, float(r), quad)
-        rows.append(",".join("%.17g" % v for v in
-                             (m.r, m.a1, m.a2, m.b1, m.b2, m.c1, m.c2)))
+    radii = _radius_array(radii)
+    m6, _ = moment_vectors(field, radii, quad)
+    rows = ["r,a1,a2,b1,b2,c1,c2"] + [",".join("%.17g" % v for v in (r, *m))
+                                      for r, m in zip(radii, m6)]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(rows) + "\n")

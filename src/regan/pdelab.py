@@ -31,6 +31,11 @@ class EllipticityError(RuntimeError):
     """The discriminant 4ac - b^2 failed to be positive at a grid node."""
 
 
+# half side of the square [-L, L]^2 of the solves: inside the unit disk, and
+# 2L = 11/8 splits into 11 * 2^(k-3) cells of width 2^-k, even from k = 4
+HALF_WIDTH = 0.6875
+
+
 # ---------------------------------------------------------------------------
 # Boundary data library.  All entries are harmonic polynomials, so the
 # constant-coefficient control solution is known in closed form.
@@ -82,24 +87,34 @@ class GridSolution:
         return -self.half_width + self.h * np.arange(self.u.shape[0])
 
 
+def cell_count(h: float, half_width: float = HALF_WIDTH) -> int:
+    """Cells across [-half_width, half_width] at mesh width h.
+
+    ValueError unless h splits the side into an even number, at least 8,
+    of cells, so that the origin is a grid node.
+    """
+    n = 2.0 * half_width / h
+    N = int(round(n))
+    if abs(n - N) > 1e-9 or N < 8 or N % 2:
+        raise ValueError(f"mesh width {h} must divide {2 * half_width} into an "
+                         f"even number (at least 8) of cells (got {n:.6g})")
+    return N
+
+
 def solve_dirichlet(field: CoefficientField, h: float, boundary,
-                    half_width: float = 0.6875, tol: float = 1e-10,
+                    half_width: float = HALF_WIDTH, tol: float = 1e-10,
                     boundary_id: Optional[str] = None) -> GridSolution:
     """Nine-point finite-difference solve of a u_xx + b u_xy + c u_yy = 0.
 
     Centered second differences for u_xx and u_yy, the four-point cross
     stencil for u_xy (no upwinding: the coefficients are near-identity).
-    The mesh width must divide 2*half_width evenly with an even cell count
-    so the origin is a node; it carries the normalized values (1, 0, 1).
+    The mesh width must pass `cell_count`, so the origin is a node; it
+    carries the normalized values (1, 0, 1).
     """
     L = float(half_width)
     if not 0.0 < L <= 1.0 / math.sqrt(2.0) + 1e-12:
         raise ValueError("half_width must lie in (0, 1/sqrt(2)]")
-    n = 2.0 * L / h
-    N = int(round(n))
-    if abs(n - N) > 1e-9 or N < 8 or N % 2:
-        raise ValueError(f"mesh width {h} must divide {2 * L} into an even "
-                         f"number of cells (got {n})")
+    N = cell_count(h, L)
     data_fn = boundary_evaluator(boundary)
     if boundary_id is None:
         boundary_id = boundary if isinstance(boundary, str) else "custom"
@@ -384,19 +399,22 @@ def _trend_verdict(values, floors, grow_word=GROWING, ok_word=BOUNDED):
     return INCONCLUSIVE
 
 
+MIN_PROFILE_RADII = 8
+
+
 def regularity_diagnostics(prof: DecompositionProfile, modulus,
                            hessian: Optional[dict] = None,
                            floor: Optional[dict] = None) -> RegularityDiagnostics:
     """Threshold verdicts for the regularity indicators of a profile.
 
-    Requires at least 8 radii.  Trends are judged on the 4 smallest radii
-    against three times the per-key floor (the constant-coefficient control
-    value at the same radii); everything below that is resolution, not
-    signal.
+    Requires at least MIN_PROFILE_RADII radii.  Trends are judged on the 4
+    smallest radii against three times the per-key floor (the
+    constant-coefficient control value at the same radii); everything below
+    that is resolution, not signal.
     """
     n = prof.radii.size
-    if n < 8:
-        raise ValueError("profile must cover at least 8 radii")
+    if n < MIN_PROFILE_RADII:
+        raise ValueError(f"profile must cover at least {MIN_PROFILE_RADII} radii")
     vnorm = np.linalg.norm(prof.V, axis=1)
     rvp = np.linalg.norm(prof.rVprime, axis=1)
     lip = vnorm + rvp

@@ -1,14 +1,18 @@
+import contextlib
+import io
 import json
+import tempfile
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regan.cli import (AnalysisConfig, ConfigError, CriteriaConfig, PdeConfig,
-                       ProbeConfig, QuadConfig, main, run_pipeline,
-                       validate_config)
+from regan.cli import (ANALYSES, AnalysisConfig, ConfigError, CriteriaConfig,
+                       PdeConfig, ProbeConfig, main, run_pipeline, validate_config)
 from regan.coeff import builtin_families
+from regan.pdelab import BOUNDARY_LIBRARY
 
 
 def minimal_config(**extra):
@@ -130,8 +134,8 @@ def test_pipeline_pde_and_compare(tmp_path):
 def test_pipeline_stage_failure_exits_3(tmp_path):
     config = validate_config({
         "schema": 1, "family": {"family": "constant"},
-        "analyses": ["pde"],
-        "pde": {"h": 0.3}})
+        "analyses": ["pde"]})
+    config.pde.h = 0.3   # no even cell count: validation refuses it, the solve too
     report, code = run_pipeline(config, tmp_path)
     assert code == 3
     assert "error" in report["results"]["pde"]
@@ -184,6 +188,37 @@ def test_runaway_sizes_exit_2_naming_the_key(tmp_path, capsys, key, extra):
     assert not (tmp_path / "o").exists()
 
 
+# the settable values of older configs that the library now fixes: each is
+# an unknown key (the quadrature section is an unknown top-level key)
+REMOVED_KEYS = {
+    "probes.t0": 1.0, "probes.kappa_threshold": 1e3, "probes.slope_margin": 0.01,
+    "probes.const_tol": 0.25, "probes.growth_factor": 2.5,
+    "criteria.tol": 0.05, "criteria.group": 4,
+    "quadrature.base_nodes": 32, "quadrature.max_nodes": 2**14,
+    "quadrature.rel_tol": 1e-13,
+    "pde.half_width": 0.6875, "pde.p": 4.0, "pde.solver_tol": 1e-10,
+    "pde.nodes_per_circle": 256, "pde.radii_per_octave": 4,
+}
+
+
+def _unknown_key_error(key: str) -> str:
+    section, name = key.split(".")
+    if section == "quadrature":
+        return "config error: unknown top-level key 'quadrature'"
+    return f"config error: {section}: unknown key {name!r}"
+
+
+def _main_exit(tmp_path, cfg, literal=None):
+    """main's exit code and stderr on cfg; literal replaces the string "@"."""
+    path = tmp_path / "cfg.json"
+    text = json.dumps(cfg)
+    path.write_text(text if literal is None else text.replace('"@"', literal))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+    return code, err.getvalue()
+
+
 @pytest.mark.parametrize("key, section, literal", [
     ("criteria.tol", "criteria", "NaN"),
     ("probes.rtol", "probes", "NaN"),
@@ -197,19 +232,53 @@ def test_runaway_sizes_exit_2_naming_the_key(tmp_path, capsys, key, extra):
     ("criteria.n_windows", "criteria", "1e400"),
     ("quadrature.max_nodes", "quadrature", "-Infinity"),
     ("quadrature.max_nodes", "quadrature", "1e400"),
+    ("probes.t_max", "probes", "NaN"),
+    ("probes.rtol", "probes", "Infinity"),
+    ("pde.h", "pde", "NaN"),
+    ("pde.h", "pde", "1e400"),
+    ("criteria.prefix_windows", "criteria", "-Infinity"),
+    ("criteria.prefix_windows", "criteria", "1e400"),
 ])
-def test_non_finite_values_exit_2_naming_the_key(tmp_path, capsys, key, section,
-                                                 literal):
-    # NaN passes a `<= 0` test, and int(inf) overflows: both must be config errors
+def test_non_finite_values_exit_2_naming_the_key(tmp_path, key, section, literal):
+    # NaN passes a `<= 0` test, and int(inf) overflows: both must be config
+    # errors; a removed key is refused as unknown whatever its value
     name = key.split(".")[-1]
     cfg = minimal_config(**({section: {name: "@"}} if section else {name: "@"}))
-    bad = tmp_path / "nonfinite.json"
-    bad.write_text(json.dumps(cfg).replace('"@"', literal))
-    assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
-    err = capsys.readouterr().err
-    assert f"config error: {key} must be" in err
+    code, err = _main_exit(tmp_path, cfg, literal)
+    assert code == 2
+    assert (_unknown_key_error(key) if key in REMOVED_KEYS
+            else f"config error: {key} must be") in err
     assert "Traceback" not in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("key, extra", [
+    ("probes.t_max", {"probes": {"s_grid": [0.0], "t_max": 1.0}}),
+    ("probes.t_max", {"probes": {"s_grid": [0.0], "t_max": 0.5}}),
+    ("probes.rtol", {"probes": {"rtol": 1e-2}}),
+    ("probes.rtol", {"probes": {"rtol": 1e-13}}),
+    ("pde.h", {"pde": {"h": 0.1}}),
+    ("pde.h", {"pde": {"h": 0.3}}),
+    ("pde.h", {"pde": {"h": 1.375 / 6}}),
+    ("pde.h", {"pde": {"h": 2.0**-5}}),       # even, but too few radii
+    ("pde.h", {"pde": {"h": 1.375 / 54}}),
+])
+def test_values_a_stage_would_refuse_exit_2_naming_the_key(tmp_path, key, extra):
+    # each of these once passed validation and failed inside a stage (exit 3)
+    code, err = _main_exit(tmp_path, minimal_config(analyses=["probes", "pde"], **extra))
+    assert code == 2
+    assert f"config error: {key}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_config_accepts_edge_values_of_the_stage_limits():
+    config = validate_config(minimal_config(
+        probes={"s_grid": [0.0], "t_max": 1.5, "rtol": 1e-12},
+        pde={"h": 1.375 / 56}))
+    assert (config.probes.rtol, config.pde.h) == (1e-12, 1.375 / 56)
+    assert validate_config(minimal_config(probes={"rtol": 1e-3})).probes.rtol == 1e-3
+    assert validate_config(minimal_config(pde={"h": 2.0**-9})).pde.h == 2.0**-9
 
 
 def test_non_finite_s_grid_entries_are_rejected():
@@ -228,8 +297,10 @@ JSON_VALUES = st.recursive(
     | st.dictionaries(st.text(max_size=6), inner, max_size=4), max_leaves=12)
 
 
-def _section(cls):
-    names = [f.name for f in fields(cls)] + ["bogus"]
+def _section(section, cls=None):
+    # the section's keys, its removed keys and one that never existed
+    names = ([f.name for f in fields(cls)] if cls else []) + ["bogus"] + [
+        key.split(".")[1] for key in REMOVED_KEYS if key.startswith(section + ".")]
     return st.dictionaries(st.sampled_from(names), JSON_VALUES, max_size=4)
 
 
@@ -260,10 +331,10 @@ CONFIGS = st.fixed_dictionaries({}, optional={
                                           "criteria", "pde", "compare", "x"]),
                          max_size=4) | JSON_VALUES,
     "radius_count": JSON_VALUES,
-    "probes": _section(ProbeConfig) | JSON_VALUES,
-    "criteria": _section(CriteriaConfig) | JSON_VALUES,
-    "quadrature": _section(QuadConfig) | JSON_VALUES,
-    "pde": _section(PdeConfig) | JSON_VALUES,
+    "probes": _section("probes", ProbeConfig) | JSON_VALUES,
+    "criteria": _section("criteria", CriteriaConfig) | JSON_VALUES,
+    "quadrature": _section("quadrature") | JSON_VALUES,
+    "pde": _section("pde", PdeConfig) | JSON_VALUES,
     "bogus": JSON_VALUES,
 })
 
@@ -278,6 +349,65 @@ def test_validate_config_accepts_or_raises_config_error(raw):
         assert exc.violations
     else:
         assert isinstance(config, AnalysisConfig)
+
+
+def _smoke_sized(raw):
+    """raw with its run sizes capped at smoke sizes (t_max <= 4, windows and
+    radii <= 24, pde.h >= 2^-6), filled in where raw leaves them out."""
+    if not isinstance(raw, dict):
+        return raw
+    raw = dict(raw)
+    number = lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
+    if number(raw.get("radius_count")):
+        raw["radius_count"] = min(raw["radius_count"], 24)
+    smoke = {"probes": {"t_max": (4.0, min), "s_grid": ([0.0, 1.0], None)},
+             "criteria": {"n_windows": (16, min), "prefix_windows": (24, min)},
+             "pde": {"h": (2.0**-6, max)}}
+    for name, keys in smoke.items():
+        section = raw.setdefault(name, {})
+        if not isinstance(section, dict):
+            continue
+        section = raw[name] = dict(section)
+        for key, (size, bound) in keys.items():
+            if key not in section:
+                section[key] = size
+            elif bound and number(section[key]) and section[key] > 0:
+                section[key] = bound(section[key], size)
+    return raw
+
+
+# configs near the valid ones, so that most reach the pipeline; CONFIGS
+# alone almost never passes validation
+RUNNABLE = st.fixed_dictionaries({
+    "family": st.sampled_from(list(builtin_families().values()))
+    | st.builds(lambda seed: {"family": "trig_random", "seed": seed},
+                st.integers(0, 50)),
+}, optional={
+    "analyses": st.lists(st.sampled_from(ANALYSES), min_size=1, max_size=3,
+                         unique=True),
+    "radius_count": st.integers(1, 24),
+    "probes": st.fixed_dictionaries({}, optional={
+        "system": st.sampled_from(["reduced", "full"]),
+        "s_grid": st.sampled_from([[0.0], [0.0, 1.0], [0.5, 2.0], [3.0]]),
+        "t_max": st.floats(0.5, 4.0),
+        "rtol": st.sampled_from([1e-12, 1e-10, 1e-6, 1e-3, 1e-2])}),
+    "criteria": st.fixed_dictionaries({}, optional={
+        "n_windows": st.integers(1, 24), "prefix_windows": st.integers(1, 24)}),
+    "pde": st.fixed_dictionaries({}, optional={
+        "h": st.sampled_from([2.0**-6, 1.375 / 56, 2.0**-5, 0.1]),
+        "boundary": st.sampled_from(sorted(BOUNDARY_LIBRARY) + ["x"])}),
+})
+
+
+@settings(max_examples=60, deadline=None)
+@given(raw=CONFIGS | RUNNABLE)
+def test_main_exits_0_2_or_3_on_any_config(raw):
+    # the whole CLI, pipeline included: a config error, a numeric failure or
+    # success, and never a traceback
+    with tempfile.TemporaryDirectory() as tmp:
+        code, err = _main_exit(Path(tmp), _smoke_sized(raw))
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err
 
 
 def test_failed_probes_stage_exits_3_with_report(tmp_path):
@@ -301,6 +431,22 @@ def test_removed_knobs_are_rejected(tmp_path):
             main(["run", "--config", str(good), "--out", str(tmp_path / "o"),
                   flag, "1"])
         assert exc.value.code == 2
+    # thresholds, quadrature and pde sizes are the library's, even at their
+    # old default values
+    for key, value in REMOVED_KEYS.items():
+        section, name = key.split(".")
+        code, err = _main_exit(tmp_path, minimal_config(**{section: {name: value}}))
+        assert code == 2, key
+        assert _unknown_key_error(key) in err
+        assert "Traceback" not in err
+    # a config that once bent an unstable family's verdict to stable
+    code, err = _main_exit(tmp_path, {
+        "schema": 1, "family": builtin_families()["square_dini_log"],
+        "probes": {"slope_margin": 1e9, "kappa_threshold": 1e300}})
+    assert code == 2
+    assert "probes: unknown key 'slope_margin'" in err
+    assert "probes: unknown key 'kappa_threshold'" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_report_determinism(tmp_path):

@@ -11,63 +11,13 @@ from regan.coeff import (CoefficientField, builtin_families, constant_laplacian,
                          profile_log_inverse, profile_power)
 from regan.moments import (DEFAULT_QUADRATURE, MOMENT_MATRIX_ZEROS, MomentVector,
                            QuadratureSettings, block_table, block_tables,
-                           circle_mean, moment_matrix, moment_matrix_residual,
-                           moment_vector, moment_vectors, write_moment_csv)
+                           moment_matrix, moment_matrix_residual, moment_vector,
+                           moment_vectors, write_moment_csv)
 from regan.tails import EvaluationError
 
 
 def const_profile(value):
     return profile_power(gamma=value, alpha=0.0)
-
-
-# ---------------------------------------------------------------------------
-# circle_mean
-# ---------------------------------------------------------------------------
-
-
-def test_circle_mean_constant():
-    assert circle_mean(lambda phi: np.ones_like(phi)) == 1.0
-
-
-def test_circle_mean_cos_squared():
-    got = circle_mean(lambda phi: np.cos(2 * phi) ** 2, n_nodes=16)
-    assert got == pytest.approx(0.5, abs=1e-14)
-
-
-def test_circle_mean_orthogonality():
-    assert circle_mean(lambda phi: np.cos(2 * phi)) == pytest.approx(0.0, abs=1e-15)
-
-
-def test_circle_mean_rejects_bad_node_counts():
-    with pytest.raises(ValueError):
-        circle_mean(lambda phi: phi, n_nodes=8)
-    with pytest.raises(ValueError):
-        circle_mean(lambda phi: phi, n_nodes=24)
-
-
-def test_circle_mean_names_bad_angle():
-    def f(phi):
-        out = np.ones_like(phi)
-        out[phi > 3.0] = np.inf
-        return out
-
-    with pytest.raises(EvaluationError, match="phi="):
-        circle_mean(f)
-
-
-def test_circle_mean_exact_for_trig_polynomials():
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        coeffs = rng.uniform(-1, 1, 6)
-        const = rng.uniform(-1, 1)
-
-        def f(phi):
-            out = np.full_like(phi, const)
-            for n, cn in enumerate(coeffs, start=1):
-                out = out + cn * np.cos(n * phi) + cn * np.sin(n * phi)
-            return out
-
-        assert circle_mean(f, n_nodes=16) == pytest.approx(const, abs=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -297,9 +247,11 @@ def test_moment_vectors_name_the_bad_radius():
 
 
 def test_theta_monomial_means():
-    assert circle_mean(lambda phi: np.cos(phi) ** 4) == pytest.approx(3 / 8, abs=1e-14)
-    assert circle_mean(lambda phi: (np.cos(phi) * np.sin(phi)) ** 2) == pytest.approx(
-        1 / 8, abs=1e-14)
+    # the base node level already integrates the degree-4 theta monomials of
+    # the block tables exactly
+    phi = moments._nodes(DEFAULT_QUADRATURE.base_nodes)
+    assert np.mean(np.cos(phi) ** 4) == pytest.approx(3 / 8, abs=1e-14)
+    assert np.mean((np.cos(phi) * np.sin(phi)) ** 2) == pytest.approx(1 / 8, abs=1e-14)
 
 
 def test_block_table_constant_field():
@@ -415,3 +367,14 @@ def test_moment_csv_format(tmp_path):
     assert float(first[0]) == 0.5
     assert float(first[1]) == pytest.approx(-0.15, abs=1e-12)
     assert len(first) == 7
+    # one batched call, byte for byte the table of one moment_vector per radius
+    field = make_trig_field(3)
+    radii = 2.0 ** -np.arange(1, 21, dtype=float)
+    write_moment_csv(path, field, radii)
+    rows = ["r,a1,a2,b1,b2,c1,c2"]
+    for r in radii:
+        m = moment_vector(field, float(r))
+        rows.append(",".join("%.17g" % v for v in
+                             (m.r, m.a1, m.a2, m.b1, m.b2, m.c1, m.c2)))
+    assert path.read_text() == "\n".join(rows) + "\n"
+
