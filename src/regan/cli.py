@@ -23,11 +23,10 @@ settable values; any other key is a config error:
                                      (2^-6 to 2^-9 among the powers of two)
     pde.boundary             "v_rich_mix"   a key of pdelab.BOUNDARY_LIBRARY
 
-The verdict thresholds are the library's and no config bends them: the
-probe thresholds live in `dynsys.ProbeSettings`, the criteria tolerance and
-window grouping in `criteria.CriteriaSettings`, the circle quadrature in
-`moments.DEFAULT_QUADRATURE`, and the pde sizes in the defaults of
-`pdelab.solve_dirichlet`, `decompose` and `geometric_radii`.
+The verdict thresholds, the circle quadrature and the pde sizes are the
+library's, and no config bends them: each is a module constant next to the
+code that reads it, in `dynsys`, `criteria`, `tails`, `moments` and
+`pdelab`.
 """
 from __future__ import annotations
 
@@ -143,7 +142,9 @@ def validate_config(raw) -> AnalysisConfig:
     if isinstance(raw, (str, bytes)):
         try:
             raw = json.loads(raw)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # besides malformed JSON: bytes that are not text, an integer past
+            # Python's digit limit, or nesting past the recursion limit
             raise ConfigError([f"config is not valid JSON: {exc}"]) from exc
     if not isinstance(raw, dict):
         raise ConfigError(["config must be a JSON object"])
@@ -236,8 +237,7 @@ def validate_config(raw) -> AnalysisConfig:
 
 def _stage_validate(config, field, out_dir):
     report = coeff.validate_field(field, coeff.dyadic_radii(config.radius_count))
-    tol = criteria.CriteriaSettings.tol
-    classification = coeff.classify_modulus(field.modulus, tol,
+    classification = coeff.classify_modulus(field.modulus, criteria.TOL,
                                             n_windows=config.criteria.n_windows)
     return {
         "passes": bool(report.passes),
@@ -272,11 +272,10 @@ def _stage_probes(config, field, out_dir):
     # the raw 8x8 system carries a genuine exp(+2t) branch; its stability
     # semantics live on the conjugated neutral block
     system = full.reduced_block_system() if pc.system == "full" else reduced
-    settings = dynsys.ProbeSettings(rtol=pc.rtol)
     stability = dynsys.uniform_stability_probe(system, list(pc.s_grid), pc.t_max,
-                                               settings)
+                                               pc.rtol)
     constancy = dynsys.asymptotic_constancy_probe(system, CONSTANCY_T0, pc.t_max,
-                                                  settings)
+                                                  pc.rtol)
 
     ts = np.linspace(min(pc.s_grid), pc.t_max, 201)
     phis, _ = dynsys.propagate_dense(system, float(ts[0]), ts, pc.rtol)
@@ -314,9 +313,8 @@ def _stage_probes(config, field, out_dir):
 
 def _stage_criteria(config, field, out_dir):
     system = dynsys.reduced_system(field)
-    results = criteria.run_all_criteria(system, criteria.CriteriaSettings(
-        n_windows=config.criteria.n_windows,
-        prefix_windows=config.criteria.prefix_windows))
+    results = criteria.run_all_criteria(system, config.criteria.n_windows,
+                                        config.criteria.prefix_windows)
     payload = []
     for res in results:
         csv_path = out_dir / f"criterion_{res.id}.csv"
@@ -361,12 +359,11 @@ def _pde_radii(h: float) -> np.ndarray:
 
 def _stage_pde(config, field, out_dir):
     pc = config.pde
-    L = pdelab.HALF_WIDTH
     sol = pdelab.solve_dirichlet(field, pc.h, pc.boundary)
     control = pdelab.solve_dirichlet(coeff.constant_laplacian(), pc.h, pc.boundary)
     radii = _pde_radii(pc.h)
-    prof = pdelab.decompose(pdelab.gradient_field(sol), pc.h, L, radii)
-    prof_control = pdelab.decompose(pdelab.gradient_field(control), pc.h, L, radii)
+    prof = pdelab.decompose(pdelab.gradient_field(sol), pc.h, radii)
+    prof_control = pdelab.decompose(pdelab.gradient_field(control), pc.h, radii)
     rvp = np.linalg.norm(prof_control.rVprime, axis=1)
     scale = np.maximum(np.asarray(field.modulus(prof_control.radii), dtype=float)
                        * prof_control.radii, 1e-300)
@@ -378,13 +375,13 @@ def _stage_pde(config, field, out_dir):
         / scale,
     }
     hq = pdelab.hessian_quotients(sol, [2, 4, 8, 16])
-    diag = pdelab.regularity_diagnostics(prof, field.modulus, hq, floor)
+    diag = pdelab.regularity_diagnostics(prof, field.modulus, floor)
     pdelab.write_profile_csv(out_dir / "profile.csv", prof)
     pdelab.write_profile_csv(out_dir / "profile_control.csv", prof_control)
     pdelab.write_solution_csv(out_dir / "solution.csv", sol)
     return {
         "h": pc.h,
-        "half_width": L,
+        "half_width": pdelab.HALF_WIDTH,
         "boundary": pc.boundary,
         "residual_norm": sol.residual_norm,
         "control_residual_norm": control.residual_norm,
@@ -524,7 +521,7 @@ def main(argv=None) -> int:
 
     try:
         text = Path(args.config).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return 2
     try:
@@ -532,6 +529,11 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         for violation in exc.violations:
             print(f"config error: {violation}", file=sys.stderr)
+        return 2
+    try:
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"cannot create output directory: {exc}", file=sys.stderr)
         return 2
     _, code = run_pipeline(config, args.out)
     return code

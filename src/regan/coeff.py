@@ -10,8 +10,8 @@ analyzed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -23,13 +23,11 @@ from .tails import EvaluationError, TailAnalysis
 class ModulusOfContinuity:
     """Nondecreasing bound omega(r) on the coefficient oscillation at radius r.
 
-    `analytic_tail`, when present, is the closed form of t -> omega(e^-t),
-    used by oracle tests only.
+    `eps` reads it in the log-radius variable t = -log r.
     """
 
     omega: Callable[[np.ndarray], np.ndarray]
     label: str = "omega"
-    analytic_tail: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __call__(self, r):
         return self.omega(np.minimum(np.asarray(r, dtype=float), 1.0))
@@ -49,7 +47,6 @@ class CoefficientField:
     modulus: ModulusOfContinuity
     ellipticity_lower: float
     label: str = "field"
-    modulus_slack: float = 0.0
 
     def coefficients(self, x, y):
         x = np.asarray(x, dtype=float)
@@ -68,7 +65,7 @@ def constant_laplacian() -> CoefficientField:
     one = lambda x, y: np.ones_like(np.asarray(x, dtype=float))
     zero = lambda x, y: np.zeros_like(np.asarray(x, dtype=float))
     modulus = ModulusOfContinuity(lambda r: np.zeros_like(np.asarray(r, dtype=float)),
-                                  label="zero", analytic_tail=lambda t: 0.0 * np.asarray(t))
+                                  label="zero")
     return CoefficientField(one, zero, one, modulus, ellipticity_lower=4.0,
                             label="constant")
 
@@ -85,19 +82,17 @@ class RadialProfile:
     g: Callable[[np.ndarray], np.ndarray]
     envelope: Callable[[np.ndarray], np.ndarray]
     label: str
-    analytic_tail: Optional[Callable] = None  # t -> envelope(e^-t)
 
 
 def profile_zero() -> RadialProfile:
     z = lambda r: np.zeros_like(np.asarray(r, dtype=float))
-    return RadialProfile(z, z, "zero", analytic_tail=lambda t: 0.0 * np.asarray(t))
+    return RadialProfile(z, z, "zero")
 
 
 def profile_power(gamma: float, alpha: float) -> RadialProfile:
     """g(r) = gamma * r^alpha; Dini for alpha > 0."""
     g = lambda r: gamma * np.asarray(r, dtype=float) ** alpha
-    tail = lambda t: gamma * np.exp(-alpha * np.asarray(t, dtype=float))
-    return RadialProfile(g, g, f"power(gamma={gamma}, alpha={alpha})", tail)
+    return RadialProfile(g, g, f"power(gamma={gamma}, alpha={alpha})")
 
 
 def profile_log_inverse(gamma: float) -> RadialProfile:
@@ -107,8 +102,7 @@ def profile_log_inverse(gamma: float) -> RadialProfile:
         r = np.asarray(r, dtype=float)
         return gamma / (1.0 + np.log(1.0 / r))
 
-    tail = lambda t: gamma / (1.0 + np.asarray(t, dtype=float))
-    return RadialProfile(g, g, f"log_inverse(gamma={gamma})", tail)
+    return RadialProfile(g, g, f"log_inverse(gamma={gamma})")
 
 
 def profile_log_oscillatory(gamma: float, eta: float) -> RadialProfile:
@@ -124,8 +118,7 @@ def profile_log_oscillatory(gamma: float, eta: float) -> RadialProfile:
         return gamma * np.cos(eta * t) / (1.0 + t)
 
     env = profile_log_inverse(gamma)
-    return RadialProfile(g, env.g, f"log_oscillatory(gamma={gamma}, eta={eta})",
-                         env.analytic_tail)
+    return RadialProfile(g, env.g, f"log_oscillatory(gamma={gamma}, eta={eta})")
 
 
 _PROFILE_KINDS = {
@@ -221,7 +214,6 @@ def make_harmonic_family(target: str, radial_profile: RadialProfile,
     modulus = ModulusOfContinuity(
         lambda r: np.abs(np.asarray(radial_profile.envelope(np.asarray(r, dtype=float)))),
         label=radial_profile.label,
-        analytic_tail=radial_profile.analytic_tail,
     )
     label = f"harmonic({target}, n={n}, {radial_profile.label})"
     return _field_with_target(target, perturbation, modulus, label,
@@ -241,7 +233,6 @@ def make_radial_family(target: str, radial_profile: RadialProfile) -> Coefficien
     modulus = ModulusOfContinuity(
         lambda r: np.abs(np.asarray(radial_profile.envelope(np.asarray(r, dtype=float)))),
         label=radial_profile.label,
-        analytic_tail=radial_profile.analytic_tail,
     )
     label = f"radial({target}, {radial_profile.label})"
     return _field_with_target(target, perturbation, modulus, label,
@@ -424,21 +415,23 @@ class FieldValidation:
     modulus_vanishes: bool
 
 
-def dyadic_radii(count: int, start: int = 1) -> np.ndarray:
-    return 2.0 ** -np.arange(start, start + count, dtype=float)
+def dyadic_radii(count: int) -> np.ndarray:
+    """The radii 2^-1, ..., 2^-count."""
+    return 2.0 ** -np.arange(1, 1 + count, dtype=float)
 
 
-def validate_field(field: CoefficientField, radii=None,
-                   nodes_per_circle: int = 256) -> FieldValidation:
+# samples per circle of `validate_field`
+VALIDATION_NODES = 256
+
+
+def validate_field(field: CoefficientField, radii=None) -> FieldValidation:
     """Check the declared modulus bound and ellipticity on sampled circles."""
     if radii is None:
         radii = dyadic_radii(20)
     radii = np.asarray(radii, dtype=float)
     if np.any(radii <= 0) or np.any(radii > 1):
         raise ValueError("radii must lie in (0, 1]")
-    if nodes_per_circle < 16:
-        raise ValueError("nodes_per_circle must be >= 16")
-    phi = np.linspace(0.0, 2.0 * math.pi, nodes_per_circle, endpoint=False)
+    phi = np.linspace(0.0, 2.0 * math.pi, VALIDATION_NODES, endpoint=False)
     violations = np.empty_like(radii)
     min_disc = math.inf
     for k, r in enumerate(radii):
@@ -453,7 +446,7 @@ def validate_field(field: CoefficientField, radii=None,
     small, large = omega_vals[0], omega_vals[-1]
     vanishes = bool(small <= 0.25 * large + 1e-13 or large <= 1e-13)
     max_violation = float(np.max(violations))
-    passes = (max_violation <= 1e-12 + field.modulus_slack
+    passes = (max_violation <= 1e-12
               and min_disc >= field.ellipticity_lower - 1e-12)
     return FieldValidation(radii, violations, min_disc, max_violation, passes,
                            nondecreasing, vanishes)

@@ -58,14 +58,10 @@ class CriterionResult:
         }
 
 
-@dataclass(frozen=True)
-class CriteriaSettings:
-    tol: float = 0.05              # tail-estimate tolerance for convergence
-    n_windows: int = 80            # dyadic windows for nonnegative integrands
-    prefix_windows: int = 120      # dyadic windows for signed prefix tests
-    group: int = 4                 # window aggregation against oscillation
-    applicability_tol: float = 1e-10
-    applicability_samples: int = 33
+TOL = 0.05                     # tail-estimate tolerance for convergence
+GROUP = 4                      # window aggregation against oscillation
+APPLICABILITY_TOL = 1e-10      # largest b- or c-moment of the decoupled case
+APPLICABILITY_SAMPLES = 33
 
 
 # positions of the moments in the drift matrix (`moment_matrix`)
@@ -80,28 +76,26 @@ def _window_sums_of(system, fn, n_windows: int) -> np.ndarray:
         lambda ts: np.ascontiguousarray(fn(system.matrices(ts))), n_windows)
 
 
-def check_dini_integrability(system,
-                             settings: CriteriaSettings = CriteriaSettings()) -> CriterionResult:
+def check_dini_integrability(system, n_windows: int = 80) -> CriterionResult:
     """Criterion dini_R: the drift matrix is integrable against dr/r.
 
     Equivalently integral over t of the max-entry norm of R(t).  Holding
     implies the full conclusion (second-order differentiability).
     """
     sums = _window_sums_of(system, lambda Rs: np.max(np.abs(Rs), axis=(1, 2)),
-                           settings.n_windows)
-    analysis = tails.analyze_sums(tails.group_sums(sums, settings.group), settings.tol)
+                           n_windows)
+    analysis = tails.analyze_sums(tails.group_sums(sums, GROUP), TOL)
     verdict = _VERDICT_FROM_TAIL[analysis.verdict]
     return CriterionResult(
         id="dini_R",
         verdict=verdict,
         implied_conclusion=SECOND_ORDER if verdict == HOLDS else NONE,
         witness={"integral": analysis.as_dict(), "norm": "max-abs entry",
-                 "group": settings.group},
+                 "group": GROUP},
     )
 
 
-def check_symmetric_part_bound(system,
-                               settings: CriteriaSettings = CriteriaSettings()) -> CriterionResult:
+def check_symmetric_part_bound(system, prefix_windows: int = 120) -> CriterionResult:
     """Criterion eigenvalue_bound: window integrals of mu(-(R+R^T)/2) stay bounded.
 
     The running sup over all dyadic window pairs of the integral must
@@ -112,7 +106,7 @@ def check_symmetric_part_bound(system,
         # one eigvalsh per matrix: a stacked call is not bitwise equal
         return np.array([np.linalg.eigvalsh(-0.5 * (R + R.T))[-1] for R in Rs])
 
-    sums = _window_sums_of(system, mu, settings.prefix_windows)
+    sums = _window_sums_of(system, mu, prefix_windows)
     prefix = tails.prefix_from_sums(sums)
     # sup over window pairs [r1, r2] of the integral = prefix drawup;
     # upward escape is drawdown of the mirrored prefix
@@ -129,8 +123,7 @@ def check_symmetric_part_bound(system,
     )
 
 
-def check_iterated_integral(system,
-                            settings: CriteriaSettings = CriteriaSettings()) -> CriterionResult:
+def check_iterated_integral(system, n_windows: int = 80) -> CriterionResult:
     """Criterion iterated_L1: |R(t) * int_t^inf R dtau| integrable in t.
 
     The inner integral is the r-form integral of R against dr/r from 0 to
@@ -139,8 +132,8 @@ def check_iterated_integral(system,
     the result inconclusive.
     """
     nodes_per_window = 16
-    n_nodes = settings.n_windows * nodes_per_window + 1
-    t_grid = np.linspace(0.0, settings.n_windows * LN2, n_nodes)
+    n_nodes = n_windows * nodes_per_window + 1
+    t_grid = np.linspace(0.0, n_windows * LN2, n_nodes)
     R_grid = system.matrices(t_grid)
 
     dt = t_grid[1] - t_grid[0]
@@ -168,7 +161,7 @@ def check_iterated_integral(system,
     f_prefix = np.concatenate([[0.0], np.cumsum(0.5 * dt * (f_vals[1:] + f_vals[:-1]))])
     boundary = f_prefix[::nodes_per_window]
     sums = np.diff(boundary)
-    analysis = tails.analyze_sums(tails.group_sums(sums, settings.group), settings.tol)
+    analysis = tails.analyze_sums(tails.group_sums(sums, GROUP), TOL)
     verdict = _VERDICT_FROM_TAIL[analysis.verdict]
     return CriterionResult(
         id="iterated_L1",
@@ -179,8 +172,7 @@ def check_iterated_integral(system,
     )
 
 
-def check_decoupled_case(system,
-                         settings: CriteriaSettings = CriteriaSettings()) -> list[CriterionResult]:
+def check_decoupled_case(system, prefix_windows: int = 120) -> list[CriterionResult]:
     """Decoupled special case: all b- and c-moments vanish.
 
     Then the system reduces to scalar integrating-factor equations in the
@@ -195,20 +187,19 @@ def check_decoupled_case(system,
     second-order differentiability.  When the case does not apply a single
     inconclusive result carries the flag not_applicable.
     """
-    t_samples = np.linspace(0.0, (settings.prefix_windows - 1) * LN2,
-                            settings.applicability_samples)
+    t_samples = np.linspace(0.0, (prefix_windows - 1) * LN2, APPLICABILITY_SAMPLES)
     worst = 0.0
     for t in t_samples:
         R = system.matrix(t)
         worst = max(worst, *(abs(float(R[ij])) for ij in _BC))
-    if worst > settings.applicability_tol:
+    if worst > APPLICABILITY_TOL:
         return [CriterionResult(
             id="special_case", verdict=INCONCLUSIVE, flags=("not_applicable",),
             witness={"max_bc_moment": worst},
         )]
 
     prefixes = [tails.prefix_from_sums(_window_sums_of(
-        system, lambda Rs: Rs[:, i, j], settings.prefix_windows))
+        system, lambda Rs: Rs[:, i, j], prefix_windows))
         for i, j in (_A1, _A2)]
     floor0 = 1e-11 * (1.0 + float(np.max(np.abs(prefixes[0]))))
     floor1 = 1e-11 * (1.0 + float(np.max(np.abs(prefixes[1]))))
@@ -233,14 +224,16 @@ def check_decoupled_case(system,
     ]
 
 
-def run_all_criteria(system: ReducedSystem,
-                     settings: CriteriaSettings = CriteriaSettings()) -> list[CriterionResult]:
-    """All four criteria on one shared reduced system."""
+def run_all_criteria(system: ReducedSystem, n_windows: int = 80,
+                     prefix_windows: int = 120) -> list[CriterionResult]:
+    """All four criteria on one shared reduced system: n_windows dyadic
+    windows for the nonnegative integrands, prefix_windows for the signed
+    prefix tests."""
     return [
-        check_dini_integrability(system, settings),
-        check_symmetric_part_bound(system, settings),
-        check_iterated_integral(system, settings),
-        *check_decoupled_case(system, settings),
+        check_dini_integrability(system, n_windows),
+        check_symmetric_part_bound(system, prefix_windows),
+        check_iterated_integral(system, n_windows),
+        *check_decoupled_case(system, prefix_windows),
     ]
 
 

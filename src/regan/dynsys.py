@@ -19,8 +19,10 @@ reads the same memo (`FullSystem.reduced_block_system`).
 Fundamental matrices are propagated with an adaptive Dormand-Prince 5(4)
 pair, which reads the drift matrices of the six stage times of each step
 in one `matrices` call.  Uniform stability and asymptotic constancy are
-probed on a finite horizon with trend extrapolation (heuristic verdicts,
-thresholds recorded in the report).
+probed on a finite horizon with trend extrapolation.  The verdicts are
+heuristic; their thresholds are the module constants next to the probes
+(KAPPA_THRESHOLD, SLOPE_MARGIN, CONST_TOL, GROWTH_FACTOR) and no caller
+sets them.
 """
 from __future__ import annotations
 
@@ -56,22 +58,15 @@ class StepUnderflowError(RuntimeError):
 class MatrixSystem:
     """A linear system y' + K(t) y = 0 given by an explicit matrix callable."""
 
-    def __init__(self, dim: int, matrix_fn: Callable[[float], np.ndarray],
-                 eps_fn: Optional[Callable[[float], float]] = None,
-                 label: str = "matrix system"):
+    def __init__(self, dim: int, matrix_fn: Callable[[float], np.ndarray]):
         self.dim = dim
         self._fn = matrix_fn
-        self._eps = eps_fn
-        self.label = label
 
     def matrix(self, t: float) -> np.ndarray:
         return np.asarray(self._fn(t), dtype=float)
 
     def matrices(self, ts) -> np.ndarray:
         return np.array([self.matrix(t) for t in ts])
-
-    def eps(self, t: float) -> float:
-        return float(self._eps(t)) if self._eps is not None else math.nan
 
 
 class _RadialSystem:
@@ -155,8 +150,7 @@ def reduced_system(field: CoefficientField,
     return ReducedSystem(field, quad)
 
 
-def second_harmonic_system(g_tilde: Callable[[float], float],
-                           label: str = "second-harmonic pattern") -> MatrixSystem:
+def second_harmonic_system(g_tilde: Callable[[float], float]) -> MatrixSystem:
     """Closed-form reduced system for a = 1 + g(r) cos(2 phi).
 
     The only nonzero moment is the first: the drift matrix has first column
@@ -171,8 +165,7 @@ def second_harmonic_system(g_tilde: Callable[[float], float],
         R[3, 0] = 0.5 * q
         return R
 
-    return MatrixSystem(4, matrix_fn, eps_fn=lambda t: abs(float(g_tilde(t))),
-                        label=label)
+    return MatrixSystem(4, matrix_fn)
 
 
 def _join(tl, tr, bl, br) -> np.ndarray:
@@ -359,8 +352,7 @@ class TransitionMatrix:
     est_error: float
 
 
-def propagate_dense(system, s: float, t_eval, rtol: float = 1e-10,
-                    atol: Optional[float] = None):
+def propagate_dense(system, s: float, t_eval, rtol: float = 1e-10):
     """Propagate the fundamental matrix through every time in t_eval.
 
     t_eval must be monotone starting at or after s (or at or before s for
@@ -368,13 +360,13 @@ def propagate_dense(system, s: float, t_eval, rtol: float = 1e-10,
     samples are exact integration endpoints, not interpolants.  Each step
     (accepted or rejected) reads the drift matrices of its six stage times
     t + c_i h in one `system.matrices` call, so a radial system evaluates
-    their uncached radii in one batch.  Returns (array of Phi with shape
-    (len(t_eval), d, d), accumulated error).
+    their uncached radii in one batch.  The absolute tolerance is
+    rtol * 1e-2.  Returns (array of Phi with shape (len(t_eval), d, d),
+    accumulated error).
     """
     if not RTOL_RANGE[0] <= rtol <= RTOL_RANGE[1]:
         raise ValueError("rtol must lie in [%g, %g]" % RTOL_RANGE)
-    if atol is None:
-        atol = rtol * 1e-2
+    atol = rtol * 1e-2
     ts = [float(v) for v in t_eval]
     d = system.dim
     if not ts:
@@ -424,10 +416,9 @@ def propagate_dense(system, s: float, t_eval, rtol: float = 1e-10,
     return out, err_total
 
 
-def propagate(system, s: float, t: float, rtol: float = 1e-10,
-              atol: Optional[float] = None) -> TransitionMatrix:
+def propagate(system, s: float, t: float, rtol: float = 1e-10) -> TransitionMatrix:
     """Fundamental matrix Phi(t, s) of y' + K(tau) y = 0."""
-    phis, err = propagate_dense(system, s, [t], rtol, atol)
+    phis, err = propagate_dense(system, s, [t], rtol)
     return TransitionMatrix(s, t, phis[0], err)
 
 
@@ -436,15 +427,12 @@ def propagate(system, s: float, t: float, rtol: float = 1e-10,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProbeSettings:
-    rtol: float = 1e-10
-    kappa_threshold: float = 1e3
-    slope_margin: float = 0.01     # log-growth per unit t that counts as growth
-    const_tol: float = 0.25        # Cauchy deviation allowed for "constant"
-    growth_factor: float = 2.5     # norm growth that counts as divergence
-    samples_per_unit: int = 20
-    min_samples: int = 200
+KAPPA_THRESHOLD = 1e3      # largest kappa that still reads stable
+SLOPE_MARGIN = 0.01        # log-growth per unit t that counts as growth
+CONST_TOL = 0.25           # Cauchy deviation allowed for "constant"
+GROWTH_FACTOR = 2.5        # norm growth that counts as divergence
+SAMPLES_PER_UNIT = 20      # probe samples per unit of t, at least MIN_SAMPLES
+MIN_SAMPLES = 200
 
 
 @dataclass
@@ -462,13 +450,13 @@ class StabilityReport:
     norm_growth: float = math.nan
 
 
-def _dense_times(s: float, t_max: float, settings: ProbeSettings) -> np.ndarray:
-    n = max(settings.min_samples, int(settings.samples_per_unit * (t_max - s)))
+def _dense_times(s: float, t_max: float) -> np.ndarray:
+    n = max(MIN_SAMPLES, int(SAMPLES_PER_UNIT * (t_max - s)))
     return np.linspace(s, t_max, n)
 
 
 def uniform_stability_probe(system, s_grid: Sequence[float], t_max: float,
-                            settings: ProbeSettings = ProbeSettings()) -> StabilityReport:
+                            rtol: float = 1e-10) -> StabilityReport:
     """Sample kappa(s, T) = sup_{s<=t<=T} |Phi(t, s)| and classify its trend.
 
     Unstable means a sustained positive slope of log kappa over the tail of
@@ -482,8 +470,8 @@ def uniform_stability_probe(system, s_grid: Sequence[float], t_max: float,
     kappa_max = 0.0
     slope_max = -math.inf
     for s in s_grid:
-        ts = _dense_times(s, t_max, settings)
-        phis, _ = propagate_dense(system, s, ts, settings.rtol)
+        ts = _dense_times(s, t_max)
+        phis, _ = propagate_dense(system, s, ts, rtol)
         norms = np.array([np.linalg.norm(P, 2) for P in phis])
         running = np.maximum.accumulate(norms)
         for frac in (0.25, 0.5, 0.75, 1.0):
@@ -498,9 +486,9 @@ def uniform_stability_probe(system, s_grid: Sequence[float], t_max: float,
         slope_max = max(slope_max, slope)
     report.kappa_max = kappa_max
     report.growth_slope = slope_max
-    if slope_max > settings.slope_margin and kappa_max > 1.05:
+    if slope_max > SLOPE_MARGIN and kappa_max > 1.05:
         report.uniform_stability = UNSTABLE
-    elif kappa_max <= settings.kappa_threshold and slope_max <= settings.slope_margin:
+    elif kappa_max <= KAPPA_THRESHOLD and slope_max <= SLOPE_MARGIN:
         report.uniform_stability = STABLE
     else:
         report.uniform_stability = INCONCLUSIVE
@@ -508,28 +496,23 @@ def uniform_stability_probe(system, s_grid: Sequence[float], t_max: float,
 
 
 def asymptotic_constancy_probe(system, t0: float, t_max: float,
-                               settings: ProbeSettings = ProbeSettings(),
-                               basis: Optional[np.ndarray] = None) -> StabilityReport:
-    """Cauchy-deviation probe: do basis trajectories settle to limits?
+                               rtol: float = 1e-10) -> StabilityReport:
+    """Cauchy-deviation probe: do the unit-vector trajectories settle to limits?
 
-    For each basis initial condition at t0, record the suffix deviations
+    For each unit initial condition at t0, record the suffix deviations
     sup_{T<=t,t'} |phi(t) - phi(t')| componentwise; `constant` needs the
-    half-horizon deviation below const_tol for every basis vector,
+    half-horizon deviation below CONST_TOL for every unit vector,
     `divergent` needs sustained norm growth.
     """
     if not t0 < t_max:
         raise ValueError("need t0 < t_max")
-    ts = _dense_times(t0, t_max, settings)
-    phis, _ = propagate_dense(system, t0, ts, settings.rtol)
-    if basis is None:
-        basis = np.eye(system.dim)
-    trajectories = np.einsum("tij,jk->tik", phis, basis)  # [time, comp, basis]
+    ts = _dense_times(t0, t_max)
+    phis, _ = propagate_dense(system, t0, ts, rtol)
     report = StabilityReport(horizon=t_max)
     dev_half_max = 0.0
     growth_max = 0.0
-    half_T = t0 + 0.5 * (t_max - t0)
-    for k in range(basis.shape[1]):
-        traj = trajectories[:, :, k]
+    for k in range(system.dim):
+        traj = phis[:, :, k]
         for frac in (0.0, 0.25, 0.5, 0.75):
             T = t0 + frac * (t_max - t0)
             tail = traj[ts >= T]
@@ -541,9 +524,9 @@ def asymptotic_constancy_probe(system, t0: float, t_max: float,
         growth_max = max(growth_max, float(np.max(np.abs(traj))) / norm0)
     report.deviation_half = dev_half_max
     report.norm_growth = growth_max
-    if dev_half_max <= settings.const_tol:
+    if dev_half_max <= CONST_TOL:
         report.asymptotic_constancy = CONSTANT
-    elif growth_max >= settings.growth_factor:
+    elif growth_max >= GROWTH_FACTOR:
         report.asymptotic_constancy = DIVERGENT
     else:
         report.asymptotic_constancy = INCONCLUSIVE

@@ -35,6 +35,19 @@ class EllipticityError(RuntimeError):
 # 2L = 11/8 splits into 11 * 2^(k-3) cells of width 2^-k, even from k = 4
 HALF_WIDTH = 0.6875
 
+# max-norm residual of the solve, relative to 1 + max |rhs|, before one
+# refinement step and before SolveError
+SOLVER_TOL = 1e-10
+
+# `decompose`: samples per circle, radii per annulus r < |x| < 2r, and the
+# exponent p > 2 of the annulus L^p means
+CIRCLE_NODES = 256
+ANNULUS_RADII = 17
+ANNULUS_P = 4.0
+
+# `geometric_radii`: radii per halving of r
+RADII_PER_OCTAVE = 4
+
 
 # ---------------------------------------------------------------------------
 # Boundary data library.  All entries are harmonic polynomials, so the
@@ -66,44 +79,39 @@ def boundary_evaluator(boundary) -> Callable:
 
 @dataclass
 class GridSolution:
-    """Nodal solution u[ix, iy] on x = -L + ix*h, y = -L + iy*h.
+    """Nodal solution u[ix, iy] on x = -L + ix*h, y = -L + iy*h, L = HALF_WIDTH.
 
     residual_norm is the max-norm residual of the h^2-scaled stencil
     equations (the algebraic system actually solved).
     """
 
     h: float
-    half_width: float
     u: np.ndarray
-    boundary_id: str
     residual_norm: float
-    field_label: str
 
     @property
     def n_cells(self) -> int:
         return self.u.shape[0] - 1
 
     def axis(self) -> np.ndarray:
-        return -self.half_width + self.h * np.arange(self.u.shape[0])
+        return -HALF_WIDTH + self.h * np.arange(self.u.shape[0])
 
 
-def cell_count(h: float, half_width: float = HALF_WIDTH) -> int:
-    """Cells across [-half_width, half_width] at mesh width h.
+def cell_count(h: float) -> int:
+    """Cells across [-HALF_WIDTH, HALF_WIDTH] at mesh width h.
 
     ValueError unless h splits the side into an even number, at least 8,
     of cells, so that the origin is a grid node.
     """
-    n = 2.0 * half_width / h
+    n = 2.0 * HALF_WIDTH / h
     N = int(round(n))
     if abs(n - N) > 1e-9 or N < 8 or N % 2:
-        raise ValueError(f"mesh width {h} must divide {2 * half_width} into an "
+        raise ValueError(f"mesh width {h} must divide {2 * HALF_WIDTH} into an "
                          f"even number (at least 8) of cells (got {n:.6g})")
     return N
 
 
-def solve_dirichlet(field: CoefficientField, h: float, boundary,
-                    half_width: float = HALF_WIDTH, tol: float = 1e-10,
-                    boundary_id: Optional[str] = None) -> GridSolution:
+def solve_dirichlet(field: CoefficientField, h: float, boundary) -> GridSolution:
     """Nine-point finite-difference solve of a u_xx + b u_xy + c u_yy = 0.
 
     Centered second differences for u_xx and u_yy, the four-point cross
@@ -111,15 +119,10 @@ def solve_dirichlet(field: CoefficientField, h: float, boundary,
     The mesh width must pass `cell_count`, so the origin is a node; it
     carries the normalized values (1, 0, 1).
     """
-    L = float(half_width)
-    if not 0.0 < L <= 1.0 / math.sqrt(2.0) + 1e-12:
-        raise ValueError("half_width must lie in (0, 1/sqrt(2)]")
-    N = cell_count(h, L)
+    N = cell_count(h)
     data_fn = boundary_evaluator(boundary)
-    if boundary_id is None:
-        boundary_id = boundary if isinstance(boundary, str) else "custom"
 
-    xs = -L + h * np.arange(N + 1)
+    xs = -HALF_WIDTH + h * np.arange(N + 1)
     ix, iy = np.meshgrid(np.arange(1, N), np.arange(1, N), indexing="ij")
     ix, iy = ix.ravel(), iy.ravel()
     X, Y = xs[ix], xs[iy]
@@ -171,18 +174,18 @@ def solve_dirichlet(field: CoefficientField, h: float, boundary,
     residual = float(np.max(np.abs(A @ u_int - rhs)))
     history.append(residual)
     denom = float(np.max(np.abs(rhs))) + 1.0
-    if residual > tol * denom:
+    if residual > SOLVER_TOL * denom:
         u_int = u_int + spla.spsolve(A, rhs - A @ u_int)
         residual = float(np.max(np.abs(A @ u_int - rhs)))
         history.append(residual)
-        if residual > tol * denom:
+        if residual > SOLVER_TOL * denom:
             raise SolveError(f"linear solve stalled; residual history {history}")
 
     u = np.empty((N + 1, N + 1))
     gx, gy = np.meshgrid(xs, xs, indexing="ij")
     u[:, :] = data_fn(gx, gy)
     u[1:N, 1:N] = u_int.reshape(N - 1, N - 1)
-    return GridSolution(h, L, u, boundary_id, residual, field.label)
+    return GridSolution(h, u, residual)
 
 
 def gradient_field(sol: GridSolution) -> np.ndarray:
@@ -220,14 +223,14 @@ def hessian_quotients(sol: GridSolution, steps) -> dict:
     return {"rows": rows, "cauchy_differences": cauchy}
 
 
-def bilinear_sample(values: np.ndarray, half_width: float, h: float,
-                    x, y) -> np.ndarray:
-    """Bilinear interpolation of nodal values[ix, iy] at points (x, y)."""
+def bilinear_sample(values: np.ndarray, h: float, x, y) -> np.ndarray:
+    """Bilinear interpolation of nodal values[ix, iy] on the solve grid at
+    points (x, y)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     n_max = values.shape[0] - 2
-    gx = np.clip((x + half_width) / h, 0.0, values.shape[0] - 1.0)
-    gy = np.clip((y + half_width) / h, 0.0, values.shape[0] - 1.0)
+    gx = np.clip((x + HALF_WIDTH) / h, 0.0, values.shape[0] - 1.0)
+    gy = np.clip((y + HALF_WIDTH) / h, 0.0, values.shape[0] - 1.0)
     i = np.clip(gx.astype(int), 0, n_max)
     j = np.clip(gy.astype(int), 0, n_max)
     fx, fy = gx - i, gy - j
@@ -242,8 +245,8 @@ class DecompositionProfile:
     """Per-radius circle decomposition of a gradient field.
 
     V rows hold the 4-vector (V1_1, V1_2, V2_1, V2_2); rVprime is its
-    derivative against log r.  Mp_gradW and M1p_W are annulus means of the
-    higher-harmonic remainder over r < |x| < 2r.
+    derivative against log r.  Mp_gradW and M1p_W are annulus L^p means
+    (p = ANNULUS_P) of the higher-harmonic remainder over r < |x| < 2r.
     """
 
     radii: np.ndarray
@@ -252,17 +255,16 @@ class DecompositionProfile:
     rVprime: np.ndarray
     Mp_gradW: np.ndarray
     M1p_W: np.ndarray
-    p: float
     projection_residual: np.ndarray
     reconstruction_residual: np.ndarray
 
 
-def _circle_split(U, half_width, h, r, phi):
+def _circle_split(U, h, r, phi):
     """Mean / first-moment / remainder split of U on the circle of radius r."""
     ct, st = np.cos(phi), np.sin(phi)
     x, y = r * ct, r * st
-    vals = np.stack([bilinear_sample(U[0], half_width, h, x, y),
-                     bilinear_sample(U[1], half_width, h, x, y)])
+    vals = np.stack([bilinear_sample(U[0], h, x, y),
+                     bilinear_sample(U[1], h, x, y)])
     u0 = vals.mean(axis=1)
     c1 = 2.0 * (vals * ct).mean(axis=1)
     c2 = 2.0 * (vals * st).mean(axis=1)
@@ -277,9 +279,7 @@ def _circle_split(U, half_width, h, r, phi):
     return u0, v1, v2, w, vals, proj_res, recon_res
 
 
-def decompose(U: np.ndarray, h: float, half_width: float, radii,
-              p: float = 4.0, nodes_per_circle: int = 256,
-              n_radial: int = 17) -> DecompositionProfile:
+def decompose(U: np.ndarray, h: float, radii) -> DecompositionProfile:
     """Circle decomposition U = U0(r) + V1(r) x + V2(r) y + W over a radius list.
 
     Circle values come from bilinear interpolation; radii must stay inside
@@ -287,15 +287,13 @@ def decompose(U: np.ndarray, h: float, half_width: float, radii,
     fits in the grid.  W has zero mean and first moments on every circle by
     construction; the achieved residuals are recorded.
     """
-    if p <= 2:
-        raise ValueError("p must exceed 2")
     radii = np.sort(np.asarray(radii, dtype=float))
-    lo, hi = 4.0 * h, half_width / 2.0
+    lo, hi = 4.0 * h, HALF_WIDTH / 2.0
     if np.any(radii <= lo) or np.any(radii >= hi):
         bad = radii[(radii <= lo) | (radii >= hi)][0]
         raise ValueError(f"radius {bad:.6g} outside the reliable band "
                          f"({lo:.6g}, {hi:.6g})")
-    phi = 2.0 * math.pi * np.arange(nodes_per_circle) / nodes_per_circle
+    phi = 2.0 * math.pi * np.arange(CIRCLE_NODES) / CIRCLE_NODES
     n = radii.size
     U0 = np.empty((n, 2))
     V = np.empty((n, 4))
@@ -303,18 +301,18 @@ def decompose(U: np.ndarray, h: float, half_width: float, radii,
     M1p_W = np.empty(n)
     proj = np.empty(n)
     recon = np.empty(n)
-    dphi = 2.0 * math.pi / nodes_per_circle
+    dphi = 2.0 * math.pi / CIRCLE_NODES
 
     for k, r in enumerate(radii):
-        u0, v1, v2, _, _, pr, rr = _circle_split(U, half_width, h, r, phi)
+        u0, v1, v2, _, _, pr, rr = _circle_split(U, h, r, phi)
         U0[k] = u0
         V[k] = np.concatenate([v1, v2])
         proj[k], recon[k] = pr, rr
 
-        rho = np.geomspace(r, 2.0 * r, n_radial)
-        Wpatch = np.empty((2, n_radial, nodes_per_circle))
+        rho = np.geomspace(r, 2.0 * r, ANNULUS_RADII)
+        Wpatch = np.empty((2, ANNULUS_RADII, CIRCLE_NODES))
         for m, rm in enumerate(rho):
-            _, _, _, w, _, _, _ = _circle_split(U, half_width, h, rm, phi)
+            _, _, _, w, _, _, _ = _circle_split(U, h, rm, phi)
             Wpatch[:, m, :] = w
         dW_drho = np.gradient(Wpatch, rho, axis=1, edge_order=2)
         dW_dphi = (np.roll(Wpatch, -1, axis=2) - np.roll(Wpatch, 1, axis=2)) / (2.0 * dphi)
@@ -322,7 +320,7 @@ def decompose(U: np.ndarray, h: float, half_width: float, radii,
         grad_abs = np.sqrt(grad_sq.sum(axis=0))
         w_abs = np.sqrt((Wpatch**2).sum(axis=0))
 
-        w_rho = np.zeros(n_radial)
+        w_rho = np.zeros(ANNULUS_RADII)
         w_rho[1:-1] = 0.5 * (rho[2:] - rho[:-2])
         w_rho[0] = 0.5 * (rho[1] - rho[0])
         w_rho[-1] = 0.5 * (rho[-1] - rho[-2])
@@ -330,7 +328,8 @@ def decompose(U: np.ndarray, h: float, half_width: float, radii,
         area = area_w.sum()
 
         def annulus_mean_p(f):
-            return float((np.mean(f**p, axis=1) @ area_w) / area) ** (1.0 / p)
+            mean = float((np.mean(f**ANNULUS_P, axis=1) @ area_w) / area)
+            return mean ** (1.0 / ANNULUS_P)
 
         Mp_gradW[k] = annulus_mean_p(grad_abs)
         M1p_W[k] = r * Mp_gradW[k] + annulus_mean_p(w_abs)
@@ -338,14 +337,15 @@ def decompose(U: np.ndarray, h: float, half_width: float, radii,
     log_r = np.log(radii)
     rVprime = np.gradient(V, log_r, axis=0, edge_order=2)
     return DecompositionProfile(radii, U0, V, rVprime, Mp_gradW, M1p_W,
-                                float(p), proj, recon)
+                                proj, recon)
 
 
-def geometric_radii(r_min: float, r_max: float, per_octave: int = 4) -> np.ndarray:
-    """Radii descending from r_max by the factor 2^(-1/per_octave), above r_min."""
+def geometric_radii(r_min: float, r_max: float) -> np.ndarray:
+    """Radii descending from r_max by the factor 2^(-1/RADII_PER_OCTAVE),
+    above r_min."""
     out = []
     r = r_max
-    ratio = 2.0 ** (-1.0 / per_octave)
+    ratio = 2.0 ** (-1.0 / RADII_PER_OCTAVE)
     while r > r_min:
         out.append(r)
         r *= ratio
@@ -373,8 +373,6 @@ class RegularityDiagnostics:
     w_ratio_table: np.ndarray         # M1p(W, r) / (omega(r) r)
     u0_ratio_table: np.ndarray        # |U0(r) - U0(r_min)| / (omega(r) r)
     verdicts: dict
-    floor: dict
-    hessian: Optional[dict] = None
 
 
 def _per_radius_floor(floor, key, n):
@@ -403,7 +401,6 @@ MIN_PROFILE_RADII = 8
 
 
 def regularity_diagnostics(prof: DecompositionProfile, modulus,
-                           hessian: Optional[dict] = None,
                            floor: Optional[dict] = None) -> RegularityDiagnostics:
     """Threshold verdicts for the regularity indicators of a profile.
 
@@ -436,7 +433,7 @@ def regularity_diagnostics(prof: DecompositionProfile, modulus,
         "u0_growth": _trend_verdict(u0_ratio[sel], floors["u0_ratio"][sel]),
     }
     return RegularityDiagnostics(prof.radii, lip, rvp, w_ratio, u0_ratio,
-                                 verdicts, floor or {}, hessian)
+                                 verdicts)
 
 
 def compare_with_dynamics(prof: DecompositionProfile, system: FullSystem,
@@ -491,7 +488,7 @@ def write_profile_csv(path, prof: DecompositionProfile) -> None:
 
 def write_solution_csv(path, sol: GridSolution) -> None:
     """Nodal values, row-major by y then x, after a geometry header."""
-    lines = [f"# L={sol.half_width!r} h={sol.h!r} ordering=row-major-y-then-x",
+    lines = [f"# L={HALF_WIDTH!r} h={sol.h!r} ordering=row-major-y-then-x",
              "u"]
     N = sol.n_cells
     for iy in range(N + 1):

@@ -33,6 +33,16 @@ FAILS = "fails"
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 
+# `analyze_sums`: the largest fitted ratio read as geometric decay, the margin
+# above p = 1 a power law needs to converge, and the fewest windows judged
+Q_GEOMETRIC = 0.88
+P_MARGIN = 0.10
+MIN_WINDOWS = 4
+
+# `geometric_group_bounds`: the first prefix index and the growth factor
+GROUP_START = 4
+GROUP_FACTOR = 1.4
+
 
 class EvaluationError(RuntimeError):
     """An integrand could not be evaluated (non-finite or raising)."""
@@ -94,23 +104,16 @@ class TailAnalysis:
         }
 
 
-def analyze_sums(
-    sums,
-    tol: float,
-    *,
-    q_geometric: float = 0.88,
-    p_margin: float = 0.10,
-    min_windows: int = 4,
-) -> TailAnalysis:
+def analyze_sums(sums, tol: float) -> TailAnalysis:
     """Classify the tail of a series of nonnegative window sums.
 
     Over the later windows, log s_k is fit against k (geometric decay) and
     against log(k+1) (power law s_k ~ (k+1)^(-p)).  The geometric model is
     taken when its residual is the smaller one and its fitted ratio is at
-    most `q_geometric`, which is only a ceiling: 1/k-type sums fit a ratio
+    most Q_GEOMETRIC, which is only a ceiling: 1/k-type sums fit a ratio
     below it at short horizons, but the power law fits them better.  The
     geometric model gets the exact geometric tail; otherwise p below
-    1 + `p_margin` is declared divergent.  A series whose ratios agree to
+    1 + P_MARGIN is declared divergent.  A series whose ratios agree to
     1e-9 keeps its exact ratio without a fit, so pure power-law moduli,
     geometric in the windows, are reproduced exactly (the oracle tests rely
     on this).
@@ -125,7 +128,7 @@ def analyze_sums(
     if np.all(np.abs(s[-3:]) <= floor):
         # integrand already decayed to numerical zero
         return TailAnalysis(CONVERGED, partial, 0.0, partial, 0.0, math.inf, s)
-    if n < min_windows:
+    if n < MIN_WINDOWS:
         return TailAnalysis(INCONCLUSIVE, partial, math.nan, math.nan, math.nan, math.nan, s)
 
     meaningful = np.nonzero(s > floor)[0]
@@ -152,7 +155,7 @@ def analyze_sums(
         else:
             q_hat = float(np.median(ratios))
 
-    if 0.0 < q_hat <= q_geometric and geometric_fits:
+    if 0.0 < q_hat <= Q_GEOMETRIC and geometric_fits:
         tail = float(s[-1]) * q_hat / (1.0 - q_hat)
         verdict = CONVERGED if tail <= tol else INCONCLUSIVE
         return TailAnalysis(verdict, partial, tail, partial + tail, q_hat, math.nan, s)
@@ -166,7 +169,7 @@ def analyze_sums(
         return TailAnalysis(INCONCLUSIVE, partial, math.nan, math.nan, q_hat, math.nan, s)
     slope = float(np.polyfit(np.log(ks + 1.0), np.log(s[ks]), 1)[0])
     p_hat = -slope
-    if p_hat >= 1.0 + p_margin:
+    if p_hat >= 1.0 + P_MARGIN:
         tail = float(s[-1]) * n / (p_hat - 1.0)
         verdict = CONVERGED if tail <= tol else INCONCLUSIVE
         return TailAnalysis(verdict, partial, tail, partial + tail, q_hat, p_hat, s)
@@ -184,16 +187,16 @@ def prefix_from_sums(sums) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(s)])
 
 
-def geometric_group_bounds(n_boundaries: int, start: int = 4, factor: float = 1.4):
+def geometric_group_bounds(n_boundaries: int):
     """Inclusive index groups [lo, hi] growing geometrically, for tail trends.
 
     A final group truncated by the data end is dropped: partial groups have
     smaller ranges than their geometric peers and would corrupt trend fits.
     """
     bounds = []
-    lo = start
+    lo = GROUP_START
     while lo < n_boundaries - 1:
-        hi = max(lo + 2, int(math.ceil(lo * factor)))
+        hi = max(lo + 2, int(math.ceil(lo * GROUP_FACTOR)))
         if hi > n_boundaries - 1:
             break
         bounds.append((lo, hi))

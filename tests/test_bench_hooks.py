@@ -3,8 +3,10 @@
 `bench/tracer.py` wraps module-level functions and methods of the live
 modules, and `bench/make_reference.py` patches `moment_vector` (in
 `moments`, `dynsys` and `criteria`) and `moments._converged_tables` with
-noisy versions.  A refactor of `src/` that moves one of them breaks the
-benchmark; these tests make it break tier-1 as well.
+noisy versions.  `bench/accuracy.py` calls `solve_dirichlet`,
+`propagate_dense`, `second_harmonic_system`, `moment_vector` and
+`block_table` positionally.  A refactor of `src/` that moves or reorders
+one of them breaks the benchmark; these tests make it break tier-1 as well.
 """
 from __future__ import annotations
 
@@ -15,6 +17,7 @@ from pathlib import Path
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 sys.path.insert(0, str(BENCH))
 
+import accuracy  # noqa: E402
 import tracer  # noqa: E402
 from regan import cli, coeff, criteria, dynsys, moments, pdelab, tails  # noqa: E402
 
@@ -68,3 +71,12 @@ def test_names_of_the_reference_noise_hook_exist():
     m6, tabs = moments._converged_tables(coeff.constant_laplacian(), 0.5,
                                          moments.DEFAULT_QUADRATURE)
     assert m6.shape == (6,) and len(tabs) == 8
+
+
+def test_accuracy_probes_run_and_stay_accurate():
+    # the closed-form errors of the benchmark's accuracy layer, with margin
+    # over the measured 5e-16, 7e-13 and 6e-15
+    errors = accuracy.all_probes()
+    assert errors["moments.closed_form_err"] <= 1e-13
+    assert errors["dynsys.closed_form_err"] <= 1e-9
+    assert errors["pdelab.control_err"] <= 1e-12

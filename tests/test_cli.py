@@ -410,6 +410,50 @@ def test_main_exits_0_2_or_3_on_any_config(raw):
     assert "Traceback" not in err
 
 
+def _main_on_bytes(tmp_path, data: bytes, out=None):
+    """main's exit code and stderr on a config file holding data."""
+    path = tmp_path / "cfg.json"
+    path.write_bytes(data)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["run", "--config", str(path),
+                     "--out", str(out or tmp_path / "o")])
+    return code, err.getvalue()
+
+
+VALID = json.dumps(minimal_config(analyses=["validate"])).encode()
+
+
+@pytest.mark.parametrize("data, out", [
+    (b"\xff\xfe{", None),
+    (b"[" * 100_000 + b"]" * 100_000, None),
+    (b'{"radius_count": ' + b"9" * 5000 + b', "family": {"family": "constant"}}',
+     None),
+    (VALID, "file"),
+    (VALID, "file/sub"),
+], ids=["not_utf8", "nested_100000", "int_5000_digits", "out_is_file",
+        "out_under_file"])
+def test_unreadable_config_or_out_exits_2_with_one_line(tmp_path, monkeypatch,
+                                                        data, out):
+    (tmp_path / "file").write_text("occupied")
+    # the --out cases must stop before any stage runs
+    monkeypatch.setattr("regan.cli.run_pipeline",
+                        lambda *a: pytest.fail("run_pipeline was called"))
+    code, err = _main_on_bytes(tmp_path, data, out and tmp_path / out)
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.binary(max_size=300))
+def test_main_exits_0_2_or_3_on_any_config_bytes(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        code, err = _main_on_bytes(Path(tmp), data)
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err
+
+
 def test_failed_probes_stage_exits_3_with_report(tmp_path):
     config = validate_config(minimal_config(analyses=["probes", "criteria"]))
     config.probes.s_grid = (0.0, 40.0)   # past t_max: the probe itself refuses

@@ -13,7 +13,7 @@ from regan.coeff import (CoefficientField, constant_laplacian, make_harmonic_fam
 from regan import dynsys
 from regan.dynsys import (CONSTANT, DIVERGENT, J_BASIS, J_BASIS_INV, M_INF,
                           STABLE, UNSTABLE, FullSystem, MatrixSystem,
-                          ProbeSettings, ReducedSystem, SingularSystemError,
+                          ReducedSystem, SingularSystemError,
                           asymptotic_constancy_probe,
                           full_system, propagate, propagate_dense,
                           reduced_system, reduction_deviation,

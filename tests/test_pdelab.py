@@ -122,16 +122,16 @@ def test_bilinear_sample_linear_exact():
     vals = grid_vector_field(lambda x, y: (x, y), H5)[0]
     x = np.array([0.111, -0.27, 0.333])
     y = np.array([0.05, 0.2, -0.31])
-    assert np.allclose(bilinear_sample(vals, L, H5, x, y), x, atol=1e-14)
+    assert np.allclose(bilinear_sample(vals, H5, x, y), x, atol=1e-14)
 
 
 def radii_for(h):
-    return geometric_radii(4.0 * h * 1.01, L / 2.0 * 0.99, per_octave=4)
+    return geometric_radii(4.0 * h * 1.01, L / 2.0 * 0.99)
 
 
 def test_decompose_pure_first_moment_field():
     U = grid_vector_field(lambda x, y: (2 * x, -2 * y), H6)
-    prof = decompose(U, H6, L, radii_for(H6))
+    prof = decompose(U, H6, radii_for(H6))
     assert np.max(np.abs(prof.U0)) <= 1e-12
     assert np.allclose(prof.V, np.tile([2.0, 0.0, 0.0, -2.0], (len(prof.radii), 1)),
                        atol=1e-11)
@@ -141,14 +141,14 @@ def test_decompose_pure_first_moment_field():
 
 def test_decompose_constant_field():
     U = grid_vector_field(lambda x, y: (0.7 * np.ones_like(x), -0.3 * np.ones_like(x)), H6)
-    prof = decompose(U, H6, L, radii_for(H6))
+    prof = decompose(U, H6, radii_for(H6))
     assert np.allclose(prof.U0, np.tile([0.7, -0.3], (len(prof.radii), 1)), atol=1e-13)
     assert np.max(np.abs(prof.V)) <= 1e-12
 
 
 def test_decompose_pure_second_harmonic():
     U = grid_vector_field(lambda x, y: (x**2 - y**2, -2 * x * y), H6)
-    prof = decompose(U, H6, L, radii_for(H6))
+    prof = decompose(U, H6, radii_for(H6))
     assert np.max(np.abs(prof.U0)) <= 1e-10
     assert np.max(np.abs(prof.V)) <= 1e-9
     # remainder scales like r^2, so M1p / r is proportional to r
@@ -159,7 +159,7 @@ def test_decompose_pure_second_harmonic():
 def test_decompose_orthogonality_on_solve():
     field = make_harmonic_family("a", profile_log_inverse(0.4), 2)
     sol = solve_dirichlet(field, H6, "v_rich_mix")
-    prof = decompose(gradient_field(sol), H6, L, radii_for(H6))
+    prof = decompose(gradient_field(sol), H6, radii_for(H6))
     assert np.max(prof.projection_residual) <= 1e-10
     assert np.max(prof.reconstruction_residual) <= 1e-12
 
@@ -167,19 +167,19 @@ def test_decompose_orthogonality_on_solve():
 def test_decompose_radius_band_enforced():
     U = grid_vector_field(lambda x, y: (x, y), H6)
     with pytest.raises(ValueError, match="band"):
-        decompose(U, H6, L, [2.0 * H6])
+        decompose(U, H6, [2.0 * H6])
     with pytest.raises(ValueError, match="band"):
-        decompose(U, H6, L, [0.9 * L])
+        decompose(U, H6, [0.9 * L])
 
 
 def test_rotational_covariance():
     data = lambda x, y: x**2 - y**2 + x * y
     rotated = lambda x, y: y**2 - x**2 - x * y   # data(R^-1 (x,y)), R = quarter turn
-    base = solve_dirichlet(constant_laplacian(), H6, data, boundary_id="mix")
-    rot = solve_dirichlet(constant_laplacian(), H6, rotated, boundary_id="mix_rot")
+    base = solve_dirichlet(constant_laplacian(), H6, data)
+    rot = solve_dirichlet(constant_laplacian(), H6, rotated)
     radii = radii_for(H6)
-    prof = decompose(gradient_field(base), H6, L, radii)
-    prof_rot = decompose(gradient_field(rot), H6, L, radii)
+    prof = decompose(gradient_field(base), H6, radii)
+    prof_rot = decompose(gradient_field(rot), H6, radii)
     R = np.array([[0.0, -1.0], [1.0, 0.0]])
     for k in range(len(radii)):
         assert np.allclose(prof_rot.U0[k], R @ prof.U0[k], atol=1e-9)
@@ -196,7 +196,7 @@ def test_rotational_covariance():
 
 def control_profile(h=H6, boundary="v_rich_mix"):
     sol = solve_dirichlet(constant_laplacian(), h, boundary)
-    return decompose(gradient_field(sol), h, L, radii_for(h))
+    return decompose(gradient_field(sol), h, radii_for(h))
 
 
 def test_regularity_diagnostics_control():
@@ -231,7 +231,7 @@ def test_compare_with_dynamics_control_floor():
 def test_compare_with_dynamics_oscillatory_family():
     field = make_harmonic_family("a", profile_log_oscillatory(0.15, 1.0), 2)
     sol = solve_dirichlet(field, H6, "v_rich_mix")
-    prof = decompose(gradient_field(sol), H6, L, radii_for(H6))
+    prof = decompose(gradient_field(sol), H6, radii_for(H6))
     table = compare_with_dynamics(prof, full_system(field))
     assert np.all(np.isfinite(table["relative_deviation"]))
 

@@ -52,7 +52,7 @@ def grouped_harmonic_sums(n_windows):
 
 @pytest.mark.parametrize("n_windows", [40, 80])
 def test_grouped_harmonic_windows_diverge(n_windows):
-    # at 40 windows the 10 groups fit a ratio of 0.87, below q_geometric, yet
+    # at 40 windows the 10 groups fit a ratio of 0.87, below Q_GEOMETRIC, yet
     # the ratios climb toward 1: the power law fits better, and 1/k is not
     # summable
     analysis = analyze_sums(grouped_harmonic_sums(n_windows), tol=0.05)
