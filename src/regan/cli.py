@@ -23,6 +23,10 @@ settable values; any other key is a config error:
                                      (2^-6 to 2^-9 among the powers of two)
     pde.boundary             "v_rich_mix"   a key of pdelab.BOUNDARY_LIBRARY
 
+The three counts (radius_count and the two criteria windows) take JSON
+integers only, the other numbers integers or floats; a bool or a string
+is never a number.  `main` reads at most MAX_CONFIG_BYTES of the config.
+
 The verdict thresholds, the circle quadrature and the pde sizes are the
 library's, and no config bends them: each is a module constant next to the
 code that reads it, in `dynsys`, `criteria`, `tails`, `moments` and
@@ -52,6 +56,10 @@ NO_GUARANTEE = "no_guarantee"
 MAX_WINDOWS = 1000
 MAX_T = 700.0
 MIN_H = 2.0**-9
+
+# `main` reads at most this much of --config, so that a huge file or a
+# device such as /dev/zero is refused instead of filling memory
+MAX_CONFIG_BYTES = 2**20
 
 # the constancy probe starts its trajectories at t = 1, i.e. r = 1/e
 CONSTANCY_T0 = 1.0
@@ -105,36 +113,30 @@ def _apply_section(instance, section, name: str, violations: list,
             continue
         current = getattr(instance, key)
         if isinstance(current, tuple):
-            if not isinstance(value, list) or not all(
-                    isinstance(v, (int, float)) and not isinstance(v, bool) for v in value):
+            if not isinstance(value, list):
                 violations.append(f"{name}.{key} must be a list of numbers")
                 continue
-            if not all(map(_finite, value)):
-                violations.append(f"{name}.{key} entries must be finite")
+            try:
+                for v in value:
+                    coeff.as_number(v)
+            except ValueError as exc:
+                violations.append(f"{name}.{key} entries {exc}")
                 continue
             value = tuple(value)
+        elif isinstance(current, str):
+            if not isinstance(value, str):
+                violations.append(f"{name}.{key} must be a string, got {value!r}")
+                continue
         else:
             try:
-                value = type(current)(value)
-            except (TypeError, ValueError, OverflowError):
-                violations.append(f"{name}.{key} must be of type "
-                                  f"{type(current).__name__}, got {value!r}")
-                continue
-            if isinstance(value, float) and not math.isfinite(value):
-                violations.append(f"{name}.{key} must be finite, got {value!r}")
+                value = coeff.as_number(value, type(current))
+            except ValueError as exc:
+                violations.append(f"{name}.{key} {exc}")
                 continue
         setattr(instance, key, value)
     for key in positive:
         if not getattr(instance, key) > 0:
             violations.append(f"{name}.{key} must be positive")
-
-
-def _finite(value) -> bool:
-    """True for a finite number; an int too large for a float is not."""
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
 
 
 def validate_config(raw) -> AnalysisConfig:
@@ -154,7 +156,11 @@ def validate_config(raw) -> AnalysisConfig:
     for key in raw:
         if key not in known_top:
             violations.append(f"unknown top-level key {key!r}")
-    if raw.get("schema", 1) != 1:
+    try:
+        schema = coeff.as_number(raw.get("schema", 1), int)
+    except ValueError:
+        schema = None
+    if schema != 1:
         violations.append("schema must be 1")
     family = raw.get("family")
     if not isinstance(family, dict):
@@ -178,10 +184,9 @@ def validate_config(raw) -> AnalysisConfig:
 
     config = AnalysisConfig(family=family, analyses=tuple(analyses))
     try:
-        config.radius_count = int(raw.get("radius_count", 20))
-    except (TypeError, ValueError, OverflowError):
-        violations.append(f"radius_count must be an integer, "
-                          f"got {raw['radius_count']!r}")
+        config.radius_count = coeff.as_number(raw.get("radius_count", 20), int)
+    except ValueError as exc:
+        violations.append(f"radius_count {exc}")
     if config.radius_count < 1:
         violations.append("radius_count must be positive")
     _apply_section(config.probes, raw.get("probes", {}), "probes", violations,
@@ -272,13 +277,17 @@ def _stage_probes(config, field, out_dir):
     # the raw 8x8 system carries a genuine exp(+2t) branch; its stability
     # semantics live on the conjugated neutral block
     system = full.reduced_block_system() if pc.system == "full" else reduced
-    stability = dynsys.uniform_stability_probe(system, list(pc.s_grid), pc.t_max,
-                                               pc.rtol)
-    constancy = dynsys.asymptotic_constancy_probe(system, CONSTANCY_T0, pc.t_max,
-                                                  pc.rtol)
-
+    # the stability lanes, the constancy lane and the trajectory lane run in
+    # lockstep, and each probe reads its own slice of the results
+    stab_lanes = dynsys.stability_lanes(pc.s_grid, pc.t_max)
+    const_lanes = dynsys.constancy_lanes(CONSTANCY_T0, pc.t_max)
     ts = np.linspace(min(pc.s_grid), pc.t_max, 201)
-    phis, _ = dynsys.propagate_dense(system, float(ts[0]), ts, pc.rtol)
+    results, integrator = dynsys.propagate_lanes(
+        system, stab_lanes + const_lanes + [(float(ts[0]), ts)], pc.rtol)
+    n = len(stab_lanes)
+    stability = dynsys.classify_stability(stab_lanes, results[:n], pc.t_max)
+    constancy = dynsys.classify_constancy(const_lanes, results[n:-1], pc.t_max)
+    phis, _ = results[-1]
     traj_path = out_dir / "trajectory.csv"
     with open(traj_path, "w", encoding="utf-8") as fh:
         d = system.dim
@@ -308,6 +317,7 @@ def _stage_probes(config, field, out_dir):
             "eps_zero": reduction["eps_zero"],
         },
         "moments_work": dict(reduced.work),
+        "integrator": integrator,
     }
 
 
@@ -520,7 +530,11 @@ def main(argv=None) -> int:
         return 0
 
     try:
-        text = Path(args.config).read_text(encoding="utf-8")
+        with open(args.config, "rb") as fh:
+            data = fh.read(MAX_CONFIG_BYTES + 1)
+        if len(data) > MAX_CONFIG_BYTES:
+            raise OSError(f"{args.config} is larger than {MAX_CONFIG_BYTES} bytes")
+        text = data.decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return 2

@@ -129,16 +129,39 @@ _PROFILE_KINDS = {
 }
 
 
-def _number(desc: dict, key: str, convert=float, default=None):
-    """desc[key] (or default) as a finite number; ValueError names the key."""
-    value = desc.get(key, default)
+def _finite(value) -> bool:
+    """True for a finite number; an int too large for a float is not."""
     try:
-        number = convert(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{key} must be a number, got {value!r}") from None
-    if isinstance(number, float) and not math.isfinite(number):
-        raise ValueError(f"{key} must be finite, got {value!r}")
-    return number
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def as_number(value, kind=float):
+    """value as a number of kind, worded for a key's name on refusal.
+
+    An int kind takes integers only; a float kind takes integers and
+    floats, returns a float and refuses what is not finite.  Neither takes
+    a bool or a string, so JSON `true`, `"16"` and `24.9` never become a
+    count.  ValueError says what was wanted ("must be a number, got '30'").
+    """
+    if kind is int:
+        if isinstance(value, int) and not isinstance(value, bool):
+            return value
+        raise ValueError(f"must be a number of type int, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"must be a number, got {value!r}")
+    if not _finite(value):
+        raise ValueError(f"must be finite, got {value!r}")
+    return float(value)
+
+
+def _number(desc: dict, key: str, kind=float, default=None):
+    """desc[key] (or default) as `as_number` of kind; ValueError names the key."""
+    try:
+        return as_number(desc.get(key, default), kind)
+    except ValueError as exc:
+        raise ValueError(f"{key} {exc}") from None
 
 
 def profile_from_descriptor(desc: dict) -> RadialProfile:

@@ -17,10 +17,16 @@ and one stacked assembly, and a system reads as `dim`, `matrix(t)`,
 reads the same memo (`FullSystem.reduced_block_system`).
 
 Fundamental matrices are propagated with an adaptive Dormand-Prince 5(4)
-pair, which reads the drift matrices of the six stage times of each step
-in one `matrices` call.  Uniform stability and asymptotic constancy are
-probed on a finite horizon with trend extrapolation.  The verdicts are
-heuristic; their thresholds are the module constants next to the probes
+pair in lanes (`propagate_lanes`): each lane is one (s, output times)
+integration with its own step control, and in each round the six stage
+times of every unfinished lane go into one `matrices` call.
+`propagate_dense` is the one-lane case.  Uniform stability and
+asymptotic constancy are probed on a finite horizon with trend
+extrapolation: each probe is its lanes (`stability_lanes`,
+`constancy_lanes`) and a classifier of their samples
+(`classify_stability`, `classify_constancy`), so a caller can run the
+lanes of several probes in one propagation.  The verdicts are heuristic;
+their thresholds are the module constants next to the probes
 (KAPPA_THRESHOLD, SLOPE_MARGIN, CONST_TOL, GROWTH_FACTOR) and no caller
 sets them.
 """
@@ -33,9 +39,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .coeff import CoefficientField
-from .moments import (DEFAULT_QUADRATURE, BlockTable, MomentVector,
-                      QuadratureSettings, block_table, block_tables,
-                      moment_matrix, moment_vector, moment_vectors)
+from .moments import (DEFAULT_QUADRATURE, BlockTable, QuadratureSettings,
+                      block_table, block_tables, moment_matrices, moment_matrix,
+                      moment_vector, moment_vectors)
 
 STABLE = "stable"
 UNSTABLE = "unstable"
@@ -43,7 +49,7 @@ CONSTANT = "constant"
 DIVERGENT = "divergent"
 INCONCLUSIVE = "inconclusive"
 
-# the relative tolerances `propagate_dense` accepts
+# the relative tolerances `propagate_lanes` accepts
 RTOL_RANGE = (1e-12, 1e-3)
 
 
@@ -114,9 +120,9 @@ class ReducedSystem(_RadialSystem):
 
     This is the one path from a field to R(t): the probes and every
     criterion read `matrix` and `matrices` of a shared instance.  A batch
-    of radii is one `moment_vectors` call (chunked there), a single radius
-    one `moment_vector` call.  `work` counts the radii evaluated and those
-    that hit the node cap.
+    of radii is one `moment_vectors` call (chunked there) and one stacked
+    `moment_matrices`, a single radius one `moment_vector` call.  `work`
+    counts the radii evaluated and those that hit the node cap.
     """
 
     dim = 4
@@ -138,8 +144,7 @@ class ReducedSystem(_RadialSystem):
     def _batch(self, radii: list) -> list:
         m6, capped = moment_vectors(self.field, radii, self.quad)
         self._count(capped)
-        return [moment_matrix(MomentVector(r, *map(float, row)))
-                for r, row in zip(radii, m6)]
+        return list(moment_matrices(m6))
 
     def matrix(self, t: float) -> np.ndarray:
         return self._at(t)
@@ -352,68 +357,131 @@ class TransitionMatrix:
     est_error: float
 
 
-def propagate_dense(system, s: float, t_eval, rtol: float = 1e-10):
-    """Propagate the fundamental matrix through every time in t_eval.
+class _Lane:
+    """One lane of `propagate_lanes`: its output times and samples, and its
+    own step control in Python scalars (time t, step h, the index of the
+    next output time and the error tally)."""
 
-    t_eval must be monotone starting at or after s (or at or before s for
-    backward integration).  Steps are capped at the next output time, so
-    samples are exact integration endpoints, not interpolants.  Each step
-    (accepted or rejected) reads the drift matrices of its six stage times
-    t + c_i h in one `system.matrices` call, so a radial system evaluates
-    their uncached radii in one batch.  The absolute tolerance is
-    rtol * 1e-2.  Returns (array of Phi with shape (len(t_eval), d, d),
-    accumulated error).
+    __slots__ = ("ts", "direction", "t", "h", "idx", "err", "out")
+
+    def __init__(self, s: float, t_eval, d: int):
+        self.ts = [float(v) for v in t_eval]
+        self.direction = 1.0 if not self.ts or self.ts[-1] >= s else -1.0
+        prev = s
+        for v in self.ts:
+            if self.direction * (v - prev) < -1e-14:
+                raise ValueError("t_eval must be monotone away from s")
+            prev = v
+        self.t = s
+        span = max(abs(self.ts[-1] - s), 1e-6) if self.ts else 0.0
+        self.h = min(0.05, span) * self.direction
+        self.idx = 0
+        self.err = 0.0
+        self.out = np.empty((len(self.ts), d, d))
+
+    def advance(self, Y: np.ndarray) -> bool:
+        """Record Y at every output time already reached; True while a time
+        is left to reach."""
+        while (self.idx < len(self.ts)
+               and self.direction * (self.ts[self.idx] - self.t) <= 1e-14):
+            self.out[self.idx] = Y
+            self.idx += 1
+        return self.idx < len(self.ts)
+
+    def trial_step(self) -> float:
+        """The next trial step, capped at the next output time."""
+        target = self.ts[self.idx]
+        self.h = self.direction * min(abs(self.h), abs(target - self.t))
+        if abs(self.h) < 1e-14 * max(1.0, abs(self.t)):
+            raise StepUnderflowError(f"step underflow at t={self.t:.6g} "
+                                     f"(h={self.h:.3g}, target={target:.6g})")
+        return self.h
+
+
+def propagate_lanes(system, lanes, rtol: float = 1e-10):
+    """Propagate the fundamental matrix along several lanes in lockstep.
+
+    A lane is a pair (s, t_eval): Phi(t, s) is sampled at every t in
+    t_eval, which must be monotone starting at or after s (or at or before
+    s for backward integration).  The integrator is an adaptive
+    Dormand-Prince 5(4) pair with absolute tolerance rtol * 1e-2.  Steps
+    are capped at the next output time, so samples are exact integration
+    endpoints, not interpolants.
+
+    In each round every unfinished lane takes one trial step: the six
+    stage times t + c_i h of all of them go into one `system.matrices`
+    call, so a radial system evaluates their uncached radii in one batch,
+    and the stage arithmetic runs on the lane states stacked as (L, d, d).
+    Each lane keeps its own step control (capping, accept/reject, the h
+    update, the underflow check and the error tally) in Python scalars,
+    and stacked products and means are taken per lane, so a lane's samples
+    and error are bit for bit those of integrating it alone.
+
+    Returns (results, work): results holds, per lane, the array of Phi of
+    shape (len(t_eval), d, d) and the accumulated error estimate; work
+    holds the `matrices` calls ("rounds"), the accepted and rejected steps
+    summed over the lanes, and the largest lane error ("est_error").
     """
     if not RTOL_RANGE[0] <= rtol <= RTOL_RANGE[1]:
         raise ValueError("rtol must lie in [%g, %g]" % RTOL_RANGE)
     atol = rtol * 1e-2
-    ts = [float(v) for v in t_eval]
     d = system.dim
-    if not ts:
-        return np.zeros((0, d, d)), 0.0
-    direction = 1.0 if ts[-1] >= s else -1.0
-    prev = s
-    for v in ts:
-        if direction * (v - prev) < -1e-14:
-            raise ValueError("t_eval must be monotone away from s")
-        prev = v
-
-    Y = np.eye(d)
-    t = s
-    k1 = -system.matrix(t) @ Y
-    span = max(abs(ts[-1] - s), 1e-6)
-    h = min(0.05, span) * direction
-    err_total = 0.0
-    out = np.empty((len(ts), d, d))
-    ks = [None] * 7
-
-    for idx, target in enumerate(ts):
-        while direction * (target - t) > 1e-14:
-            h = direction * min(abs(h), abs(target - t))
-            if abs(h) < 1e-14 * max(1.0, abs(t)):
-                raise StepUnderflowError(
-                    f"step underflow at t={t:.6g} (h={h:.3g}, target={target:.6g})")
-            ks[0] = k1
-            Ks = system.matrices([t + _DP_C[i] * h for i in range(1, 7)])
-            for i in range(1, 7):
-                Yi = Y + h * sum(a * ks[j] for j, a in enumerate(_DP_A[i]))
-                ks[i] = -Ks[i - 1] @ Yi
-            Y_new = Y + h * sum(a * ks[j] for j, a in enumerate(_DP_A[6]))
-            # the last stage was evaluated at (t + h, Y_new): FSAL
-            err_mat = h * sum(e * ks[j] for j, e in enumerate(_DP_ERR))
-            scale = atol + rtol * np.maximum(np.abs(Y), np.abs(Y_new))
-            err_norm = float(np.sqrt(np.mean((err_mat / scale) ** 2)))
-            if err_norm <= 1.0:
-                t = t + h
-                Y = Y_new
-                k1 = ks[6]
-                err_total += float(np.max(np.abs(err_mat)))
+    lanes = [_Lane(float(s), t_eval, d) for s, t_eval in lanes]
+    work = {"rounds": 0, "accepted": 0, "rejected": 0}
+    active = [lane for lane in lanes if lane.ts]
+    if active:
+        Y = np.array([np.eye(d)] * len(active))
+        k1 = -system.matrices([lane.t for lane in active]) @ Y
+        work["rounds"] += 1
+    while active:
+        going = [lane.advance(y) for lane, y in zip(active, Y)]
+        if not all(going):
+            active = [lane for lane, on in zip(active, going) if on]
+            Y, k1 = Y[going], k1[going]
+            if not active:
+                break
+        hs = [lane.trial_step() for lane in active]
+        H = np.array(hs)[:, None, None]
+        Ks = system.matrices([lane.t + _DP_C[i] * h for lane, h in zip(active, hs)
+                              for i in range(1, 7)]).reshape(len(active), 6, d, d)
+        work["rounds"] += 1
+        ks = [k1]
+        for i in range(1, 7):
+            Yi = Y + H * sum(a * ks[j] for j, a in enumerate(_DP_A[i]))
+            ks.append(-Ks[:, i - 1] @ Yi)
+        Y_new = Y + H * sum(a * ks[j] for j, a in enumerate(_DP_A[6]))
+        # the last stage was evaluated at (t + h, Y_new): FSAL
+        err_mat = H * sum(e * ks[j] for j, e in enumerate(_DP_ERR))
+        scale = atol + rtol * np.maximum(np.abs(Y), np.abs(Y_new))
+        err_norms = np.sqrt(np.mean((err_mat / scale) ** 2, axis=(1, 2))).tolist()
+        err_maxes = np.max(np.abs(err_mat), axis=(1, 2)).tolist()
+        accepted = [err_norm <= 1.0 for err_norm in err_norms]
+        for lane, h, err_norm, err_max, ok in zip(active, hs, err_norms,
+                                                   err_maxes, accepted):
+            if ok:
+                lane.t = lane.t + h
+                lane.err += err_max
                 grow = 0.9 * err_norm ** -0.2 if err_norm > 0 else 5.0
-                h *= min(5.0, max(0.2, grow))
+                lane.h = h * min(5.0, max(0.2, grow))
             else:
-                h *= max(0.2, 0.9 * err_norm ** -0.2)
-        out[idx] = Y
-    return out, err_total
+                lane.h = h * max(0.2, 0.9 * err_norm ** -0.2)
+        work["accepted"] += sum(accepted)
+        work["rejected"] += len(accepted) - sum(accepted)
+        if any(accepted):
+            Y[accepted] = Y_new[accepted]
+            k1[accepted] = ks[6][accepted]
+    work["est_error"] = max((lane.err for lane in lanes), default=0.0)
+    return [(lane.out, lane.err) for lane in lanes], work
+
+
+def propagate_dense(system, s: float, t_eval, rtol: float = 1e-10):
+    """Propagate the fundamental matrix through every time in t_eval.
+
+    The one-lane case of `propagate_lanes`.  Returns (array of Phi with
+    shape (len(t_eval), d, d), accumulated error).
+    """
+    results, _ = propagate_lanes(system, [(s, t_eval)], rtol)
+    return results[0]
 
 
 def propagate(system, s: float, t: float, rtol: float = 1e-10) -> TransitionMatrix:
@@ -455,23 +523,27 @@ def _dense_times(s: float, t_max: float) -> np.ndarray:
     return np.linspace(s, t_max, n)
 
 
-def uniform_stability_probe(system, s_grid: Sequence[float], t_max: float,
-                            rtol: float = 1e-10) -> StabilityReport:
-    """Sample kappa(s, T) = sup_{s<=t<=T} |Phi(t, s)| and classify its trend.
-
-    Unstable means a sustained positive slope of log kappa over the tail of
-    the horizon; stable means kappa stays under the threshold with no such
-    trend.  Verdicts are deterministic functions of the sample tables.
-    """
+def stability_lanes(s_grid: Sequence[float], t_max: float) -> list:
+    """The lanes of the stability probe: (s, sample times up to t_max) for
+    each s in s_grid."""
     s_grid = [float(v) for v in s_grid]
     if not s_grid or max(s_grid) >= t_max:
         raise ValueError("need a nonempty s_grid below t_max")
+    return [(s, _dense_times(s, t_max)) for s in s_grid]
+
+
+def classify_stability(lanes: list, results: list, t_max: float) -> StabilityReport:
+    """The stability verdict from the `propagate_lanes` results of
+    `stability_lanes`: kappa(s, T) = sup_{s<=t<=T} |Phi(t, s)| and its trend.
+
+    Unstable means a sustained positive slope of log kappa over the tail of
+    the horizon; stable means kappa stays under the threshold with no such
+    trend.
+    """
     report = StabilityReport(horizon=t_max)
     kappa_max = 0.0
     slope_max = -math.inf
-    for s in s_grid:
-        ts = _dense_times(s, t_max)
-        phis, _ = propagate_dense(system, s, ts, rtol)
+    for (s, ts), (phis, _) in zip(lanes, results):
         norms = np.array([np.linalg.norm(P, 2) for P in phis])
         running = np.maximum.accumulate(norms)
         for frac in (0.25, 0.5, 0.75, 1.0):
@@ -495,23 +567,41 @@ def uniform_stability_probe(system, s_grid: Sequence[float], t_max: float,
     return report
 
 
-def asymptotic_constancy_probe(system, t0: float, t_max: float,
-                               rtol: float = 1e-10) -> StabilityReport:
-    """Cauchy-deviation probe: do the unit-vector trajectories settle to limits?
+def uniform_stability_probe(system, s_grid: Sequence[float], t_max: float,
+                            rtol: float = 1e-10) -> StabilityReport:
+    """Sample kappa(s, T) from each s in s_grid and classify its trend.
+
+    The lanes of `stability_lanes` through `propagate_lanes`, read by
+    `classify_stability`.  Verdicts are deterministic functions of the
+    sample tables.
+    """
+    lanes = stability_lanes(s_grid, t_max)
+    results, _ = propagate_lanes(system, lanes, rtol)
+    return classify_stability(lanes, results, t_max)
+
+
+def constancy_lanes(t0: float, t_max: float) -> list:
+    """The one lane of the constancy probe: (t0, sample times up to t_max)."""
+    if not t0 < t_max:
+        raise ValueError("need t0 < t_max")
+    return [(t0, _dense_times(t0, t_max))]
+
+
+def classify_constancy(lanes: list, results: list, t_max: float) -> StabilityReport:
+    """The constancy verdict from the `propagate_lanes` result of
+    `constancy_lanes`: do the unit-vector trajectories settle to limits?
 
     For each unit initial condition at t0, record the suffix deviations
     sup_{T<=t,t'} |phi(t) - phi(t')| componentwise; `constant` needs the
     half-horizon deviation below CONST_TOL for every unit vector,
     `divergent` needs sustained norm growth.
     """
-    if not t0 < t_max:
-        raise ValueError("need t0 < t_max")
-    ts = _dense_times(t0, t_max)
-    phis, _ = propagate_dense(system, t0, ts, rtol)
+    (t0, ts), = lanes
+    (phis, _), = results
     report = StabilityReport(horizon=t_max)
     dev_half_max = 0.0
     growth_max = 0.0
-    for k in range(system.dim):
+    for k in range(phis.shape[-1]):
         traj = phis[:, :, k]
         for frac in (0.0, 0.25, 0.5, 0.75):
             T = t0 + frac * (t_max - t0)
@@ -531,6 +621,18 @@ def asymptotic_constancy_probe(system, t0: float, t_max: float,
     else:
         report.asymptotic_constancy = INCONCLUSIVE
     return report
+
+
+def asymptotic_constancy_probe(system, t0: float, t_max: float,
+                               rtol: float = 1e-10) -> StabilityReport:
+    """Cauchy-deviation probe of the trajectories from t0.
+
+    The lane of `constancy_lanes` through `propagate_lanes`, read by
+    `classify_constancy`.
+    """
+    lanes = constancy_lanes(t0, t_max)
+    results, _ = propagate_lanes(system, lanes, rtol)
+    return classify_constancy(lanes, results, t_max)
 
 
 def reduction_deviation(full: FullSystem, reduced: ReducedSystem,

@@ -288,14 +288,26 @@ def moment_vector(field: CoefficientField, r: float,
     return MomentVector(r, *map(float, m6[0]), capped=bool(capped[0]))
 
 
+# entry (i, j) of the drift matrix is moment _MOMENT_GATHER[i, j] of
+# (a1, a2, b1, b2, c1, c2, 0), negated where _MOMENT_NEGATED is set
+_MOMENT_GATHER = np.array([[0, 6, 2, 4], [1, 3, 6, 5], [1, 6, 3, 5], [0, 2, 6, 4]])
+_MOMENT_NEGATED = np.array([[False] * 4] * 3 + [[True, True, False, True]])
+
+
+def moment_matrices(m6) -> np.ndarray:
+    """The 4x4 drift matrices of moment rows (a1, a2, b1, b2, c1, c2): shape
+    (..., 6) to (..., 4, 4), by copies and negations only."""
+    m6 = np.asarray(m6, dtype=float)
+    padded = np.concatenate([m6, np.zeros(m6.shape[:-1] + (1,))], axis=-1)
+    out = padded[..., _MOMENT_GATHER]
+    np.negative(out, out=out, where=_MOMENT_NEGATED)
+    return out
+
+
 def moment_matrix(m: MomentVector) -> np.ndarray:
-    """Assemble the 4x4 drift matrix from the six second-harmonic moments."""
-    return np.array([
-        [m.a1, 0.0, m.b1, m.c1],
-        [m.a2, m.b2, 0.0, m.c2],
-        [m.a2, 0.0, m.b2, m.c2],
-        [-m.a1, -m.b1, 0.0, -m.c1],
-    ])
+    """Assemble the 4x4 drift matrix from the six second-harmonic moments:
+    the one-row case of `moment_matrices`."""
+    return moment_matrices(m.as_array())
 
 
 def block_table(field: CoefficientField, r: float,
@@ -332,7 +344,7 @@ def moment_matrix_residual(field: CoefficientField, r: float,
     quadrature error; it cross-checks two independent computation paths.
     """
     m6, tabs = _converged_tables(field, r, quad)
-    R = moment_matrix(MomentVector(r, *map(float, m6)))
+    R = moment_matrices(m6)
     theta2_col, plain = tabs[5], tabs[7]
     return float(np.max(np.abs(R - (plain - 2.0 * theta2_col))))
 

@@ -9,9 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regan.cli import (ANALYSES, AnalysisConfig, ConfigError, CriteriaConfig,
-                       PdeConfig, ProbeConfig, main, run_pipeline, validate_config)
-from regan.coeff import builtin_families
+import numpy as np
+
+from regan import cli, dynsys
+from regan.cli import (ANALYSES, MAX_CONFIG_BYTES, AnalysisConfig, ConfigError,
+                       CriteriaConfig, PdeConfig, ProbeConfig, main, run_pipeline,
+                       validate_config)
+from regan.coeff import builtin_families, family_from_descriptor
 from regan.pdelab import BOUNDARY_LIBRARY
 
 
@@ -491,6 +495,108 @@ def test_removed_knobs_are_rejected(tmp_path):
     assert "probes: unknown key 'slope_margin'" in err
     assert "probes: unknown key 'kappa_threshold'" in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("key, extra", [
+    ("radius_count", {"radius_count": True}),
+    ("radius_count", {"radius_count": 20.0}),
+    ("criteria.n_windows", {"criteria": {"n_windows": "16"}}),
+    ("criteria.n_windows", {"criteria": {"n_windows": False}}),
+    ("criteria.prefix_windows", {"criteria": {"prefix_windows": 24.9}}),
+    ("probes.t_max", {"probes": {"t_max": "30"}}),
+    ("probes.rtol", {"probes": {"rtol": True}}),
+    ("probes.s_grid", {"probes": {"s_grid": [0.0, "2"]}}),
+    ("probes.system", {"probes": {"system": 5}}),
+    ("pde.h", {"pde": {"h": "0.015625"}}),
+    ("schema", {"schema": True}),
+    ("family: seed", {"family": {"family": "trig_random", "seed": True}}),
+    ("family: gamma", {"family": {"family": "radial", "target": "a",
+                                  "profile": {"kind": "log_inverse",
+                                              "gamma": "0.4"}}}),
+])
+def test_loosely_typed_numbers_exit_2_naming_the_key(tmp_path, key, extra):
+    # counts take JSON integers only, other numbers integers or floats, and
+    # a bool or a string is never a number
+    code, err = _main_exit(tmp_path, minimal_config(**extra))
+    assert code == 2
+    assert f"config error: {key}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_float_keys_take_integers():
+    config = validate_config(minimal_config(probes={"s_grid": [0, 2], "t_max": 15}))
+    assert config.probes.t_max == 15.0 and isinstance(config.probes.t_max, float)
+    assert config.probes.s_grid == (0, 2)
+
+
+def test_config_past_the_read_cap_exits_2_with_one_line(tmp_path, monkeypatch):
+    monkeypatch.setattr("regan.cli.run_pipeline", lambda *a: ({}, 0))
+    valid = json.dumps(minimal_config(analyses=["validate"])).encode()
+    at_cap = valid + b" " * (MAX_CONFIG_BYTES - len(valid))
+    assert _main_on_bytes(tmp_path, at_cap) == (0, "")
+    code, err = _main_on_bytes(tmp_path, at_cap + b" ")
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1
+    assert f"larger than {MAX_CONFIG_BYTES} bytes" in err
+
+
+@pytest.mark.skipif(not Path("/dev/zero").exists(), reason="no /dev/zero")
+def test_endless_config_device_exits_2_with_one_line(tmp_path):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["run", "--config", "/dev/zero", "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert len(err.getvalue().strip().splitlines()) == 1
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("system", ["reduced", "full"])
+def test_probes_stage_matches_the_public_probes_in_sequence(tmp_path, system):
+    desc = builtin_families()["oscillatory_log"]
+    config = validate_config({"schema": 1, "family": desc, "probes": {
+        "system": system, "s_grid": [0.0, 1.0], "t_max": 4.0}})
+    pc = config.probes
+    field = family_from_descriptor(desc)
+    payload = cli._stage_probes(config, field, tmp_path)
+
+    probed = (dynsys.full_system(field).reduced_block_system() if system == "full"
+              else dynsys.reduced_system(field))
+    stab = dynsys.uniform_stability_probe(probed, pc.s_grid, pc.t_max, pc.rtol)
+    const = dynsys.asymptotic_constancy_probe(probed, cli.CONSTANCY_T0, pc.t_max,
+                                              pc.rtol)
+    ts = np.linspace(0.0, pc.t_max, 201)
+    phis, _ = dynsys.propagate_dense(probed, 0.0, ts, pc.rtol)
+    for key in ("uniform_stability", "kappa_max", "growth_slope"):
+        assert payload[key] == getattr(stab, key)
+    for key in ("asymptotic_constancy", "deviation_half", "norm_growth"):
+        assert payload[key] == getattr(const, key)
+    assert payload["kappa_samples"] == [list(row) for row in stab.kappa_samples]
+    assert payload["constancy_samples"] == [[float(v) for v in row]
+                                            for row in const.constancy_samples]
+    traj = np.loadtxt(tmp_path / "trajectory.csv", delimiter=",", skiprows=1)
+    assert np.array_equal(traj[:, 0], ts)
+    assert np.array_equal(traj[:, 1:], phis.reshape(len(ts), -1))
+
+
+def test_seven_lane_probes_stage_batches_its_steps(tmp_path, monkeypatch):
+    calls = []
+    vectors = dynsys.moment_vectors
+    monkeypatch.setattr(dynsys, "moment_vectors",
+                        lambda *args: calls.append(len(args[1])) or vectors(*args))
+    desc = builtin_families()["dini_power"]
+    config = validate_config({"schema": 1, "family": desc, "analyses": ["probes"],
+                              "probes": {"s_grid": [0.0, 0.5, 1.0, 1.5, 2.0],
+                                         "t_max": 4.0}})
+    payload = cli._stage_probes(config, family_from_descriptor(desc), tmp_path)
+    work = payload["integrator"]
+    assert sorted(work) == ["accepted", "est_error", "rejected", "rounds"]
+    steps = work["accepted"] + work["rejected"]
+    # one batch per round for all seven lanes, not one per step
+    assert len(calls) < steps / 3
+    assert work["rounds"] < steps / 3
+    assert 0.0 < work["est_error"] < 1e-6
+    assert sum(calls) == payload["moments_work"]["radii"]
 
 
 def test_report_determinism(tmp_path):

@@ -13,10 +13,10 @@ from regan.coeff import (CoefficientField, constant_laplacian, make_harmonic_fam
 from regan import dynsys
 from regan.dynsys import (CONSTANT, DIVERGENT, J_BASIS, J_BASIS_INV, M_INF,
                           STABLE, UNSTABLE, FullSystem, MatrixSystem,
-                          ReducedSystem, SingularSystemError,
+                          ReducedSystem, SingularSystemError, StepUnderflowError,
                           asymptotic_constancy_probe,
                           full_system, propagate, propagate_dense,
-                          reduced_system, reduction_deviation,
+                          propagate_lanes, reduced_system, reduction_deviation,
                           second_harmonic_system, uniform_stability_probe)
 from regan.moments import QuadratureSettings, moment_vectors
 
@@ -251,6 +251,111 @@ def test_stage_batches_leave_propagation_bitwise_unchanged(field, system_cls, t_
     assert np.array_equal(got, want) and err == want_err
     if system_cls is ReducedSystem:
         assert batched.work["radii"] > 0
+
+
+def _serial_propagation(system, s, t_eval, rtol):
+    """The one-lane Dormand-Prince loop that `propagate_lanes` replaced, kept
+    as the oracle of its lanes with step counters added: (Phi samples,
+    error, accepted, rejected)."""
+    atol = rtol * 1e-2
+    ts = [float(v) for v in t_eval]
+    d = system.dim
+    if not ts:
+        return np.zeros((0, d, d)), 0.0, 0, 0
+    direction = 1.0 if ts[-1] >= s else -1.0
+    Y = np.eye(d)
+    t = s
+    k1 = -system.matrix(t) @ Y
+    span = max(abs(ts[-1] - s), 1e-6)
+    h = min(0.05, span) * direction
+    err_total = 0.0
+    accepted = rejected = 0
+    out = np.empty((len(ts), d, d))
+    ks = [None] * 7
+    for idx, target in enumerate(ts):
+        while direction * (target - t) > 1e-14:
+            h = direction * min(abs(h), abs(target - t))
+            if abs(h) < 1e-14 * max(1.0, abs(t)):
+                raise StepUnderflowError(f"step underflow at t={t:.6g}")
+            ks[0] = k1
+            Ks = system.matrices([t + dynsys._DP_C[i] * h for i in range(1, 7)])
+            for i in range(1, 7):
+                Yi = Y + h * sum(a * ks[j] for j, a in enumerate(dynsys._DP_A[i]))
+                ks[i] = -Ks[i - 1] @ Yi
+            Y_new = Y + h * sum(a * ks[j] for j, a in enumerate(dynsys._DP_A[6]))
+            err_mat = h * sum(e * ks[j] for j, e in enumerate(dynsys._DP_ERR))
+            scale = atol + rtol * np.maximum(np.abs(Y), np.abs(Y_new))
+            err_norm = float(np.sqrt(np.mean((err_mat / scale) ** 2)))
+            if err_norm <= 1.0:
+                t = t + h
+                Y = Y_new
+                k1 = ks[6]
+                err_total += float(np.max(np.abs(err_mat)))
+                grow = 0.9 * err_norm ** -0.2 if err_norm > 0 else 5.0
+                h *= min(5.0, max(0.2, grow))
+                accepted += 1
+            else:
+                h *= max(0.2, 0.9 * err_norm ** -0.2)
+                rejected += 1
+        out[idx] = Y
+    return out, err_total, accepted, rejected
+
+
+def _mixed_lanes(span):
+    """Forward, backward, empty, twice the same, and very short lanes over
+    times up to `span`."""
+    return [(0.0, np.linspace(0.0, span, 60)),
+            (0.75 * span, np.linspace(0.75 * span, 0.1 * span, 30)),
+            (0.3 * span, []),
+            (0.2 * span, np.linspace(0.25 * span, 0.6 * span, 10)),
+            (0.2 * span, np.linspace(0.25 * span, 0.6 * span, 10)),
+            (0.9 * span, [0.95 * span])]
+
+
+@pytest.mark.parametrize("make_system, span", [
+    (lambda: second_harmonic_system(harmonic_decay(1.0)), 12.0),
+    (lambda: ReducedSystem(make_harmonic_family(
+        "a", profile_log_oscillatory(0.4, 1.0), 2)), 12.0),
+    (lambda: FullSystem(make_trig_field(2)).reduced_block_system(), 12.0),
+    (lambda: FullSystem(make_trig_field(2)), 2.0),
+], ids=["second_harmonic", "oscillatory_log", "trig_random-2_block",
+        "trig_random-2_8x8"])
+def test_lanes_bitwise_equal_to_serial_propagation(make_system, span):
+    lanes = _mixed_lanes(span)
+    results, work = propagate_lanes(make_system(), lanes, 1e-10)
+    oracle = [_serial_propagation(make_system(), s, ts, 1e-10) for s, ts in lanes]
+    assert len(results) == len(lanes)
+    for (phis, err), (want, want_err, _, _) in zip(results, oracle):
+        assert phis.shape == want.shape
+        assert np.array_equal(phis, want) and err == want_err
+    assert work["accepted"] == sum(o[2] for o in oracle)
+    assert work["rejected"] == sum(o[3] for o in oracle)
+    assert work["est_error"] == max(o[1] for o in oracle)
+    # one `matrices` call for the initial stages, one per round of the
+    # longest lane
+    assert work["rounds"] == 1 + max(o[2] + o[3] for o in oracle)
+    assert np.array_equal(propagate_dense(make_system(), *lanes[1], 1e-10)[0],
+                          oracle[1][0])
+
+
+def test_lanes_of_nothing_do_no_work():
+    sys = MatrixSystem(4, lambda t: pytest.fail("matrix was read"))
+    results, work = propagate_lanes(sys, [(0.0, []), (2.0, [])])
+    assert [phis.shape for phis, _ in results] == [(0, 4, 4)] * 2
+    assert work == {"rounds": 0, "accepted": 0, "rejected": 0, "est_error": 0.0}
+
+
+def test_underflowing_lane_raises_naming_its_t():
+    # the drift is NaN past t = 2, so every step across it is rejected and
+    # the lane that must cross it shrinks its step until it underflows there
+    sys = MatrixSystem(4, lambda t: np.full((4, 4), np.nan) if t > 2.0
+                       else 0.1 * np.eye(4))
+    with pytest.raises(StepUnderflowError, match=r"step underflow at t=2 "):
+        propagate_lanes(sys, [(0.0, [1.0]), (0.0, [1.5, 3.0]), (0.5, [1.9])])
+    with pytest.raises(StepUnderflowError, match=r"step underflow at t=2 "):
+        propagate_dense(sys, 0.0, [3.0])
+    results, _ = propagate_lanes(sys, [(0.0, [1.0]), (0.5, [1.9])])
+    assert np.allclose(results[0][0][0], math.exp(-0.1) * np.eye(4), rtol=1e-9)
 
 
 @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
