@@ -31,6 +31,13 @@ The verdict thresholds, the circle quadrature and the pde sizes are the
 library's, and no config bends them: each is a module constant next to the
 code that reads it, in `dynsys`, `criteria`, `tails`, `moments` and
 `pdelab`.
+
+The probes stage reports the work of its propagation in
+`results.probes.integrator` (see `dynsys.propagate_lanes`): `rounds`,
+`accepted` and `rejected` steps, the stage times its plan prefetched
+(`planned`), the trial steps off that plan (`off_plan`) and `est_error`,
+the largest lane's sum of per-step max-abs local error estimates.  That
+sum is a rough size of the integration error, not a bound on it.
 """
 from __future__ import annotations
 

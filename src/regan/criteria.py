@@ -11,11 +11,13 @@ windows and reported three-valued with witness tables:
                      by the two a-moments alone; boundedness/convergence of
                      their prefix integrals is tested separately
 
-Each check reads the drift matrix R(t) from a system with `matrices(ts)`,
-one whole Gauss-Legendre window (or the whole trapezoid grid of
-iterated_L1) per call, so a `dynsys.ReducedSystem` evaluates the radii of
-a window in one batch; the decoupled case also reads the b- and c-moments
-off R through `matrix(t)` at its applicability samples.
+Each series reads the drift matrix R(t) from a system with one
+`matrices(ts)` call on all of its nodes: the (windows x 32) Gauss-Legendre
+grid of dini_R, of eigenvalue_bound and of each a-moment series of the
+decoupled case, and the trapezoid grid of iterated_L1.  A
+`dynsys.ReducedSystem` evaluates the new radii of such a call in a few
+large batches.  The decoupled case also reads the b- and c-moments off R
+through `matrix(t)` at its applicability samples.
 `run_all_criteria` passes one reduced system to all four checks, so every
 radius is evaluated once.
 
@@ -70,7 +72,8 @@ _BC = ((0, 2), (1, 1), (0, 3), (1, 3))     # b1, b2, c1, c2
 
 
 def _window_sums_of(system, fn, n_windows: int) -> np.ndarray:
-    """Window integrals of fn(R stack) -> values, one `matrices` call per window."""
+    """Window integrals of fn(R stack) -> values, from one `matrices` call
+    on the nodes of all windows."""
     # contiguous values: np.dot sums a strided vector in another order
     return tails.dyadic_window_sums(
         lambda ts: np.ascontiguousarray(fn(system.matrices(ts))), n_windows)
@@ -103,8 +106,7 @@ def check_symmetric_part_bound(system, prefix_windows: int = 120) -> CriterionRe
     Holding implies a Lipschitz gradient.
     """
     def mu(Rs: np.ndarray) -> np.ndarray:
-        # one eigvalsh per matrix: a stacked call is not bitwise equal
-        return np.array([np.linalg.eigvalsh(-0.5 * (R + R.T))[-1] for R in Rs])
+        return np.linalg.eigvalsh(-0.5 * (Rs + np.swapaxes(Rs, 1, 2)))[:, -1]
 
     sums = _window_sums_of(system, mu, prefix_windows)
     prefix = tails.prefix_from_sums(sums)
@@ -157,7 +159,7 @@ def check_iterated_integral(system, n_windows: int = 80) -> CriterionResult:
 
     limit = prefix[-(n_nodes // 4):].mean(axis=0)
     inner = limit[None, :, :] - prefix
-    f_vals = np.array([np.max(np.abs(R_grid[k] @ inner[k])) for k in range(n_nodes)])
+    f_vals = np.max(np.abs(R_grid @ inner), axis=(1, 2))
     f_prefix = np.concatenate([[0.0], np.cumsum(0.5 * dt * (f_vals[1:] + f_vals[:-1]))])
     boundary = f_prefix[::nodes_per_window]
     sums = np.diff(boundary)

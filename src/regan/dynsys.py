@@ -10,25 +10,31 @@ t = -log r:
   M_inf = [[-I, 2I], [I/2, -I]] and remainder split M = M_inf + S1 + S2.
 
 Both are radial systems: each radius r = min(1, e^-t) is evaluated once
-and memoised by r, a batch of uncached radii is one batched moments call
-and one stacked assembly, and a system reads as `dim`, `matrix(t)`,
-`matrices(ts)` and `eps(t)`.  The neutral 4x4 block of the conjugated
-8x8 system, on which the stability statements are made, is a view that
-reads the same memo (`FullSystem.reduced_block_system`).
+and memoised by r, uncached radii are evaluated in batches of at most
+FILL_BATCH radii, each one batched moments call and one stacked assembly,
+and a system reads as `dim`, `matrix(t)`, `matrices(ts)`, `prefetch(ts)`
+and `eps(t)`.  `prefetch` only fills the memo, so a caller that knows
+which times it will read can have their radii evaluated in a few large
+batches.  The neutral 4x4 block of the conjugated 8x8 system, on which
+the stability statements are made, is a view that reads the same memo
+(`FullSystem.reduced_block_system`).
 
 Fundamental matrices are propagated with an adaptive Dormand-Prince 5(4)
 pair in lanes (`propagate_lanes`): each lane is one (s, output times)
-integration with its own step control, and in each round the six stage
-times of every unfinished lane go into one `matrices` call.
-`propagate_dense` is the one-lane case.  Uniform stability and
-asymptotic constancy are probed on a finite horizon with trend
-extrapolation: each probe is its lanes (`stability_lanes`,
-`constancy_lanes`) and a classifier of their samples
-(`classify_stability`, `classify_constancy`), so a caller can run the
-lanes of several probes in one propagation.  The verdicts are heuristic;
-their thresholds are the module constants next to the probes
-(KAPPA_THRESHOLD, SLOPE_MARGIN, CONST_TOL, GROWTH_FACTOR) and no caller
-sets them.
+integration with its own step control.  Before the first step the stage
+times of every lane's capped path (one step from each output time to the
+next) go into one `prefetch` call; then, in each round, the six stage
+times of every unfinished lane go into one `matrices` call, which finds
+the radii of on-plan steps in the memo.  `propagate_dense` is the
+one-lane case.
+
+Uniform stability and asymptotic constancy are probed on a finite horizon
+with trend extrapolation: each probe is its lanes (`stability_lanes`,
+`constancy_lanes`) and a classifier of their samples (`classify_stability`,
+`classify_constancy`), so a caller can run the lanes of several probes in
+one propagation.  The verdicts are heuristic; their thresholds are the
+module constants next to the probes (KAPPA_THRESHOLD, SLOPE_MARGIN,
+CONST_TOL, GROWTH_FACTOR) and no caller sets them.
 """
 from __future__ import annotations
 
@@ -74,16 +80,25 @@ class MatrixSystem:
     def matrices(self, ts) -> np.ndarray:
         return np.array([self.matrix(t) for t in ts])
 
+    def prefetch(self, ts) -> None:
+        """Nothing to fill: every matrix is read from the callable."""
+
+
+# the most radii one evaluation batch of a radial system holds: past it the
+# batch's tables and moments would cost memory and save no time
+FILL_BATCH = 1024
+
 
 class _RadialSystem:
     """A system in t = -log r built from circle means of a field at r = min(1, e^-t).
 
     Each radius is evaluated once and memoised, whatever t asked for it.
     A subclass says how to evaluate one radius (`_one`) and a batch of
-    radii (`_batch`, which returns one memo entry per radius); `_drift`
-    picks the drift matrix out of a memo entry.  `matrices(ts)` evaluates the uncached
-    radii of ts in one `_batch` call; `matrix(t)` of a single uncached t
-    goes through `_one`.
+    radii (`_batch`, which returns one drift matrix per radius).
+    `prefetch(ts)` evaluates the uncached radii of ts in `_batch` calls of
+    at most FILL_BATCH radii and builds no stack; `matrices(ts)` does the
+    same fill and then stacks the drift matrices; `matrix(t)` of a single
+    uncached t goes through `_one`.
     """
 
     def __init__(self, field: CoefficientField,
@@ -92,24 +107,35 @@ class _RadialSystem:
         self.quad = quad
         self._memo: dict = {}
 
-    @staticmethod
-    def _drift(entry) -> np.ndarray:
-        return entry
-
-    def _at(self, t: float):
+    def _at(self, t: float) -> np.ndarray:
         r = min(1.0, math.exp(-t))
         entry = self._memo.get(r)
         if entry is None:
             entry = self._memo[r] = self._one(r)
         return entry
 
+    def _fill(self, radii) -> None:
+        """Memoise the uncached radii of an iterable, in order of first
+        appearance, through `_batch` calls of at most FILL_BATCH radii."""
+        batch = {}
+        for r in radii:
+            if r not in self._memo:
+                batch[r] = None
+                if len(batch) == FILL_BATCH:
+                    self._memo.update(zip(batch, self._batch(list(batch))))
+                    batch = {}
+        if batch:
+            self._memo.update(zip(batch, self._batch(list(batch))))
+
+    def prefetch(self, ts) -> None:
+        """Evaluate and memoise the radii of the times ts (any iterable)."""
+        self._fill(min(1.0, math.exp(-t)) for t in ts)
+
     def matrices(self, ts) -> np.ndarray:
         """The stack of drift matrices over ts, shape (len(ts), dim, dim)."""
         radii = [min(1.0, math.exp(-t)) for t in ts]
-        new = [r for r in dict.fromkeys(radii) if r not in self._memo]
-        if new:
-            self._memo.update(zip(new, self._batch(new)))
-        return np.array([self._drift(self._memo[r]) for r in radii])
+        self._fill(radii)
+        return np.array([self._memo[r] for r in radii])
 
     def eps(self, t: float) -> float:
         return float(self.field.modulus(math.exp(-min(t, 700.0))))
@@ -235,27 +261,32 @@ class FullSystem(_RadialSystem):
     S2 := M - M_inf - S1 is fully determined rather than an unspecified
     O(eps^2) term.  All forcing from the higher-harmonic remainder field is
     dropped: this is the homogeneous system the stability statements
-    condition on.  Each radius memoises (M, effective blocks).  A batch of
-    radii is one `block_tables` call and one stacked `_assemble`; a single
-    radius reads `block_table` and goes through the same assembly as a
-    stack of one.  S1 and S2 are recomputed from a fresh `block_table`
-    when asked for.
+    condition on.  Each radius memoises M.  A batch of radii is one
+    `block_tables` call and one stacked `_assemble`; a single radius reads
+    `block_table` and goes through the same assembly as a stack of one.
+    The effective blocks, S1 and S2 are recomputed from a fresh
+    `block_table` when asked for.
     """
 
     dim = 8
 
-    def _one(self, r: float):
-        bt = block_table(self.field, r, self.quad)
-        return self._entries(_map_tables(lambda v: np.asarray(v)[None], bt))[0]
+    def _one(self, r: float) -> np.ndarray:
+        return self._assembled(self._table_of_one(r))[0][0]
 
     def _batch(self, radii: list) -> list:
-        return self._entries(block_tables(self.field, radii, self.quad))
+        return list(self._assembled(block_tables(self.field, radii, self.quad))[0])
+
+    def _table_of_one(self, r: float) -> BlockTable:
+        """The `block_table` at r as a stack of one radius."""
+        return _map_tables(lambda v: np.asarray(v)[None],
+                           block_table(self.field, r, self.quad))
 
     @staticmethod
-    def _entries(bt: BlockTable) -> list:
-        """One memo entry (M, effective blocks) per row of a stacked table."""
+    def _assembled(bt: BlockTable):
+        """`_assemble` of a stacked table, or SingularSystemError naming the
+        first radius whose own assembly fails."""
         try:
-            m, eff = _assemble(bt)
+            return _assemble(bt)
         except np.linalg.LinAlgError as exc:
             # name the first radius whose own assembly fails
             for i, r in enumerate(bt.r):
@@ -265,14 +296,9 @@ class FullSystem(_RadialSystem):
                     break
             raise SingularSystemError(
                 f"quadrature block singular at r={r:.6g}") from exc
-        return [(m[i], tuple(block[i] for block in eff)) for i in range(len(m))]
-
-    @staticmethod
-    def _drift(entry) -> np.ndarray:
-        return entry[0]
 
     def matrix(self, t: float) -> np.ndarray:
-        return self._at(t)[0]
+        return self._at(t)
 
     def s1(self, t: float) -> np.ndarray:
         """First-order remainder S1, from the raw (uncorrected) blocks."""
@@ -287,7 +313,9 @@ class FullSystem(_RadialSystem):
         return self.matrix(t) - M_INF - self.s1(t)
 
     def eff_blocks(self, t: float):
-        return self._at(t)[1]
+        """(a_eff, b_eff, bt_eff, c_eff) at r = min(1, e^-t)."""
+        _, eff = self._assembled(self._table_of_one(min(1.0, math.exp(-t))))
+        return tuple(block[0] for block in eff)
 
     def conjugated_remainder(self, t: float) -> np.ndarray:
         """J^-1 M(t) J minus the limiting diagonal diag(0_4, -2 I_4)."""
@@ -306,7 +334,8 @@ class ReducedBlockSystem:
 
     A radial view with no memo of its own: `matrices(ts)` conjugates the
     stack `full.matrices(ts)`, so the view and the 8x8 system share one
-    memo and one batch per call; `matrix(t)` is `full.reduced_block(t)`.
+    memo and one batch per call; `prefetch(ts)` fills that memo and
+    `matrix(t)` is `full.reduced_block(t)`.
     """
 
     dim = 4
@@ -319,6 +348,9 @@ class ReducedBlockSystem:
 
     def matrices(self, ts) -> np.ndarray:
         return _conjugate(self.full.matrices(ts))[:, :4, :4]
+
+    def prefetch(self, ts) -> None:
+        self.full.prefetch(ts)
 
     def eps(self, t: float) -> float:
         return self.full.eps(t)
@@ -360,9 +392,10 @@ class TransitionMatrix:
 class _Lane:
     """One lane of `propagate_lanes`: its output times and samples, and its
     own step control in Python scalars (time t, step h, the index of the
-    next output time and the error tally)."""
+    next output time and the error tally).  `plan` maps each point of the
+    lane's capped path to the step it takes from there."""
 
-    __slots__ = ("ts", "direction", "t", "h", "idx", "err", "out")
+    __slots__ = ("ts", "direction", "t", "h", "idx", "err", "out", "plan")
 
     def __init__(self, s: float, t_eval, d: int):
         self.ts = [float(v) for v in t_eval]
@@ -378,14 +411,37 @@ class _Lane:
         self.idx = 0
         self.err = 0.0
         self.out = np.empty((len(self.ts), d, d))
+        self.plan = self._capped_path()
+
+    def _reached(self, t: float, idx: int) -> int:
+        """The index of the first output time not yet reached at t."""
+        while (idx < len(self.ts)
+               and self.direction * (self.ts[idx] - t) <= 1e-14):
+            idx += 1
+        return idx
+
+    def _capped_path(self) -> dict:
+        """{t: h} along the path on which every trial step ends at the next
+        output time, chained in the lane's own arithmetic, so that a step
+        taken on it reads exactly the stage times t + c_i h; it ends where
+        such a step would underflow."""
+        path = {}
+        t, idx = self.t, self._reached(self.t, 0)
+        while idx < len(self.ts):
+            h = self.direction * abs(self.ts[idx] - t)
+            if abs(h) < 1e-14 * max(1.0, abs(t)):
+                break
+            path[t] = h
+            t = t + h
+            idx = self._reached(t, idx)
+        return path
 
     def advance(self, Y: np.ndarray) -> bool:
         """Record Y at every output time already reached; True while a time
         is left to reach."""
-        while (self.idx < len(self.ts)
-               and self.direction * (self.ts[self.idx] - self.t) <= 1e-14):
-            self.out[self.idx] = Y
-            self.idx += 1
+        reached = self._reached(self.t, self.idx)
+        self.out[self.idx:reached] = Y
+        self.idx = reached
         return self.idx < len(self.ts)
 
     def trial_step(self) -> float:
@@ -408,9 +464,18 @@ def propagate_lanes(system, lanes, rtol: float = 1e-10):
     are capped at the next output time, so samples are exact integration
     endpoints, not interpolants.
 
-    In each round every unfinished lane takes one trial step: the six
-    stage times t + c_i h of all of them go into one `system.matrices`
-    call, so a radial system evaluates their uncached radii in one batch,
+    The plan: nearly every step is capped, so before the first round each
+    lane lists its capped path, one step from s to the first output time
+    and from each output time to the next, chained in the lane's own
+    arithmetic, and the six stage times t + c_i h of every planned step go
+    into one `system.prefetch` call.  A radial system evaluates their radii
+    there in a few large batches.  The plan changes no step: it only
+    decides when radii are evaluated.  Only off-plan trial steps need radii
+    that are not yet memoised: a first step (it starts at h = 0.05) that
+    falls short of the first output time, and rejected or shortened ones.
+
+    The rounds: in each round every unfinished lane takes one trial step.
+    The six stage times of all of them go into one `system.matrices` call,
     and the stage arithmetic runs on the lane states stacked as (L, d, d).
     Each lane keeps its own step control (capping, accept/reject, the h
     update, the underflow check and the error tally) in Python scalars,
@@ -418,16 +483,26 @@ def propagate_lanes(system, lanes, rtol: float = 1e-10):
     and error are bit for bit those of integrating it alone.
 
     Returns (results, work): results holds, per lane, the array of Phi of
-    shape (len(t_eval), d, d) and the accumulated error estimate; work
-    holds the `matrices` calls ("rounds"), the accepted and rejected steps
-    summed over the lanes, and the largest lane error ("est_error").
+    shape (len(t_eval), d, d) and its error tally.  The tally is the sum
+    of the max-abs local error estimates of the lane's accepted steps: a
+    rough size, not a bound on the global error, which it can overstate
+    or understate by two orders of magnitude.  work holds the `matrices`
+    calls ("rounds"), the accepted and rejected steps summed over the
+    lanes, the largest lane tally ("est_error"), the stage times
+    prefetched ("planned") and the trial steps whose stage times were not
+    all planned ("off_plan").
     """
     if not RTOL_RANGE[0] <= rtol <= RTOL_RANGE[1]:
         raise ValueError("rtol must lie in [%g, %g]" % RTOL_RANGE)
     atol = rtol * 1e-2
     d = system.dim
     lanes = [_Lane(float(s), t_eval, d) for s, t_eval in lanes]
-    work = {"rounds": 0, "accepted": 0, "rejected": 0}
+    planned = 6 * sum(len(lane.plan) for lane in lanes)
+    if planned:
+        system.prefetch(t + _DP_C[i] * h for lane in lanes
+                        for t, h in lane.plan.items() for i in range(1, 7))
+    work = {"rounds": 0, "accepted": 0, "rejected": 0, "planned": planned,
+            "off_plan": 0}
     active = [lane for lane in lanes if lane.ts]
     if active:
         Y = np.array([np.eye(d)] * len(active))
@@ -441,6 +516,8 @@ def propagate_lanes(system, lanes, rtol: float = 1e-10):
             if not active:
                 break
         hs = [lane.trial_step() for lane in active]
+        work["off_plan"] += sum(lane.plan.get(lane.t) != h
+                                for lane, h in zip(active, hs))
         H = np.array(hs)[:, None, None]
         Ks = system.matrices([lane.t + _DP_C[i] * h for lane, h in zip(active, hs)
                               for i in range(1, 7)]).reshape(len(active), 6, d, d)
@@ -544,7 +621,7 @@ def classify_stability(lanes: list, results: list, t_max: float) -> StabilityRep
     kappa_max = 0.0
     slope_max = -math.inf
     for (s, ts), (phis, _) in zip(lanes, results):
-        norms = np.array([np.linalg.norm(P, 2) for P in phis])
+        norms = np.linalg.norm(phis, 2, axis=(1, 2))
         running = np.maximum.accumulate(norms)
         for frac in (0.25, 0.5, 0.75, 1.0):
             T = s + frac * (t_max - s)

@@ -48,27 +48,44 @@ class EvaluationError(RuntimeError):
     """An integrand could not be evaluated (non-finite or raising)."""
 
 
-def window_integral(f, a: float, b: float) -> float:
-    """Gauss-Legendre integral of a vectorized integrand over [a, b]."""
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    ts = mid + half * _GL_NODES
-    vals = np.asarray(f(ts), dtype=float)
-    if vals.shape != ts.shape:
-        vals = np.broadcast_to(vals, ts.shape)
+def _gauss_legendre_sums(f, bounds) -> np.ndarray:
+    """Gauss-Legendre integrals of a vectorized f over the windows [a, b] of
+    bounds, from one call of f on all their nodes.
+
+    The nodes of a window are mid + half * _GL_NODES, as they are for the
+    window alone, and each window is summed by its own np.dot over its row
+    of values, so every integral is bit for bit that of its window alone.
+    EvaluationError names the first node, window by window, whose value is
+    not finite.
+    """
+    mids = np.array([0.5 * (a + b) for a, b in bounds])
+    halves = np.array([0.5 * (b - a) for a, b in bounds])
+    ts = mids[:, None] + halves[:, None] * _GL_NODES
+    vals = np.asarray(f(ts.ravel()), dtype=float)
+    if vals.shape != (ts.size,):
+        vals = np.broadcast_to(vals, (ts.size,))
     if not np.all(np.isfinite(vals)):
-        t_bad = float(ts[~np.isfinite(vals)][0])
+        t_bad = float(ts.ravel()[~np.isfinite(vals)][0])
         raise EvaluationError(
             f"integrand not finite at t={t_bad:.6g} (radius r={math.exp(-t_bad):.6g})"
         )
-    return float(half * np.dot(_GL_WEIGHTS, vals))
+    rows = vals.reshape(ts.shape)
+    return np.array([float(half * np.dot(_GL_WEIGHTS, row))
+                     for half, row in zip(halves.tolist(), rows)])
+
+
+def window_integral(f, a: float, b: float) -> float:
+    """Gauss-Legendre integral of a vectorized integrand over [a, b]: the
+    one-window case of `dyadic_window_sums`."""
+    return float(_gauss_legendre_sums(f, [(a, b)])[0])
 
 
 def dyadic_window_sums(f, n_windows: int) -> np.ndarray:
-    """Integrals of f(t) over the t-windows [k log2, (k+1) log2], k=0..n-1."""
-    return np.array(
-        [window_integral(f, k * LN2, (k + 1) * LN2) for k in range(n_windows)]
-    )
+    """Integrals of f(t) over the t-windows [k log2, (k+1) log2], k=0..n-1,
+    from one call of f on the (n_windows x 32) Gauss-Legendre node grid;
+    each window's integral is bit for bit its `window_integral`."""
+    return _gauss_legendre_sums(
+        f, [(k * LN2, (k + 1) * LN2) for k in range(n_windows)])
 
 
 def group_sums(sums: np.ndarray, group: int) -> np.ndarray:

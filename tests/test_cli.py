@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import tempfile
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 import numpy as np
 
-from regan import cli, dynsys
+from regan import cli, criteria, dynsys
 from regan.cli import (ANALYSES, MAX_CONFIG_BYTES, AnalysisConfig, ConfigError,
                        CriteriaConfig, PdeConfig, ProbeConfig, main, run_pipeline,
                        validate_config)
@@ -590,13 +591,62 @@ def test_seven_lane_probes_stage_batches_its_steps(tmp_path, monkeypatch):
                                          "t_max": 4.0}})
     payload = cli._stage_probes(config, family_from_descriptor(desc), tmp_path)
     work = payload["integrator"]
-    assert sorted(work) == ["accepted", "est_error", "rejected", "rounds"]
+    assert sorted(work) == ["accepted", "est_error", "off_plan", "planned",
+                            "rejected", "rounds"]
     steps = work["accepted"] + work["rejected"]
     # one batch per round for all seven lanes, not one per step
     assert len(calls) < steps / 3
     assert work["rounds"] < steps / 3
+    # nearly every step is capped at the next sample, so its stage times
+    # were planned
+    assert work["off_plan"] < steps / 10
+    assert work["planned"] >= 6 * (steps - work["off_plan"])
     assert 0.0 < work["est_error"] < 1e-6
     assert sum(calls) == payload["moments_work"]["radii"]
+
+
+@pytest.mark.parametrize("stage, most", [("probes", 120), ("criteria", 10)])
+def test_default_stages_evaluate_their_radii_in_few_batches(tmp_path, monkeypatch,
+                                                            stage, most):
+    # one batch per round (611 calls) and one per criteria window (121) before
+    # the probes planned their lanes and each window series became one call
+    calls = []
+    vectors = dynsys.moment_vectors
+    monkeypatch.setattr(dynsys, "moment_vectors",
+                        lambda *args: calls.append(len(args[1])) or vectors(*args))
+    config = validate_config({"schema": 1, "analyses": [stage],
+                              "family": builtin_families()["oscillatory_log"]})
+    report, code = run_pipeline(config, tmp_path)
+    assert code == 0
+    assert len(calls) <= most
+    assert max(calls) <= dynsys.FILL_BATCH
+    # besides the batches, the decoupled criterion reads its applicability
+    # samples one radius at a time through `matrix`
+    singles = report["results"][stage]["moments_work"]["radii"] - sum(calls)
+    assert 0 <= singles <= (criteria.APPLICABILITY_SAMPLES if stage == "criteria"
+                            else 0)
+
+
+@pytest.mark.parametrize("system", ["reduced", "full"])
+def test_field_not_finite_near_the_origin_fails_the_probes_stage(tmp_path, monkeypatch,
+                                                                 system):
+    # the plan evaluates radii before the first step; the failure still
+    # exits 3 with one line naming a radius where the field is not finite
+    r0 = 1e-3
+    field = family_from_descriptor(builtin_families()["oscillatory_log"])
+    holed = dataclasses.replace(field, a=lambda x, y: np.where(
+        np.hypot(x, y) < r0, np.nan, field.a(x, y)))
+    monkeypatch.setattr(cli.coeff, "family_from_descriptor", lambda desc: holed)
+    code, err = _main_exit(tmp_path, minimal_config(
+        analyses=["probes"], probes={"system": system, "s_grid": [0.0, 2.0],
+                                     "t_max": 12.0}))
+    assert code == 3
+    assert "Traceback" not in err
+    line, = err.strip().splitlines()
+    assert line.startswith("stage probes failed: coefficient a not finite at r=")
+    assert float(line.split("r=")[1].split(",")[0]) < r0
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert line.endswith(report["results"]["probes"]["error"].split(": ", 1)[1])
 
 
 def test_report_determinism(tmp_path):

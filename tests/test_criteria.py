@@ -4,7 +4,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from regan.coeff import (constant_laplacian, make_harmonic_family,
+from regan import tails
+from regan.coeff import (builtin_families, constant_laplacian,
+                         family_from_descriptor, make_harmonic_family,
                          make_radial_family, profile_log_inverse,
                          profile_log_oscillatory, profile_power)
 from regan.criteria import (LIPSCHITZ, NONE, SECOND_ORDER,
@@ -209,3 +211,45 @@ def test_criteria_probe_agreement_on_dini_family():
     sys = reduced_system(DINI_FIELD)
     assert uniform_stability_probe(sys, [0.0, 2.0, 5.0], 30.0).uniform_stability == STABLE
     assert asymptotic_constancy_probe(sys, 1.0, 30.0).asymptotic_constancy == CONSTANT
+
+
+STACK_FIELDS = {**builtin_families(),
+                **{f"trig_random-{seed}": {"family": "trig_random", "seed": seed}
+                   for seed in range(8)}}
+
+
+@pytest.mark.parametrize("desc", STACK_FIELDS.values(), ids=STACK_FIELDS.keys())
+def test_stacked_linear_algebra_is_bitwise_the_per_matrix_loop(desc):
+    # eigenvalue_bound's eigvalsh on the 120-window node grid and
+    # iterated_L1's products on its 80-window trapezoid grid, stacked and
+    # one matrix at a time, on the real stacks of R
+    system = reduced_system(family_from_descriptor(desc))
+    nodes = []
+    tails.dyadic_window_sums(lambda ts: nodes.append(ts) or np.zeros_like(ts), 120)
+    Rs = system.matrices(nodes[0])
+    stacked = np.linalg.eigvalsh(-0.5 * (Rs + np.swapaxes(Rs, 1, 2)))[:, -1]
+    assert np.array_equal(stacked, [np.linalg.eigvalsh(-0.5 * (R + R.T))[-1]
+                                    for R in Rs])
+    t_grid = np.linspace(0.0, 80 * tails.LN2, 80 * 16 + 1)
+    R_grid = system.matrices(t_grid)
+    dt = t_grid[1] - t_grid[0]
+    prefix = np.concatenate([np.zeros((1, 4, 4)), np.cumsum(
+        0.5 * dt * (R_grid[1:] + R_grid[:-1]), axis=0)])
+    inner = prefix[-len(t_grid) // 4:].mean(axis=0)[None] - prefix
+    assert np.array_equal(R_grid @ inner,
+                          [R @ block for R, block in zip(R_grid, inner)])
+
+
+@pytest.mark.parametrize("desc", builtin_families().values(),
+                         ids=builtin_families().keys())
+def test_stacked_spectral_norms_are_bitwise_the_per_matrix_loop(desc):
+    # classify_stability's norms of the stability lanes, on both systems
+    # (trig_random: test_trig_random_lanes_match_the_matrix_exponential)
+    field = family_from_descriptor(desc)
+    lanes = dynsys.stability_lanes([0.0, 5.0], 10.0)
+    for system in (reduced_system(field),
+                   dynsys.full_system(field).reduced_block_system()):
+        results, _ = dynsys.propagate_lanes(system, lanes)
+        for phis, _ in results:
+            assert np.array_equal(np.linalg.norm(phis, 2, axis=(1, 2)),
+                                  [np.linalg.norm(P, 2) for P in phis])

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.linalg import expm
 
 from regan.coeff import (CoefficientField, constant_laplacian, make_harmonic_family,
                          make_radial_family, make_trig_field,
@@ -14,10 +15,11 @@ from regan import dynsys
 from regan.dynsys import (CONSTANT, DIVERGENT, J_BASIS, J_BASIS_INV, M_INF,
                           STABLE, UNSTABLE, FullSystem, MatrixSystem,
                           ReducedSystem, SingularSystemError, StepUnderflowError,
-                          asymptotic_constancy_probe,
-                          full_system, propagate, propagate_dense,
+                          asymptotic_constancy_probe, classify_stability,
+                          constancy_lanes, full_system, propagate, propagate_dense,
                           propagate_lanes, reduced_system, reduction_deviation,
-                          second_harmonic_system, uniform_stability_probe)
+                          second_harmonic_system, stability_lanes,
+                          uniform_stability_probe)
 from regan.moments import QuadratureSettings, moment_vectors
 
 
@@ -234,23 +236,85 @@ def test_propagate_constant_diagonal_oracle():
     assert np.allclose(got.Phi, math.exp(-c * 4.0) * np.eye(4), rtol=1e-9)
 
 
-@pytest.mark.parametrize("system_cls, t_end", [(ReducedSystem, 12.0),
-                                               (FullSystem, 3.0)],
-                         ids=["reduced", "full"])
+def _probes_stage_lanes(s_grid, t_max, thin):
+    """The seven lanes of the probes stage (`cli._stage_probes`): five
+    stability lanes, the constancy lane from t = 1 and the trajectory lane,
+    each keeping every thin-th sample."""
+    ts = np.linspace(min(s_grid), t_max, 201)
+    lanes = (stability_lanes(s_grid, t_max) + constancy_lanes(1.0, t_max)
+             + [(float(ts[0]), ts)])
+    return [(s, t_eval[::thin]) for s, t_eval in lanes]
+
+
+@pytest.mark.parametrize("make_system, t_max", [
+    (ReducedSystem, 6.0),
+    (lambda field: FullSystem(field).reduced_block_system(), 6.0),
+    (FullSystem, 1.2)], ids=["reduced", "block", "full"])
 @pytest.mark.parametrize("field", [
     make_harmonic_family("a", profile_log_oscillatory(0.4, 1.0), 2),
     make_trig_field(3)], ids=["oscillatory_log", "trig_random-3"])
-def test_stage_batches_leave_propagation_bitwise_unchanged(field, system_cls, t_end):
-    # a MatrixSystem evaluates every stage alone through `matrix`, at the
-    # same times
-    batched = system_cls(field)
-    pointwise = MatrixSystem(system_cls.dim, system_cls(field).matrix)
-    ts = np.linspace(0.5, t_end, 47)
-    got, err = propagate_dense(batched, 0.0, ts, rtol=1e-10)
-    want, want_err = propagate_dense(pointwise, 0.0, ts, rtol=1e-10)
-    assert np.array_equal(got, want) and err == want_err
-    if system_cls is ReducedSystem:
+def test_stage_batches_leave_propagation_bitwise_unchanged(field, make_system, t_max):
+    # the planned and prefetched lanes against a MatrixSystem, which
+    # prefetches nothing and evaluates every stage alone through `matrix`,
+    # at the same times
+    batched = make_system(field)
+    pointwise = MatrixSystem(batched.dim, make_system(field).matrix)
+    lanes = _probes_stage_lanes(np.linspace(0.0, t_max / 3.0, 5), t_max, thin=5)
+    got, work = propagate_lanes(batched, lanes, rtol=1e-10)
+    want, want_work = propagate_lanes(pointwise, lanes, rtol=1e-10)
+    for (phis, err), (want_phis, want_err) in zip(got, want):
+        assert np.array_equal(phis, want_phis) and err == want_err
+    assert work == want_work
+    if isinstance(batched, ReducedSystem):
         assert batched.work["radii"] > 0
+
+
+def test_plan_prefetches_the_capped_path_once(monkeypatch):
+    field = make_harmonic_family("a", profile_log_oscillatory(0.4, 1.0), 2)
+    sys = ReducedSystem(field)
+    fills, after_fill = [], []
+
+    def prefetch(ts):
+        fills.append(list(ts))
+        ReducedSystem.prefetch(sys, fills[-1])
+        after_fill.append(sys.work["radii"])
+
+    monkeypatch.setattr(sys, "prefetch", prefetch)
+    # samples 0.04 apart: the first step (h = 0.05) is capped too, so every
+    # step is on the plan
+    ts = np.linspace(0.0, 3.0, 76)
+    _, work = propagate_lanes(sys, [(0.0, ts)])
+    assert len(fills) == 1
+    assert work["planned"] == len(fills[0]) == 6 * 75
+    assert (work["accepted"], work["rejected"], work["off_plan"]) == (75, 0, 0)
+    # the stage times of the step from the first sample to the second
+    assert fills[0][:6] == [c * ts[1] for c in dynsys._DP_C[1:]]
+    # past the plan, the rounds evaluate only the start radius r = 1
+    assert after_fill == [len(set(fills[0]))]
+    assert sys.work["radii"] == len(sys._memo) == after_fill[0] + 1
+    # samples 0.25 apart: error control shortens steps, and those are off
+    # the plan
+    _, work = propagate_lanes(ReducedSystem(field), [(0.0, ts[::6])])
+    assert 0 < work["off_plan"] <= work["accepted"] + work["rejected"]
+
+
+def test_prefetch_fills_in_bounded_batches(monkeypatch):
+    batches = []
+    vectors = dynsys.moment_vectors
+    monkeypatch.setattr(dynsys, "moment_vectors",
+                        lambda field, radii, quad: batches.append(len(radii))
+                        or vectors(field, radii, quad))
+    sys = ReducedSystem(make_radial_family("b", profile_power(0.2, 0.5)))
+    ts = np.linspace(0.0, 30.0, 2 * dynsys.FILL_BATCH + 100)
+    assert sys.prefetch(ts) is None
+    assert batches == [dynsys.FILL_BATCH, dynsys.FILL_BATCH, 100]
+    sys.matrices(ts)
+    assert len(batches) == 3 and sys.work["radii"] == len(ts)
+    # the block view fills the memo of its 8x8 system
+    full = FullSystem(make_trig_field(1))
+    full.reduced_block_system().prefetch([0.5, 1.0, 1.0])
+    assert sorted(full._memo) == [math.exp(-1.0), math.exp(-0.5)]
+    assert MatrixSystem(4, lambda t: pytest.fail("read")).prefetch([1.0]) is None
 
 
 def _serial_propagation(system, s, t_eval, rtol):
@@ -342,7 +406,8 @@ def test_lanes_of_nothing_do_no_work():
     sys = MatrixSystem(4, lambda t: pytest.fail("matrix was read"))
     results, work = propagate_lanes(sys, [(0.0, []), (2.0, [])])
     assert [phis.shape for phis, _ in results] == [(0, 4, 4)] * 2
-    assert work == {"rounds": 0, "accepted": 0, "rejected": 0, "est_error": 0.0}
+    assert work == {"rounds": 0, "accepted": 0, "rejected": 0, "est_error": 0.0,
+                    "planned": 0, "off_plan": 0}
 
 
 def test_underflowing_lane_raises_naming_its_t():
@@ -409,6 +474,30 @@ def test_time_reversal():
     assert np.max(np.abs(fwd @ bwd - np.eye(4))) <= 10.0 * rtol
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_trig_random_lanes_match_the_matrix_exponential(seed):
+    # trig_random is constant in r, so R(t) and the block view are constant
+    # for t >= 0 (to about 1e-17) and Phi(t, s) = expm(-K (t - s)); the
+    # lanes read 1e-15 relative to it at t <= 10
+    field = make_trig_field(seed)
+    lanes = stability_lanes([0.0, 2.0, 5.0], 10.0)
+    for system in (ReducedSystem(field), FullSystem(field).reduced_block_system()):
+        results, _ = propagate_lanes(system, lanes, rtol=1e-10)
+        K = system.matrix(5.0)
+        exact = [(np.array([expm(-K * (t - s)) for t in ts]), 0.0) for s, ts in lanes]
+        for (phis, _), (want, _) in zip(results, exact):
+            gap = np.max(np.abs(phis - want), axis=(1, 2))
+            assert np.all(gap <= 1e-12 * np.max(np.abs(want), axis=(1, 2)))
+            # the stacked spectral norm of `classify_stability` is the
+            # per-matrix one, bit for bit
+            assert np.array_equal(np.linalg.norm(phis, 2, axis=(1, 2)),
+                                  [np.linalg.norm(P, 2) for P in phis])
+        got = classify_stability(lanes, results, 10.0)
+        want = classify_stability(lanes, exact, 10.0)
+        assert got.uniform_stability == want.uniform_stability
+        assert got.kappa_max == pytest.approx(want.kappa_max, rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # probes
 # ---------------------------------------------------------------------------
@@ -463,8 +552,6 @@ def test_probe_full_system_reduced_block():
 
 
 def test_full_system_propagation_matches_matrix_exponential():
-    from scipy.linalg import expm
-
     sys = full_system(constant_laplacian())
     span = 1.5
     got = propagate(sys, 0.0, span, rtol=1e-11).Phi

@@ -101,6 +101,58 @@ def test_dyadic_window_sums_match_quadrature():
     assert np.allclose(sums, expect, atol=1e-13)
 
 
+def _window_integral_alone(f, a, b):
+    """The one-window Gauss-Legendre sum that `dyadic_window_sums` ran once
+    per window, kept as the oracle of its one-call form."""
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    ts = mid + half * tails._GL_NODES
+    vals = np.asarray(f(ts), dtype=float)
+    if vals.shape != ts.shape:
+        vals = np.broadcast_to(vals, ts.shape)
+    if not np.all(np.isfinite(vals)):
+        t_bad = float(ts[~np.isfinite(vals)][0])
+        raise tails.EvaluationError(
+            f"integrand not finite at t={t_bad:.6g} (radius r={math.exp(-t_bad):.6g})")
+    return float(half * np.dot(tails._GL_WEIGHTS, vals))
+
+
+def _modulus_integrands():
+    from regan.coeff import _guarded_eps, builtin_families, family_from_descriptor
+
+    for name, desc in builtin_families().items():
+        eps = _guarded_eps(family_from_descriptor(desc).modulus)
+        yield name, eps
+        yield name + "^2", lambda t, eps=eps: eps(t) ** 2
+
+
+@pytest.mark.parametrize("name, f", [
+    ("exp", lambda t: np.exp(-t)),
+    ("cos_over_t", lambda t: np.cos(t) / (1.0 + t)),
+    ("scalar", lambda t: 0.3),
+    *_modulus_integrands()], ids=lambda v: v if isinstance(v, str) else "")
+def test_dyadic_window_sums_are_one_call_and_bitwise_the_window_loop(name, f):
+    calls = []
+    sums = dyadic_window_sums(lambda t: calls.append(t.shape) or f(t), 120)
+    assert calls == [(120 * 32,)]
+    loop = [_window_integral_alone(f, k * LN2, (k + 1) * LN2) for k in range(120)]
+    assert np.array_equal(sums, loop)
+    assert window_integral(f, 2.0, 3.5) == _window_integral_alone(f, 2.0, 3.5)
+
+
+def test_dyadic_window_sums_name_the_first_non_finite_node():
+    # not finite from the middle of window 7 on
+    f = lambda t: np.where(t > 7.5 * LN2, np.nan, 1.0)
+    with pytest.raises(tails.EvaluationError) as got:
+        dyadic_window_sums(f, 12)
+    with pytest.raises(tails.EvaluationError) as want:
+        for k in range(12):
+            _window_integral_alone(f, k * LN2, (k + 1) * LN2)
+    assert str(got.value) == str(want.value)
+    t_bad = float(str(got.value).split("t=")[1].split()[0])
+    assert 7.5 * LN2 < t_bad < 7.6 * LN2
+
+
 def boundary_times(n=121):
     return np.arange(n) * LN2
 
