@@ -38,6 +38,13 @@ The probes stage reports the work of its propagation in
 (`planned`), the trial steps off that plan (`off_plan`) and `est_error`,
 the largest lane's sum of per-step max-abs local error estimates.  That
 sum is a rough size of the integration error, not a bound on it.
+
+`moments_work` counts the radii a radial system evaluated (`radii`) and
+those whose quadrature stopped at the node cap (`cap_hits`): in
+`results.probes` for the system the probes propagated (the reduced system,
+or the 8x8 system under the block view, reduction check included), in
+`results.criteria` for the criteria's reduced system and in
+`results.compare` for the field's 8x8 system.
 """
 from __future__ import annotations
 
@@ -58,8 +65,8 @@ ANALYSES = ("validate", "moments", "probes", "criteria", "pde", "compare")
 NO_GUARANTEE = "no_guarantee"
 
 # size limits checked up front: past about 1075 dyadic windows e^-t
-# underflows to r = 0, `eps` clamps t at 700, and each halving of pde.h
-# quadruples the unknowns (123,201 at h = 2^-8)
+# underflows to r = 0, the reduction check clamps t at 700, and each
+# halving of pde.h quadruples the unknowns (123,201 at h = 2^-8)
 MAX_WINDOWS = 1000
 MAX_T = 700.0
 MIN_H = 2.0**-9
@@ -279,11 +286,12 @@ def _stage_moments(config, field, out_dir):
 
 def _stage_probes(config, field, out_dir):
     pc = config.probes
-    reduced = dynsys.reduced_system(field)
-    full = dynsys.full_system(field)
+    reduced = dynsys.ReducedSystem(field)
+    full = dynsys.FullSystem(field)
     # the raw 8x8 system carries a genuine exp(+2t) branch; its stability
-    # semantics live on the conjugated neutral block
-    system = full.reduced_block_system() if pc.system == "full" else reduced
+    # semantics live on the conjugated neutral block, which reads `full`
+    radial = full if pc.system == "full" else reduced
+    system = full.reduced_block_system() if radial is full else reduced
     # the stability lanes, the constancy lane and the trajectory lane run in
     # lockstep, and each probe reads its own slice of the results
     stab_lanes = dynsys.stability_lanes(pc.s_grid, pc.t_max)
@@ -323,13 +331,13 @@ def _stage_probes(config, field, out_dir):
             "ratio": reduction["ratio"],
             "eps_zero": reduction["eps_zero"],
         },
-        "moments_work": dict(reduced.work),
+        "moments_work": dict(radial.work),
         "integrator": integrator,
     }
 
 
 def _stage_criteria(config, field, out_dir):
-    system = dynsys.reduced_system(field)
+    system = dynsys.ReducedSystem(field)
     results = criteria.run_all_criteria(system, config.criteria.n_windows,
                                         config.criteria.prefix_windows)
     payload = []
@@ -375,6 +383,8 @@ def _pde_radii(h: float) -> np.ndarray:
 
 
 def _stage_pde(config, field, out_dir):
+    """The pde payload, and the field's and the control's profiles, which
+    the compare stage reads."""
     pc = config.pde
     sol = pdelab.solve_dirichlet(field, pc.h, pc.boundary)
     control = pdelab.solve_dirichlet(coeff.constant_laplacian(), pc.h, pc.boundary)
@@ -392,7 +402,7 @@ def _stage_pde(config, field, out_dir):
         / scale,
     }
     hq = pdelab.hessian_quotients(sol, [2, 4, 8, 16])
-    diag = pdelab.regularity_diagnostics(prof, field.modulus, floor)
+    verdicts = pdelab.regularity_diagnostics(prof, field.modulus, floor)
     pdelab.write_profile_csv(out_dir / "profile.csv", prof)
     pdelab.write_profile_csv(out_dir / "profile_control.csv", prof_control)
     pdelab.write_solution_csv(out_dir / "solution.csv", sol)
@@ -405,20 +415,16 @@ def _stage_pde(config, field, out_dir):
         "profile_csv": "profile.csv",
         "control_profile_csv": "profile_control.csv",
         "solution_csv": "solution.csv",
-        "verdicts": diag.verdicts,
+        "verdicts": verdicts,
         "max_projection_residual": float(np.max(prof.projection_residual)),
         "hessian": {"rows": [[float(v) for v in row] for row in hq["rows"]],
                     "cauchy_differences": hq["cauchy_differences"]},
-        "_profile": prof,
-        "_profile_control": prof_control,
-    }
+    }, (prof, prof_control)
 
 
-def _stage_compare(config, field, out_dir, pde_payload):
-    prof = pde_payload.pop("_profile")
-    prof_control = pde_payload.pop("_profile_control")
-    system = dynsys.full_system(field)
-    control_sys = dynsys.full_system(coeff.constant_laplacian())
+def _stage_compare(config, field, prof, prof_control):
+    system = dynsys.FullSystem(field)
+    control_sys = dynsys.FullSystem(coeff.constant_laplacian())
     table = pdelab.compare_with_dynamics(prof, system, config.probes.rtol)
     control_table = pdelab.compare_with_dynamics(prof_control, control_sys,
                                                  config.probes.rtol)
@@ -429,6 +435,7 @@ def _stage_compare(config, field, out_dir, pde_payload):
         "control_floor": floor,
         "max_relative_deviation": max(table["relative_deviation"]),
         "within_10x_floor": bool(max(table["relative_deviation"]) <= 10.0 * floor),
+        "moments_work": dict(system.work),
     }
 
 
@@ -455,7 +462,6 @@ STAGES = {
     "moments": _stage_moments,
     "probes": _stage_probes,
     "criteria": _stage_criteria,
-    "pde": _stage_pde,
 }
 
 
@@ -468,12 +474,14 @@ def run_pipeline(config: AnalysisConfig, out_dir) -> tuple[dict, int]:
     timings: dict = {}
     exit_code = 0
     ordered = [name for name in ANALYSES if name in config.analyses]
+    profiles = None
     for name in ordered:
         start = time.perf_counter()
         try:
-            if name == "compare":
-                results[name] = _stage_compare(config, field, out_dir,
-                                               results["pde"])
+            if name == "pde":
+                results[name], profiles = _stage_pde(config, field, out_dir)
+            elif name == "compare":
+                results[name] = _stage_compare(config, field, *profiles)
             else:
                 results[name] = STAGES[name](config, field, out_dir)
         except Exception as exc:  # noqa: BLE001 - report and stop
@@ -483,8 +491,6 @@ def run_pipeline(config: AnalysisConfig, out_dir) -> tuple[dict, int]:
             print(f"stage {name} failed: {exc}", file=sys.stderr)
             break
         timings[name] = time.perf_counter() - start
-    results.get("pde", {}).pop("_profile", None)
-    results.get("pde", {}).pop("_profile_control", None)
 
     report = {
         "schema": 1,

@@ -105,12 +105,20 @@ def profile_log_inverse(gamma: float) -> RadialProfile:
     return RadialProfile(g, g, f"log_inverse(gamma={gamma})")
 
 
+# the largest |eta| of `profile_log_oscillatory`: a run's steps and radii
+# grow with the oscillation rate (a default probes stage took 1.3 s at
+# eta = 1 and 80 s at eta = 1000), so a larger eta is refused up front
+MAX_ETA = 100.0
+
+
 def profile_log_oscillatory(gamma: float, eta: float) -> RadialProfile:
-    """g(r) = gamma * cos(eta*log(1/r)) / (1 + log(1/r)).
+    """g(r) = gamma * cos(eta*log(1/r)) / (1 + log(1/r)), for |eta| <= MAX_ETA.
 
     Sign changes make |g| non-monotone, so the declared envelope is the
     monotone majorant gamma / (1 + log(1/r)).
     """
+    if not abs(eta) <= MAX_ETA:
+        raise ValueError(f"eta must lie in [-{MAX_ETA:g}, {MAX_ETA:g}], got {eta!r}")
 
     def g(r):
         r = np.asarray(r, dtype=float)
@@ -267,8 +275,12 @@ def make_trig_field(seed: int, degree: int = 6, amplitude: float = 0.2) -> Coeff
 
     Each coefficient gets sum_n (alpha_n cos n*phi + beta_n sin n*phi) with
     n <= degree and sum |alpha| + |beta| = amplitude, constant in r.  Used
-    for cross-check suites where only the circle structure matters.
+    for cross-check suites where only the circle structure matters.  The
+    amplitude must lie in [0, 1/2], the bound on |g| of the profile
+    families, so that a, c >= 1/2 and the declared ellipticity holds.
     """
+    if not 0.0 <= amplitude <= 0.5:
+        raise ValueError(f"amplitude must lie in [0, 0.5], got {amplitude!r}")
     rng = np.random.default_rng(seed)
     coeffs = {}
     for name in _TARGETS:
@@ -385,10 +397,6 @@ class ModulusClassification:
 
     dini: TailAnalysis
     square_dini: TailAnalysis
-
-    @property
-    def verdicts(self) -> dict:
-        return {"dini": self.dini.verdict, "square_dini": self.square_dini.verdict}
 
 
 def _guarded_eps(m: ModulusOfContinuity):

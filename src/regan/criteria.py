@@ -50,15 +50,6 @@ class CriterionResult:
     flags: tuple = ()
     witness: dict = dc_field(default_factory=dict)
 
-    def as_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "verdict": self.verdict,
-            "implied_conclusion": self.implied_conclusion,
-            "flags": list(self.flags),
-            "witness": self.witness,
-        }
-
 
 TOL = 0.05                     # tail-estimate tolerance for convergence
 GROUP = 4                      # window aggregation against oscillation

@@ -12,11 +12,14 @@ t = -log r:
 Both are radial systems: each radius r = min(1, e^-t) is evaluated once
 and memoised by r, uncached radii are evaluated in batches of at most
 FILL_BATCH radii, each one batched moments call and one stacked assembly,
-and a system reads as `dim`, `matrix(t)`, `matrices(ts)`, `prefetch(ts)`
-and `eps(t)`.  `prefetch` only fills the memo, so a caller that knows
-which times it will read can have their radii evaluated in a few large
-batches.  The neutral 4x4 block of the conjugated 8x8 system, on which
-the stability statements are made, is a view that reads the same memo
+and `work` counts the radii evaluated and those that hit the node cap.  A
+system reads as `dim`, `matrix(t)`, `matrices(ts)` and `prefetch(ts)`;
+`matrix` is the one-row case of `matrices`, except on `ReducedSystem`,
+where an uncached radius read alone goes through `moment_vector`.
+`prefetch` only fills the memo, so a caller that knows which times it will
+read can have their radii evaluated in a few large batches.  The neutral
+4x4 block of the conjugated 8x8 system, on which the stability statements
+are made, is a view that reads the same memo
 (`FullSystem.reduced_block_system`).
 
 Fundamental matrices are propagated with an adaptive Dormand-Prince 5(4)
@@ -92,13 +95,14 @@ FILL_BATCH = 1024
 class _RadialSystem:
     """A system in t = -log r built from circle means of a field at r = min(1, e^-t).
 
-    Each radius is evaluated once and memoised, whatever t asked for it.
-    A subclass says how to evaluate one radius (`_one`) and a batch of
-    radii (`_batch`, which returns one drift matrix per radius).
-    `prefetch(ts)` evaluates the uncached radii of ts in `_batch` calls of
-    at most FILL_BATCH radii and builds no stack; `matrices(ts)` does the
-    same fill and then stacks the drift matrices; `matrix(t)` of a single
-    uncached t goes through `_one`.
+    Each radius is evaluated once and memoised, whatever t asked for it.  A
+    subclass says how to evaluate a batch of radii (`_batch`, which returns
+    one drift matrix per radius and the mask of radii that hit the node
+    cap) and defines `matrix(t)`.  `prefetch(ts)` evaluates the uncached
+    radii of ts in `_batch` calls of at most FILL_BATCH radii and builds no
+    stack; `matrices(ts)` does the same fill and then stacks the drift
+    matrices.  `work` counts, where the memo is filled, the radii evaluated
+    and those that hit the node cap.
     """
 
     def __init__(self, field: CoefficientField,
@@ -106,13 +110,12 @@ class _RadialSystem:
         self.field = field
         self.quad = quad
         self._memo: dict = {}
+        self.work = {"radii": 0, "cap_hits": 0}
 
-    def _at(self, t: float) -> np.ndarray:
-        r = min(1.0, math.exp(-t))
-        entry = self._memo.get(r)
-        if entry is None:
-            entry = self._memo[r] = self._one(r)
-        return entry
+    def _store(self, radii: list, mats, capped) -> None:
+        self._memo.update(zip(radii, mats))
+        self.work["radii"] += len(radii)
+        self.work["cap_hits"] += int(np.count_nonzero(capped))
 
     def _fill(self, radii) -> None:
         """Memoise the uncached radii of an iterable, in order of first
@@ -122,10 +125,10 @@ class _RadialSystem:
             if r not in self._memo:
                 batch[r] = None
                 if len(batch) == FILL_BATCH:
-                    self._memo.update(zip(batch, self._batch(list(batch))))
+                    self._store(list(batch), *self._batch(list(batch)))
                     batch = {}
         if batch:
-            self._memo.update(zip(batch, self._batch(list(batch))))
+            self._store(list(batch), *self._batch(list(batch)))
 
     def prefetch(self, ts) -> None:
         """Evaluate and memoise the radii of the times ts (any iterable)."""
@@ -137,9 +140,6 @@ class _RadialSystem:
         self._fill(radii)
         return np.array([self._memo[r] for r in radii])
 
-    def eps(self, t: float) -> float:
-        return float(self.field.modulus(math.exp(-min(t, 700.0))))
-
 
 class ReducedSystem(_RadialSystem):
     """t -> 4x4 drift matrix R(t) of the six second-harmonic moments at r = e^-t.
@@ -147,38 +147,22 @@ class ReducedSystem(_RadialSystem):
     This is the one path from a field to R(t): the probes and every
     criterion read `matrix` and `matrices` of a shared instance.  A batch
     of radii is one `moment_vectors` call (chunked there) and one stacked
-    `moment_matrices`, a single radius one `moment_vector` call.  `work`
-    counts the radii evaluated and those that hit the node cap.
+    `moment_matrices`; an uncached radius read alone through `matrix` is
+    one `moment_vector` call.
     """
 
     dim = 4
 
-    def __init__(self, field: CoefficientField,
-                 quad: QuadratureSettings = DEFAULT_QUADRATURE):
-        super().__init__(field, quad)
-        self.work = {"radii": 0, "cap_hits": 0}
-
-    def _count(self, capped) -> None:
-        self.work["radii"] += len(capped)
-        self.work["cap_hits"] += int(np.count_nonzero(capped))
-
-    def _one(self, r: float) -> np.ndarray:
-        m = moment_vector(self.field, r, self.quad)
-        self._count([m.capped])
-        return moment_matrix(m)
-
-    def _batch(self, radii: list) -> list:
+    def _batch(self, radii: list):
         m6, capped = moment_vectors(self.field, radii, self.quad)
-        self._count(capped)
-        return list(moment_matrices(m6))
+        return moment_matrices(m6), capped
 
     def matrix(self, t: float) -> np.ndarray:
-        return self._at(t)
-
-
-def reduced_system(field: CoefficientField,
-                   quad: QuadratureSettings = DEFAULT_QUADRATURE) -> ReducedSystem:
-    return ReducedSystem(field, quad)
+        r = min(1.0, math.exp(-t))
+        if r not in self._memo:
+            m = moment_vector(self.field, r, self.quad)
+            self._store([r], [moment_matrix(m)], [m.capped])
+        return self._memo[r]
 
 
 def second_harmonic_system(g_tilde: Callable[[float], float]) -> MatrixSystem:
@@ -262,24 +246,15 @@ class FullSystem(_RadialSystem):
     O(eps^2) term.  All forcing from the higher-harmonic remainder field is
     dropped: this is the homogeneous system the stability statements
     condition on.  Each radius memoises M.  A batch of radii is one
-    `block_tables` call and one stacked `_assemble`; a single radius reads
-    `block_table` and goes through the same assembly as a stack of one.
-    The effective blocks, S1 and S2 are recomputed from a fresh
-    `block_table` when asked for.
+    `block_tables` call and one stacked `_assemble`.  The effective blocks,
+    S1 and S2 are recomputed from a fresh `block_table` when asked for.
     """
 
     dim = 8
 
-    def _one(self, r: float) -> np.ndarray:
-        return self._assembled(self._table_of_one(r))[0][0]
-
-    def _batch(self, radii: list) -> list:
-        return list(self._assembled(block_tables(self.field, radii, self.quad))[0])
-
-    def _table_of_one(self, r: float) -> BlockTable:
-        """The `block_table` at r as a stack of one radius."""
-        return _map_tables(lambda v: np.asarray(v)[None],
-                           block_table(self.field, r, self.quad))
+    def _batch(self, radii: list):
+        bt, capped = block_tables(self.field, radii, self.quad)
+        return self._assembled(bt)[0], capped
 
     @staticmethod
     def _assembled(bt: BlockTable):
@@ -298,7 +273,7 @@ class FullSystem(_RadialSystem):
                 f"quadrature block singular at r={r:.6g}") from exc
 
     def matrix(self, t: float) -> np.ndarray:
-        return self._at(t)
+        return self.matrices([t])[0]
 
     def s1(self, t: float) -> np.ndarray:
         """First-order remainder S1, from the raw (uncorrected) blocks."""
@@ -314,16 +289,9 @@ class FullSystem(_RadialSystem):
 
     def eff_blocks(self, t: float):
         """(a_eff, b_eff, bt_eff, c_eff) at r = min(1, e^-t)."""
-        _, eff = self._assembled(self._table_of_one(min(1.0, math.exp(-t))))
+        bt = block_table(self.field, min(1.0, math.exp(-t)), self.quad)
+        _, eff = self._assembled(_map_tables(lambda v: np.asarray(v)[None], bt))
         return tuple(block[0] for block in eff)
-
-    def conjugated_remainder(self, t: float) -> np.ndarray:
-        """J^-1 M(t) J minus the limiting diagonal diag(0_4, -2 I_4)."""
-        return _conjugate(self.matrix(t))
-
-    def reduced_block(self, t: float) -> np.ndarray:
-        """Top-left 4x4 block of the conjugated remainder."""
-        return self.conjugated_remainder(t)[:4, :4]
 
     def reduced_block_system(self) -> ReducedBlockSystem:
         return ReducedBlockSystem(self)
@@ -334,8 +302,8 @@ class ReducedBlockSystem:
 
     A radial view with no memo of its own: `matrices(ts)` conjugates the
     stack `full.matrices(ts)`, so the view and the 8x8 system share one
-    memo and one batch per call; `prefetch(ts)` fills that memo and
-    `matrix(t)` is `full.reduced_block(t)`.
+    memo, one batch per call and one `work` ledger; `prefetch(ts)` fills
+    that memo and `matrix(t)` is the one-row case of `matrices`.
     """
 
     dim = 4
@@ -344,21 +312,13 @@ class ReducedBlockSystem:
         self.full = full
 
     def matrix(self, t: float) -> np.ndarray:
-        return self.full.reduced_block(t)
+        return self.matrices([t])[0]
 
     def matrices(self, ts) -> np.ndarray:
         return _conjugate(self.full.matrices(ts))[:, :4, :4]
 
     def prefetch(self, ts) -> None:
         self.full.prefetch(ts)
-
-    def eps(self, t: float) -> float:
-        return self.full.eps(t)
-
-
-def full_system(field: CoefficientField,
-                quad: QuadratureSettings = DEFAULT_QUADRATURE) -> FullSystem:
-    return FullSystem(field, quad)
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +544,6 @@ MIN_SAMPLES = 200
 class StabilityReport:
     """Aggregated probe verdicts; either part may be absent."""
 
-    horizon: float
     kappa_samples: list = dc_field(default_factory=list)   # (s, T, kappa)
     uniform_stability: Optional[str] = None
     kappa_max: float = math.nan
@@ -617,7 +576,7 @@ def classify_stability(lanes: list, results: list, t_max: float) -> StabilityRep
     the horizon; stable means kappa stays under the threshold with no such
     trend.
     """
-    report = StabilityReport(horizon=t_max)
+    report = StabilityReport()
     kappa_max = 0.0
     slope_max = -math.inf
     for (s, ts), (phis, _) in zip(lanes, results):
@@ -675,7 +634,7 @@ def classify_constancy(lanes: list, results: list, t_max: float) -> StabilityRep
     """
     (t0, ts), = lanes
     (phis, _), = results
-    report = StabilityReport(horizon=t_max)
+    report = StabilityReport()
     dev_half_max = 0.0
     growth_max = 0.0
     for k in range(phis.shape[-1]):
@@ -726,7 +685,10 @@ def reduction_deviation(full: FullSystem, reduced: ReducedSystem,
     ts = np.asarray(list(ts), dtype=float)
     gaps = full.reduced_block_system().matrices(ts) - reduced.matrices(ts)
     devs = np.max(np.abs(gaps), axis=(1, 2))
-    epss = np.array([full.eps(t) for t in ts])
+    # the scalar exp of each t: np.exp differs from math.exp in the last bit
+    # for some t, and that would move the ratios
+    epss = np.array([float(full.field.modulus(math.exp(-min(t, 700.0))))
+                     for t in ts])
     defined = epss**2 > 0.0
     ratio = np.full(len(ts), math.nan)
     ratio[defined] = devs[defined] / epss[defined]**2
@@ -736,8 +698,6 @@ def reduction_deviation(full: FullSystem, reduced: ReducedSystem,
              if np.count_nonzero(tail) >= 3 else None)
     return {
         "t": ts.tolist(),
-        "deviation": devs.tolist(),
-        "eps": epss.tolist(),
         "ratio": [float(v) if ok else None for v, ok in zip(ratio, defined)],
         "max_ratio": float(np.max(ratio[defined])) if defined.any() else None,
         "tail_slope": slope,

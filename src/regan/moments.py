@@ -238,21 +238,22 @@ def _refine_radii(level: Callable, field: CoefficientField, radii: np.ndarray,
 
 
 def _stacked_tables(field: CoefficientField, radii: np.ndarray,
-                    quad: QuadratureSettings) -> list:
+                    quad: QuadratureSettings):
     """The six moments and the eight block tables at each radius, converged
-    per radius in every entry, each with a leading radius axis."""
+    per radius in every entry, each with a leading radius axis, and the
+    mask of radii that hit the node cap."""
     ends = np.cumsum([math.prod(shape) for shape in _TABLE_SHAPES])
-    flat = (_refine_radii(_tables_at, field, radii, quad)[0] if radii.size
-            else np.zeros((0, ends[-1])))
+    flat, capped = (_refine_radii(_tables_at, field, radii, quad) if radii.size
+                    else (np.zeros((0, ends[-1])), np.zeros(0, dtype=bool)))
     return [part.reshape((radii.size,) + shape) for part, shape
-            in zip(np.split(flat, ends[:-1], axis=1), _TABLE_SHAPES)]
+            in zip(np.split(flat, ends[:-1], axis=1), _TABLE_SHAPES)], capped
 
 
 def _converged_tables(field: CoefficientField, r: float,
                       quad: QuadratureSettings):
     """(six moments, eight block tables) at the first node level that agrees
     with the previous one in every entry."""
-    m6, *tabs = _stacked_tables(field, np.array([float(r)]), quad)
+    (m6, *tabs), _ = _stacked_tables(field, np.array([float(r)]), quad)
     return m6[0], tuple(tab[0] for tab in tabs)
 
 
@@ -323,17 +324,19 @@ def block_table(field: CoefficientField, r: float,
 
 
 def block_tables(field: CoefficientField, radii,
-                 quad: QuadratureSettings = DEFAULT_QUADRATURE) -> BlockTable:
-    """The block tables at each of k radii, stacked: a `BlockTable` whose r
-    is the (k,) array of radii and whose tables carry a leading radius axis.
+                 quad: QuadratureSettings = DEFAULT_QUADRATURE):
+    """The block tables at each of k radii, stacked, and the cap mask.
 
-    The node levels run as in `moment_vectors`, with convergence tested on
-    every entry of a radius's moments and tables; each row is, bit for bit,
-    the `block_table` of its radius.
+    Returns (tables, capped): a `BlockTable` whose r is the (k,) array of
+    radii and whose tables carry a leading radius axis, and the (k,) mask
+    of the radii whose node doubling stopped at max_nodes without
+    converging.  The node levels run as in `moment_vectors`, with
+    convergence tested on every entry of a radius's moments and tables;
+    each row is, bit for bit, the `block_table` of its radius.
     """
     radii = _radius_array(radii)
-    _, *tabs = _stacked_tables(field, radii, quad)
-    return BlockTable(radii, *tabs)
+    (_, *tabs), capped = _stacked_tables(field, radii, quad)
+    return BlockTable(radii, *tabs), capped
 
 
 def moment_matrix_residual(field: CoefficientField, r: float,

@@ -259,24 +259,30 @@ class DecompositionProfile:
     reconstruction_residual: np.ndarray
 
 
-def _circle_split(U, h, r, phi):
-    """Mean / first-moment / remainder split of U on the circle of radius r."""
+def _circle_split(U, h, rho, phi):
+    """Mean / first-moment / remainder split of U on the circles of radii rho.
+
+    All circles are sampled in one `bilinear_sample` call per component and
+    the means run along the contiguous node axis.  Returns U0, V1 and V2 of
+    shape (2, len(rho)), the remainder W of shape (2, len(rho), nodes), and
+    the projection and reconstruction residuals of the first circle.
+    """
     ct, st = np.cos(phi), np.sin(phi)
-    x, y = r * ct, r * st
+    x, y = rho[:, None] * ct, rho[:, None] * st
     vals = np.stack([bilinear_sample(U[0], h, x, y),
                      bilinear_sample(U[1], h, x, y)])
-    u0 = vals.mean(axis=1)
-    c1 = 2.0 * (vals * ct).mean(axis=1)
-    c2 = 2.0 * (vals * st).mean(axis=1)
-    v1, v2 = c1 / r, c2 / r
-    w = vals - u0[:, None] - np.outer(v1, r * ct) - np.outer(v2, r * st)
-    scale = max(float(np.max(np.abs(vals))), 1e-300)
-    moments = [np.abs(w.mean(axis=1)), np.abs((w * ct).mean(axis=1)),
-               np.abs((w * st).mean(axis=1))]
+    u0 = vals.mean(axis=-1)
+    v1 = 2.0 * (vals * ct).mean(axis=-1) / rho
+    v2 = 2.0 * (vals * st).mean(axis=-1) / rho
+    w = vals - u0[..., None] - v1[..., None] * x - v2[..., None] * y
+    vals0, w0 = vals[:, 0], w[:, 0]
+    scale = max(float(np.max(np.abs(vals0))), 1e-300)
+    moments = [np.abs(w0.mean(axis=1)), np.abs((w0 * ct).mean(axis=1)),
+               np.abs((w0 * st).mean(axis=1))]
     proj_res = float(max(np.max(m) for m in moments)) / scale
-    recon = vals - (u0[:, None] + np.outer(v1, x) + np.outer(v2, y) + w)
+    recon = vals0 - (u0[:, :1] + v1[:, :1] * x[0] + v2[:, :1] * y[0] + w0)
     recon_res = float(np.mean(np.abs(recon)))
-    return u0, v1, v2, w, vals, proj_res, recon_res
+    return u0, v1, v2, w, proj_res, recon_res
 
 
 def decompose(U: np.ndarray, h: float, radii) -> DecompositionProfile:
@@ -284,8 +290,12 @@ def decompose(U: np.ndarray, h: float, radii) -> DecompositionProfile:
 
     Circle values come from bilinear interpolation; radii must stay inside
     (4h, L/2) so interpolation is trustworthy and the annulus r < |x| < 2r
-    fits in the grid.  W has zero mean and first moments on every circle by
-    construction; the achieved residuals are recorded.
+    fits in the grid.  Each radius r is split once, together with the
+    ANNULUS_RADII circles of its annulus (np.geomspace(r, 2r), whose first
+    circle is r itself): U0, V and the residuals are read from the circle
+    r, and the annulus L^p means of W from all of them.  W has zero mean
+    and first moments on every circle by construction; the achieved
+    residuals are recorded.
     """
     radii = np.sort(np.asarray(radii, dtype=float))
     lo, hi = 4.0 * h, HALF_WIDTH / 2.0
@@ -304,16 +314,12 @@ def decompose(U: np.ndarray, h: float, radii) -> DecompositionProfile:
     dphi = 2.0 * math.pi / CIRCLE_NODES
 
     for k, r in enumerate(radii):
-        u0, v1, v2, _, _, pr, rr = _circle_split(U, h, r, phi)
-        U0[k] = u0
-        V[k] = np.concatenate([v1, v2])
-        proj[k], recon[k] = pr, rr
-
+        # one 1-D rho per annulus: np.gradient takes the radii of one axis
         rho = np.geomspace(r, 2.0 * r, ANNULUS_RADII)
-        Wpatch = np.empty((2, ANNULUS_RADII, CIRCLE_NODES))
-        for m, rm in enumerate(rho):
-            _, _, _, w, _, _, _ = _circle_split(U, h, rm, phi)
-            Wpatch[:, m, :] = w
+        u0, v1, v2, Wpatch, proj[k], recon[k] = _circle_split(U, h, rho, phi)
+        U0[k] = u0[:, 0]
+        V[k] = np.concatenate([v1[:, 0], v2[:, 0]])
+
         dW_drho = np.gradient(Wpatch, rho, axis=1, edge_order=2)
         dW_dphi = (np.roll(Wpatch, -1, axis=2) - np.roll(Wpatch, 1, axis=2)) / (2.0 * dphi)
         grad_sq = dW_drho**2 + (dW_dphi / rho[None, :, None]) ** 2
@@ -363,18 +369,6 @@ PERSISTENT = "persistent"
 INCONCLUSIVE = "inconclusive"
 
 
-@dataclass
-class RegularityDiagnostics:
-    """Indicator tables plus threshold verdicts, all against a floor."""
-
-    radii: np.ndarray
-    lipschitz_table: np.ndarray       # |V| + |r V'|
-    rvp_table: np.ndarray             # |r V'|
-    w_ratio_table: np.ndarray         # M1p(W, r) / (omega(r) r)
-    u0_ratio_table: np.ndarray        # |U0(r) - U0(r_min)| / (omega(r) r)
-    verdicts: dict
-
-
 def _per_radius_floor(floor, key, n):
     if floor is None or key not in floor:
         return np.zeros(n)
@@ -401,13 +395,16 @@ MIN_PROFILE_RADII = 8
 
 
 def regularity_diagnostics(prof: DecompositionProfile, modulus,
-                           floor: Optional[dict] = None) -> RegularityDiagnostics:
+                           floor: Optional[dict] = None) -> dict:
     """Threshold verdicts for the regularity indicators of a profile.
 
-    Requires at least MIN_PROFILE_RADII radii.  Trends are judged on the 4
-    smallest radii against three times the per-key floor (the
-    constant-coefficient control value at the same radii); everything below
-    that is resolution, not signal.
+    The indicators are |V| + |r V'| ("lipschitz"), |r V'|
+    ("differentiability"), M1p(W, r) / (omega(r) r) ("w_growth") and
+    |U0(r) - U0(r_min)| / (omega(r) r) ("u0_growth").  Requires at least
+    MIN_PROFILE_RADII radii.  Trends are judged on the 4 smallest radii
+    against three times the per-key floor (the constant-coefficient control
+    value at the same radii); everything below that is resolution, not
+    signal.  Returns the verdict per indicator.
     """
     n = prof.radii.size
     if n < MIN_PROFILE_RADII:
@@ -425,15 +422,13 @@ def regularity_diagnostics(prof: DecompositionProfile, modulus,
     sel = slice(3, None, -1)
     floors = {key: _per_radius_floor(floor, key, n)
               for key in ("lip", "rvp", "w_ratio", "u0_ratio")}
-    verdicts = {
+    return {
         "lipschitz": _trend_verdict(lip[sel], floors["lip"][sel]),
         "differentiability": _trend_verdict(
             rvp[sel], floors["rvp"][sel], grow_word=PERSISTENT, ok_word=VANISHING),
         "w_growth": _trend_verdict(w_ratio[sel], floors["w_ratio"][sel]),
         "u0_growth": _trend_verdict(u0_ratio[sel], floors["u0_ratio"][sel]),
     }
-    return RegularityDiagnostics(prof.radii, lip, rvp, w_ratio, u0_ratio,
-                                 verdicts)
 
 
 def compare_with_dynamics(prof: DecompositionProfile, system: FullSystem,
@@ -463,9 +458,7 @@ def compare_with_dynamics(prof: DecompositionProfile, system: FullSystem,
     back = np.argsort(radii)
     return {
         "radii": radii[back].tolist(),
-        "deviation": dev[back].tolist(),
         "relative_deviation": (dev[back] / scale).tolist(),
-        "scale": scale,
     }
 
 

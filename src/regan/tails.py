@@ -228,9 +228,6 @@ class PrefixVerdict:
     verdict: str
     witness: dict
 
-    def as_dict(self) -> dict:
-        return {"verdict": self.verdict, **self.witness}
-
 
 def _range_tables(C: np.ndarray, bounds):
     ranges, drifts = [], []

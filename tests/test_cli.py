@@ -134,6 +134,27 @@ def test_pipeline_pde_and_compare(tmp_path):
     compare = report["results"]["compare"]
     assert compare["within_10x_floor"] in (True, False)
     assert compare["max_relative_deviation"] <= 10.0 * compare["control_floor"] + 1e-12
+    assert compare["moments_work"]["radii"] > 0
+    assert compare["moments_work"]["cap_hits"] == 0
+
+
+def test_compare_reports_the_work_of_the_fields_8x8_system(tmp_path, monkeypatch):
+    # the control's system evaluates its radii through the same function,
+    # so count the radii per field
+    seen = {}
+    tables = dynsys.block_tables
+    monkeypatch.setattr(dynsys, "block_tables", lambda field, radii, quad: (
+        seen.__setitem__(field.label, seen.get(field.label, 0) + len(radii))
+        or tables(field, radii, quad)))
+    config = validate_config({
+        "schema": 1, "family": builtin_families()["dini_power"],
+        "analyses": ["pde", "compare"]})
+    report, code = run_pipeline(config, tmp_path)
+    assert code == 0
+    field = family_from_descriptor(builtin_families()["dini_power"])
+    assert report["results"]["compare"]["moments_work"] == {
+        "radii": seen[field.label], "cap_hits": 0}
+    assert seen["constant"] > 0
 
 
 def test_pipeline_stage_failure_exits_3(tmp_path):
@@ -277,6 +298,11 @@ def test_values_a_stage_would_refuse_exit_2_naming_the_key(tmp_path, key, extra)
     assert not (tmp_path / "o").exists()
 
 
+def _oscillatory(eta):
+    return {"family": "harmonic", "target": "a", "mode": 2,
+            "profile": {"kind": "log_oscillatory", "gamma": 0.4, "eta": eta}}
+
+
 def test_config_accepts_edge_values_of_the_stage_limits():
     config = validate_config(minimal_config(
         probes={"s_grid": [0.0], "t_max": 1.5, "rtol": 1e-12},
@@ -284,6 +310,31 @@ def test_config_accepts_edge_values_of_the_stage_limits():
     assert (config.probes.rtol, config.pde.h) == (1e-12, 1.375 / 56)
     assert validate_config(minimal_config(probes={"rtol": 1e-3})).probes.rtol == 1e-3
     assert validate_config(minimal_config(pde={"h": 2.0**-9})).pde.h == 2.0**-9
+    for amplitude in (0, 0.5):
+        validate_config(minimal_config(family={"family": "trig_random", "seed": 1,
+                                               "amplitude": amplitude}))
+    for eta in (-100, 100):
+        validate_config(minimal_config(family=_oscillatory(eta)))
+
+
+@pytest.mark.parametrize("family, key", [
+    ({"family": "trig_random", "seed": 1, "amplitude": 1e155}, "amplitude"),
+    ({"family": "trig_random", "seed": 1, "amplitude": 0.9}, "amplitude"),
+    ({"family": "trig_random", "seed": 1, "amplitude": 5}, "amplitude"),
+    ({"family": "trig_random", "seed": 1, "amplitude": -0.2}, "amplitude"),
+    (_oscillatory(1000), "eta"),
+    (_oscillatory(-1e9), "eta"),
+])
+def test_family_values_past_their_bounds_exit_2_naming_the_key(tmp_path, family, key):
+    # a trig_random amplitude past 1/2 once overflowed (exit 1 with a
+    # traceback) or declared a wrong ellipticity bound, and the run time of a
+    # log_oscillatory family grows without bound with eta
+    code, err = _main_exit(tmp_path, minimal_config(family=family,
+                                                    analyses=["probes"]))
+    assert code == 2
+    line, = err.strip().splitlines()
+    assert line.startswith(f"config error: family: {key} must lie in")
+    assert not (tmp_path / "o").exists()
 
 
 def test_non_finite_s_grid_entries_are_rejected():
@@ -561,8 +612,8 @@ def test_probes_stage_matches_the_public_probes_in_sequence(tmp_path, system):
     field = family_from_descriptor(desc)
     payload = cli._stage_probes(config, field, tmp_path)
 
-    probed = (dynsys.full_system(field).reduced_block_system() if system == "full"
-              else dynsys.reduced_system(field))
+    probed = (dynsys.FullSystem(field).reduced_block_system() if system == "full"
+              else dynsys.ReducedSystem(field))
     stab = dynsys.uniform_stability_probe(probed, pc.s_grid, pc.t_max, pc.rtol)
     const = dynsys.asymptotic_constancy_probe(probed, cli.CONSTANCY_T0, pc.t_max,
                                               pc.rtol)
@@ -603,6 +654,22 @@ def test_seven_lane_probes_stage_batches_its_steps(tmp_path, monkeypatch):
     assert work["planned"] >= 6 * (steps - work["off_plan"])
     assert 0.0 < work["est_error"] < 1e-6
     assert sum(calls) == payload["moments_work"]["radii"]
+
+
+def test_full_mode_probes_report_the_work_of_the_8x8_system(tmp_path, monkeypatch):
+    # the probes once reported the reduced system's 30 reduction-check radii
+    # here, not the radii of the system they propagated
+    calls = []
+    tables = dynsys.block_tables
+    monkeypatch.setattr(dynsys, "block_tables",
+                        lambda *args: calls.append(len(args[1])) or tables(*args))
+    desc = builtin_families()["oscillatory_log"]
+    config = validate_config({"schema": 1, "family": desc, "analyses": ["probes"],
+                              "probes": {"system": "full", "s_grid": [0.0, 1.0],
+                                         "t_max": 4.0}})
+    payload = cli._stage_probes(config, family_from_descriptor(desc), tmp_path)
+    assert payload["moments_work"] == {"radii": sum(calls), "cap_hits": 0}
+    assert sum(calls) > 30
 
 
 @pytest.mark.parametrize("stage, most", [("probes", 120), ("criteria", 10)])

@@ -47,7 +47,7 @@ def test_harmonic_family_values():
 def test_classify_power_modulus(alpha):
     m = modulus_from(lambda r, alpha=alpha: r**alpha)
     got = classify_modulus(m, tol=0.01)
-    assert got.verdicts == {"dini": "converged", "square_dini": "converged"}
+    assert got.dini.verdict == got.square_dini.verdict == "converged"
     assert got.dini.total == pytest.approx(1.0 / alpha, abs=1e-8)
     assert got.square_dini.total == pytest.approx(1.0 / (2.0 * alpha), abs=1e-8)
 
@@ -63,7 +63,7 @@ def test_classify_log_inverse_modulus():
 
 def test_classify_zero_modulus():
     got = classify_modulus(constant_laplacian().modulus, tol=1e-9)
-    assert got.verdicts == {"dini": "converged", "square_dini": "converged"}
+    assert got.dini.verdict == got.square_dini.verdict == "converged"
     assert got.dini.total == 0.0
 
 

@@ -14,8 +14,8 @@ from regan.criteria import (LIPSCHITZ, NONE, SECOND_ORDER,
                             check_iterated_integral, check_symmetric_part_bound,
                             criteria_conclusion, run_all_criteria)
 from regan import dynsys
-from regan.dynsys import (CONSTANT, STABLE, asymptotic_constancy_probe,
-                          reduced_system, second_harmonic_system,
+from regan.dynsys import (CONSTANT, STABLE, ReducedSystem,
+                          asymptotic_constancy_probe, second_harmonic_system,
                           uniform_stability_probe)
 from regan.moments import DEFAULT_QUADRATURE, moment_matrix, moment_vector
 
@@ -29,14 +29,14 @@ def by_id(results):
 
 
 def test_dini_holds_on_constant_field():
-    res = check_dini_integrability(reduced_system(constant_laplacian()))
+    res = check_dini_integrability(ReducedSystem(constant_laplacian()))
     assert res.verdict == "holds"
     assert res.implied_conclusion == SECOND_ORDER
     assert res.witness["integral"]["total"] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_dini_holds_on_power_family():
-    res = check_dini_integrability(reduced_system(DINI_FIELD))
+    res = check_dini_integrability(ReducedSystem(DINI_FIELD))
     assert res.verdict == "holds"
     # |R| = g/2 entrywise max, so the t-integral is exactly gamma
     assert res.witness["integral"]["total"] == pytest.approx(0.3, abs=1e-6)
@@ -52,14 +52,14 @@ def test_dini_total_on_closed_form_system():
 
 
 def test_dini_fails_on_harmonic_family():
-    res = check_dini_integrability(reduced_system(HARMONIC_FIELD))
+    res = check_dini_integrability(ReducedSystem(HARMONIC_FIELD))
     assert res.verdict == "fails"
     assert res.implied_conclusion == NONE
 
 
 def test_dini_not_satisfied_on_oscillatory_family():
     # |cos| has positive mean: the Dini-type integral still diverges
-    res = check_dini_integrability(reduced_system(OSC_FIELD))
+    res = check_dini_integrability(ReducedSystem(OSC_FIELD))
     assert res.verdict in ("fails", "inconclusive")
 
 
@@ -68,7 +68,7 @@ def test_dini_on_oscillatory_family_settles_slowly():
     # max-abs window sums plateau near 0.011 for groups 10-12, so the power
     # fit at 40 and 80 windows reads p_hat >= 1 + P_MARGIN and leaves the
     # verdict inconclusive; 160 windows see the divergence
-    system = reduced_system(OSC_FIELD)
+    system = ReducedSystem(OSC_FIELD)
     verdicts = {n: check_dini_integrability(
         system, n_windows=n).verdict
         for n in (40, 80, 160)}
@@ -84,7 +84,7 @@ def test_short_series_do_not_bend_the_square_dini_conclusion():
     # theory, and the criteria conclusion is none at every window count
     # from 8 to 80 except this one; the change that mends the short-series
     # rule removes the xfail marker
-    results = run_all_criteria(reduced_system(HARMONIC_FIELD),
+    results = run_all_criteria(ReducedSystem(HARMONIC_FIELD),
                                n_windows=16, prefix_windows=24)
     assert criteria_conclusion(results) == NONE
 
@@ -103,19 +103,19 @@ def test_symmetrized_eigenvalues_match_hand_oracle():
 
 def test_eigenvalue_bound_verdicts():
     assert check_symmetric_part_bound(
-        reduced_system(constant_laplacian())).verdict == "holds"
+        ReducedSystem(constant_laplacian())).verdict == "holds"
     assert check_symmetric_part_bound(
-        reduced_system(HARMONIC_FIELD)).verdict == "fails"
+        ReducedSystem(HARMONIC_FIELD)).verdict == "fails"
     # signed oscillation does not help: the top eigenvalue is nonnegative
-    assert check_symmetric_part_bound(reduced_system(OSC_FIELD)).verdict == "fails"
+    assert check_symmetric_part_bound(ReducedSystem(OSC_FIELD)).verdict == "fails"
 
 
 def test_iterated_integral_verdicts():
-    assert check_iterated_integral(reduced_system(constant_laplacian())).verdict == "holds"
-    res = check_iterated_integral(reduced_system(HARMONIC_FIELD))
+    assert check_iterated_integral(ReducedSystem(constant_laplacian())).verdict == "holds"
+    res = check_iterated_integral(ReducedSystem(HARMONIC_FIELD))
     assert res.verdict == "inconclusive"
     assert "inner_divergent" in res.flags
-    res = check_iterated_integral(reduced_system(OSC_FIELD))
+    res = check_iterated_integral(ReducedSystem(OSC_FIELD))
     assert res.verdict == "holds"
     assert res.implied_conclusion == SECOND_ORDER
 
@@ -123,7 +123,7 @@ def test_iterated_integral_verdicts():
 @pytest.mark.parametrize("target", ["b", "c"])
 def test_special_case_not_applicable(target):
     # R carries the b- and c-moments the applicability test reads
-    res = check_decoupled_case(reduced_system(
+    res = check_decoupled_case(ReducedSystem(
         make_harmonic_family(target, profile_power(0.2, 0.0), 2)))
     assert len(res) == 1
     assert res[0].verdict == "inconclusive"
@@ -132,14 +132,14 @@ def test_special_case_not_applicable(target):
 
 
 def test_special_case_detector():
-    radial = check_decoupled_case(reduced_system(
+    radial = check_decoupled_case(ReducedSystem(
         make_radial_family("b", profile_power(0.2, 0.5))))
     assert {r.id for r in radial} == {"special_a1_bounded", "special_a2_lower",
                                      "special_a1_converges", "special_a2_extended"}
 
 
 def test_special_case_harmonic_family_fails_boundedness():
-    got = by_id(check_decoupled_case(reduced_system(HARMONIC_FIELD)))
+    got = by_id(check_decoupled_case(ReducedSystem(HARMONIC_FIELD)))
     assert got["special_a1_bounded"].verdict == "fails"
     assert got["special_a1_converges"].verdict == "fails"
     assert got["special_a2_lower"].verdict == "holds"     # a2 is identically 0
@@ -147,7 +147,7 @@ def test_special_case_harmonic_family_fails_boundedness():
 
 
 def test_special_case_oscillatory_family_holds():
-    got = by_id(check_decoupled_case(reduced_system(OSC_FIELD)))
+    got = by_id(check_decoupled_case(ReducedSystem(OSC_FIELD)))
     assert got["special_a1_bounded"].verdict == "holds"
     assert got["special_a2_lower"].verdict == "holds"
     assert got["special_a1_converges"].verdict == "holds"
@@ -159,18 +159,18 @@ def test_special_case_oscillatory_family_holds():
 def test_special_case_sin_mode_declining_a2():
     field = make_harmonic_family("a", profile_log_inverse(0.4), 2,
                                  phase=-math.pi / 2)
-    got = by_id(check_decoupled_case(reduced_system(field)))
+    got = by_id(check_decoupled_case(ReducedSystem(field)))
     # a2 = -g/2 < 0 declines without bound
     assert got["special_a2_lower"].verdict == "fails"
     assert got["special_a2_extended"].verdict == "fails"
 
 
 def test_conclusion_precedence():
-    results = run_all_criteria(reduced_system(OSC_FIELD))
+    results = run_all_criteria(ReducedSystem(OSC_FIELD))
     assert criteria_conclusion(results) == SECOND_ORDER
-    results = run_all_criteria(reduced_system(HARMONIC_FIELD))
+    results = run_all_criteria(ReducedSystem(HARMONIC_FIELD))
     assert criteria_conclusion(results) == NONE
-    results = run_all_criteria(reduced_system(DINI_FIELD))
+    results = run_all_criteria(ReducedSystem(DINI_FIELD))
     assert criteria_conclusion(results) == SECOND_ORDER
 
 
@@ -190,7 +190,7 @@ def test_run_all_criteria_evaluates_each_radius_once(monkeypatch):
     monkeypatch.setattr(dynsys, "moment_vectors", counting_batch)
     # a radial family on b keeps the decoupled case (and its a-moments) active
     results = run_all_criteria(
-        reduced_system(make_radial_family("b", profile_power(0.2, 0.5))),
+        ReducedSystem(make_radial_family("b", profile_power(0.2, 0.5))),
         n_windows=16, prefix_windows=24)
     assert "special_a1_bounded" in by_id(results)
     assert calls and max(calls.values()) == 1
@@ -200,15 +200,15 @@ def test_monotone_in_amplitude():
     # shrinking the perturbation never flips holds to fails
     for gamma in (0.05, 0.15, 0.3):
         field = make_harmonic_family("a", profile_power(gamma, 0.5), 2)
-        assert check_dini_integrability(reduced_system(field)).verdict == "holds"
+        assert check_dini_integrability(ReducedSystem(field)).verdict == "holds"
     for gamma in (0.1, 0.25, 0.4):
         field = make_harmonic_family("a", profile_log_oscillatory(gamma, 1.0), 2)
-        assert check_iterated_integral(reduced_system(field)).verdict == "holds"
+        assert check_iterated_integral(ReducedSystem(field)).verdict == "holds"
 
 
 def test_criteria_probe_agreement_on_dini_family():
     # a holding Dini criterion must come with stable + constant probes
-    sys = reduced_system(DINI_FIELD)
+    sys = ReducedSystem(DINI_FIELD)
     assert uniform_stability_probe(sys, [0.0, 2.0, 5.0], 30.0).uniform_stability == STABLE
     assert asymptotic_constancy_probe(sys, 1.0, 30.0).asymptotic_constancy == CONSTANT
 
@@ -223,7 +223,7 @@ def test_stacked_linear_algebra_is_bitwise_the_per_matrix_loop(desc):
     # eigenvalue_bound's eigvalsh on the 120-window node grid and
     # iterated_L1's products on its 80-window trapezoid grid, stacked and
     # one matrix at a time, on the real stacks of R
-    system = reduced_system(family_from_descriptor(desc))
+    system = ReducedSystem(family_from_descriptor(desc))
     nodes = []
     tails.dyadic_window_sums(lambda ts: nodes.append(ts) or np.zeros_like(ts), 120)
     Rs = system.matrices(nodes[0])
@@ -247,8 +247,8 @@ def test_stacked_spectral_norms_are_bitwise_the_per_matrix_loop(desc):
     # (trig_random: test_trig_random_lanes_match_the_matrix_exponential)
     field = family_from_descriptor(desc)
     lanes = dynsys.stability_lanes([0.0, 5.0], 10.0)
-    for system in (reduced_system(field),
-                   dynsys.full_system(field).reduced_block_system()):
+    for system in (ReducedSystem(field),
+                   dynsys.FullSystem(field).reduced_block_system()):
         results, _ = dynsys.propagate_lanes(system, lanes)
         for phis, _ in results:
             assert np.array_equal(np.linalg.norm(phis, 2, axis=(1, 2)),

@@ -16,8 +16,8 @@ from regan.dynsys import (CONSTANT, DIVERGENT, J_BASIS, J_BASIS_INV, M_INF,
                           STABLE, UNSTABLE, FullSystem, MatrixSystem,
                           ReducedSystem, SingularSystemError, StepUnderflowError,
                           asymptotic_constancy_probe, classify_stability,
-                          constancy_lanes, full_system, propagate, propagate_dense,
-                          propagate_lanes, reduced_system, reduction_deviation,
+                          constancy_lanes, propagate, propagate_dense,
+                          propagate_lanes, reduction_deviation,
                           second_harmonic_system, stability_lanes,
                           uniform_stability_probe)
 from regan.moments import QuadratureSettings, moment_vectors
@@ -37,12 +37,12 @@ def oscillatory_decay(gamma, eta):
 
 
 def test_reduced_system_constant_field_is_zero():
-    sys = reduced_system(constant_laplacian())
+    sys = ReducedSystem(constant_laplacian())
     assert np.max(np.abs(sys.matrix(3.0))) <= 1e-14
 
 
 def test_reduced_system_radial_field_is_zero():
-    sys = reduced_system(make_radial_family("a", profile_log_inverse(0.4)))
+    sys = ReducedSystem(make_radial_family("a", profile_log_inverse(0.4)))
     for t in (0.5, 5.0, 20.0):
         assert np.max(np.abs(sys.matrix(t))) <= 1e-12
 
@@ -50,7 +50,7 @@ def test_reduced_system_radial_field_is_zero():
 def test_reduced_system_matches_pattern():
     gamma = 0.4
     field = make_harmonic_family("a", profile_log_inverse(gamma), 2)
-    sys = reduced_system(field)
+    sys = ReducedSystem(field)
     pattern = second_harmonic_system(harmonic_decay(gamma))
     for t in (0.0, 1.0, 7.5, 22.0):
         assert np.allclose(sys.matrix(t), pattern.matrix(t), atol=1e-12)
@@ -85,8 +85,7 @@ def test_reduced_matrices_batch_the_uncached_radii(monkeypatch, system_cls):
     assert len(seen) == 51 and len(set(seen)) == 51
     sys.matrices(ts[::-1])
     assert len(seen) == 51
-    if system_cls is ReducedSystem:
-        assert sys.work == {"radii": 51, "cap_hits": 0}
+    assert sys.work == {"radii": 51, "cap_hits": 0}
     fresh = system_cls(field)
     assert all(np.array_equal(M, fresh.matrix(t)) for M, t in zip(stack, ts))
 
@@ -97,13 +96,15 @@ def test_reduced_matrices_batch_the_uncached_radii(monkeypatch, system_cls):
     make_trig_field(3), make_trig_field(6)], ids=lambda f: f.label)
 def test_block_view_matrices_bitwise_equal_per_t(field):
     ts = np.concatenate([np.linspace(0.0, 30.0, 97), [-0.5, 12.0]])
-    full = full_system(field)
+    full = FullSystem(field)
     view = full.reduced_block_system()
     stack = view.matrices(ts)
-    pointwise = full_system(field)   # every radius through `_one`
+    # every radius alone, as a batch of one
+    pointwise = FullSystem(field)
+    single = pointwise.reduced_block_system()
     assert stack.shape == (len(ts), 4, 4)
-    assert np.array_equal(stack, np.array([pointwise.reduced_block(t) for t in ts]))
-    assert all(np.array_equal(view.matrix(t), pointwise.reduced_block(t)) for t in ts)
+    assert np.array_equal(stack, np.array([single.matrix(t) for t in ts]))
+    assert all(np.array_equal(view.matrix(t), single.matrix(t)) for t in ts)
     assert np.array_equal(full.matrices(ts),
                           np.array([pointwise.matrix(t) for t in ts]))
     for t in ts[::12]:
@@ -111,45 +112,52 @@ def test_block_view_matrices_bitwise_equal_per_t(field):
             assert np.array_equal(got, want)
     # the view reads the 8x8 memo and keeps none of its own
     assert len(full._memo) == 98 and not hasattr(view, "_memo")
-    assert view.eps(7.0) == full.eps(7.0) and view.dim == 4
+    assert view.dim == 4
 
 
 def test_singular_batch_names_its_first_singular_radius(monkeypatch):
     tables = dynsys.block_tables
 
     def with_zero_rows(field, radii, quad):
-        bt = tables(field, radii, quad)
+        # rows 2 and 4 of a batch of more than four radii
+        bt, capped = tables(field, radii, quad)
         theta2_mean = bt.theta2_mean.copy()
-        theta2_mean[[2, 4]] = 0.0
-        return dataclasses.replace(bt, theta2_mean=theta2_mean)
+        theta2_mean[2:5:2] = 0.0
+        return dataclasses.replace(bt, theta2_mean=theta2_mean), capped
 
     monkeypatch.setattr(dynsys, "block_tables", with_zero_rows)
-    sys = full_system(make_trig_field(3))
+    sys = FullSystem(make_trig_field(3))
     ts = [0.5, 1.0, 2.0, 3.0, 4.0]
     with pytest.raises(SingularSystemError, match=rf"r={math.exp(-2.0):.6g}$"):
         sys.matrices(ts)
     assert not sys._memo
-    assert np.isfinite(sys.matrix(2.0)).all()   # alone, through `block_table`
+    assert np.isfinite(sys.matrix(2.0)).all()   # alone, as a batch of one
 
 
 def test_reduced_system_counts_cap_hits():
     base = constant_laplacian()
     chirp = CoefficientField(lambda x, y: 1.0 + 0.2 * np.cos(40.0 * x), base.b,
                              base.c, base.modulus, ellipticity_lower=2.0)
-    sys = reduced_system(chirp, QuadratureSettings(32, 64, 1e-13))
+    sys = ReducedSystem(chirp, QuadratureSettings(32, 64, 1e-13))
     sys.matrices([0.0, math.log(2.0), 10.0])
     sys.matrix(0.1)
     assert sys.work == {"radii": 4, "cap_hits": 3}
     _, capped = moment_vectors(chirp, [1.0, math.exp(-10.0)], sys.quad)
     assert capped.tolist() == [True, False]
+    # the 8x8 system counts its cap hits too, its block view in its ledger
+    full = FullSystem(chirp, QuadratureSettings(32, 64, 1e-13))
+    full.matrices([0.0, math.log(2.0), 10.0])
+    full.reduced_block_system().matrix(0.1)
+    assert full.work == {"radii": 4, "cap_hits": 3}
 
 
 def test_full_system_constant_field_matches_limit():
-    sys = full_system(constant_laplacian())
+    sys = FullSystem(constant_laplacian())
+    view = sys.reduced_block_system()
     for t in (0.0, 4.0, 18.0):
         assert np.allclose(sys.matrix(t), M_INF, atol=1e-13)
-        assert np.max(np.abs(sys.conjugated_remainder(t))) <= 1e-13
-        assert np.max(np.abs(sys.reduced_block(t))) <= 1e-13
+        assert np.max(np.abs(dynsys._conjugate(sys.matrix(t)))) <= 1e-13
+        assert np.max(np.abs(view.matrix(t))) <= 1e-13
 
 
 def test_basis_change_is_exact():
@@ -163,9 +171,9 @@ def test_basis_change_is_exact():
 
 def test_remainder_orders_on_builtin_family():
     field = make_harmonic_family("a", profile_log_inverse(0.4), 2)
-    sys = full_system(field)
+    sys = FullSystem(field)
     for t in (1.0, 5.0, 15.0, 30.0):
-        eps = sys.eps(t)
+        eps = float(field.modulus(math.exp(-t)))
         assert np.max(np.abs(sys.s1(t))) <= 6.0 * eps
         assert np.max(np.abs(sys.s2(t))) <= 10.0 * eps**2
         assert np.allclose(M_INF + sys.s1(t) + sys.s2(t), sys.matrix(t),
@@ -175,7 +183,7 @@ def test_remainder_orders_on_builtin_family():
 def test_reduction_gap_is_second_order():
     # measured |R1 - R| / eps^2 stays below 10 on the fixed-amplitude family
     field = make_harmonic_family("a", profile_power(0.2, 0.0), 2)
-    table = reduction_deviation(full_system(field), reduced_system(field),
+    table = reduction_deviation(FullSystem(field), ReducedSystem(field),
                                 np.linspace(1.0, 30.0, 16))
     assert table["max_ratio"] <= 10.0
 
@@ -185,7 +193,7 @@ def test_reduction_gap_bounded_on_builtins():
                 profile_power(0.3, 0.5)]
     for prof in profiles:
         field = make_harmonic_family("a", prof, 2)
-        table = reduction_deviation(full_system(field), reduced_system(field),
+        table = reduction_deviation(FullSystem(field), ReducedSystem(field),
                                     np.linspace(1.0, 30.0, 16))
         ratio = np.array(table["ratio"])
         assert np.isfinite(ratio).all()
@@ -197,13 +205,13 @@ def test_reduction_deviation_flags_zero_eps():
     field = constant_laplacian()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        table = reduction_deviation(full_system(field), reduced_system(field),
+        table = reduction_deviation(FullSystem(field), ReducedSystem(field),
                                     np.linspace(1.0, 30.0, 16))
     assert table["eps_zero"]
     assert table["ratio"] == [None] * 16
     assert table["max_ratio"] is None and table["tail_slope"] is None
     field = make_harmonic_family("a", profile_power(0.2, 0.0), 2)
-    table = reduction_deviation(full_system(field), reduced_system(field),
+    table = reduction_deviation(FullSystem(field), ReducedSystem(field),
                                 np.linspace(1.0, 30.0, 16))
     assert not table["eps_zero"]
     assert np.isfinite(np.array(table["ratio"])).all()
@@ -216,13 +224,13 @@ def test_reduction_deviation_flags_zero_eps():
 
 
 def test_propagate_zero_system_is_identity():
-    sys = reduced_system(constant_laplacian())
+    sys = ReducedSystem(constant_laplacian())
     got = propagate(sys, 0.0, 12.0, rtol=1e-10)
     assert np.allclose(got.Phi, np.eye(4), atol=1e-12)
 
 
 def test_propagate_validates_rtol():
-    sys = reduced_system(constant_laplacian())
+    sys = ReducedSystem(constant_laplacian())
     with pytest.raises(ValueError):
         propagate(sys, 0.0, 1.0, rtol=1e-2)
     with pytest.raises(ValueError):
@@ -439,7 +447,7 @@ def test_closed_form_propagation(gamma):
 def test_closed_form_on_field_backed_system():
     gamma = 0.4
     field = make_harmonic_family("a", profile_log_inverse(gamma), 2)
-    sys = reduced_system(field)
+    sys = ReducedSystem(field)
     s, t = 1.0, 25.0
     got = propagate(sys, s, t, rtol=1e-11).Phi[0, 0]
     assert got == pytest.approx(((1.0 + t) / (1.0 + s)) ** (gamma / 2.0), rel=1e-8)
@@ -457,7 +465,7 @@ def test_oscillatory_exponent_matches_quadrature_oracle():
 
 def test_semigroup_property():
     field = make_trig_field(seed=4, amplitude=0.15)
-    sys = reduced_system(field)
+    sys = ReducedSystem(field)
     rtol = 1e-9
     s, u, t = 0.5, 4.0, 9.0
     full = propagate(sys, s, t, rtol).Phi
@@ -467,7 +475,7 @@ def test_semigroup_property():
 
 def test_time_reversal():
     field = make_trig_field(seed=9, amplitude=0.15)
-    sys = reduced_system(field)
+    sys = ReducedSystem(field)
     rtol = 1e-9
     fwd = propagate(sys, 1.0, 6.0, rtol).Phi
     bwd = propagate(sys, 6.0, 1.0, rtol).Phi
@@ -498,6 +506,21 @@ def test_trig_random_lanes_match_the_matrix_exponential(seed):
         assert got.kappa_max == pytest.approx(want.kappa_max, rel=1e-12)
 
 
+@pytest.mark.parametrize("seed", [0, 5])
+def test_trig_random_8x8_lanes_match_the_matrix_exponential(seed):
+    # the raw 8x8 system of a field constant in r: M(t) = M(0) for t >= 0 and
+    # Phi(t, s) = expm(-M(0) (t - s)), whose exp(+2t) branch grows to about
+    # e^20 by t - s = 10, so the error is relative to max|expm| of the lane
+    # (measured 2.5e-10)
+    system = FullSystem(make_trig_field(seed))
+    lanes = stability_lanes([0.0, 2.0, 5.0], 10.0)
+    results, _ = propagate_lanes(system, lanes, rtol=1e-10)
+    M = system.matrix(0.0)
+    for (s, ts), (phis, _) in zip(lanes, results):
+        want = np.array([expm(-M * (t - s)) for t in ts])
+        assert np.max(np.abs(phis - want)) <= 1e-9 * np.max(np.abs(want))
+
+
 # ---------------------------------------------------------------------------
 # probes
 # ---------------------------------------------------------------------------
@@ -506,7 +529,7 @@ S_GRID = [0.0, 2.0, 5.0, 10.0, 20.0]
 
 
 def test_probe_zero_system_stable_constant():
-    sys = reduced_system(constant_laplacian())
+    sys = ReducedSystem(constant_laplacian())
     stab = uniform_stability_probe(sys, S_GRID, 30.0)
     assert stab.uniform_stability == STABLE
     assert stab.kappa_max == pytest.approx(1.0, abs=1e-10)
@@ -516,7 +539,7 @@ def test_probe_zero_system_stable_constant():
 
 
 def test_probe_verdicts_acceptance_families():
-    radial = reduced_system(make_radial_family("a", profile_log_inverse(0.4)))
+    radial = ReducedSystem(make_radial_family("a", profile_log_inverse(0.4)))
     assert uniform_stability_probe(radial, S_GRID, 30.0).uniform_stability == STABLE
     assert asymptotic_constancy_probe(radial, 1.0, 30.0).asymptotic_constancy == CONSTANT
 
@@ -531,11 +554,11 @@ def test_probe_verdicts_acceptance_families():
 
 def test_probe_field_backed_families():
     unstable_field = make_harmonic_family("a", profile_log_inverse(0.5), 2)
-    sys = reduced_system(unstable_field)
+    sys = ReducedSystem(unstable_field)
     assert uniform_stability_probe(sys, S_GRID, 30.0).uniform_stability == UNSTABLE
 
     stable_field = make_harmonic_family("a", profile_log_oscillatory(0.4, 1.0), 2)
-    sys = reduced_system(stable_field)
+    sys = ReducedSystem(stable_field)
     assert uniform_stability_probe(sys, S_GRID, 30.0).uniform_stability == STABLE
     assert (asymptotic_constancy_probe(sys, 1.0, 30.0).asymptotic_constancy
             == CONSTANT)
@@ -544,7 +567,7 @@ def test_probe_field_backed_families():
 def test_probe_full_system_reduced_block():
     # the raw 8x8 system has a genuine exp(+2t) branch; stability semantics
     # live on the conjugated neutral block
-    sys = full_system(constant_laplacian()).reduced_block_system()
+    sys = FullSystem(constant_laplacian()).reduced_block_system()
     stab = uniform_stability_probe(sys, [0.0, 2.0], 12.0)
     assert stab.uniform_stability == STABLE
     const = asymptotic_constancy_probe(sys, 0.5, 12.0)
@@ -552,7 +575,7 @@ def test_probe_full_system_reduced_block():
 
 
 def test_full_system_propagation_matches_matrix_exponential():
-    sys = full_system(constant_laplacian())
+    sys = FullSystem(constant_laplacian())
     span = 1.5
     got = propagate(sys, 0.0, span, rtol=1e-11).Phi
     assert np.allclose(got, expm(-M_INF * span), atol=1e-9)

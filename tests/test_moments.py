@@ -198,8 +198,8 @@ def test_block_tables_bitwise_equal_per_radius(field, monkeypatch):
                    for name, tab in zip(TABLE_NAMES, tabs))
     for chunk_points in (moments._CHUNK_POINTS, 100):
         monkeypatch.setattr(moments, "_CHUNK_POINTS", chunk_points)
-        got = block_tables(field, radii)
-        assert np.array_equal(got.r, radii)
+        got, capped = block_tables(field, radii)
+        assert np.array_equal(got.r, radii) and not capped.any()
         for name, *tabs in zip(TABLE_NAMES, *want):
             assert np.array_equal(getattr(got, name), np.array(tabs))
 
@@ -211,8 +211,9 @@ def test_block_tables_name_the_bad_radius():
         block_tables(field, [0.25, 0.5, 0.75, 0.125])
     with pytest.raises(ValueError, match="radius"):
         block_tables(CHIRP, [0.5, 1.5])
-    empty = block_tables(CHIRP, [])
+    empty, capped = block_tables(CHIRP, [])
     assert empty.r.shape == (0,) and empty.theta4.shape == (0, 4, 4)
+    assert capped.shape == (0,)
 
 
 def test_moment_vectors_cap_hit_returns_finest_level():
