@@ -13,7 +13,7 @@ settable values; any other key is a config error:
                              any nonempty subset of ANALYSES; compare needs pde
     radius_count             20      dyadic radii of validate/moments, 1..1000
     probes.system            "reduced"   or "full" (its conjugated 4x4 block)
-    probes.s_grid            [0, 2, 5, 10, 20]   sorted, finite, below t_max
+    probes.s_grid            [0, 2, 5, 10, 20]   1..64 sorted entries in [0, t_max)
     probes.t_max             30.0    horizon in t = -log r, in (1, 700]
     probes.rtol              1e-10   integrator tolerance, in [1e-12, 1e-3]
     criteria.n_windows       80      dyadic windows, 1..1000
@@ -25,7 +25,8 @@ settable values; any other key is a config error:
 
 The three counts (radius_count and the two criteria windows) take JSON
 integers only, the other numbers integers or floats; a bool or a string
-is never a number.  `main` reads at most MAX_CONFIG_BYTES of the config.
+is never a number.  The bounds above are the table BOUNDS, the string
+choices CHOICES.  `main` reads at most MAX_CONFIG_BYTES of the config.
 
 The verdict thresholds, the circle quadrature and the pde sizes are the
 library's, and no config bends them: each is a module constant next to the
@@ -65,11 +66,13 @@ ANALYSES = ("validate", "moments", "probes", "criteria", "pde", "compare")
 NO_GUARANTEE = "no_guarantee"
 
 # size limits checked up front: past about 1075 dyadic windows e^-t
-# underflows to r = 0, the reduction check clamps t at 700, and each
-# halving of pde.h quadruples the unknowns (123,201 at h = 2^-8)
+# underflows to r = 0, the reduction check clamps t at 700, each halving
+# of pde.h quadruples the unknowns (123,201 at h = 2^-8), and each s_grid
+# entry is one probes lane that holds all its samples (1.8 MB at t_max 700)
 MAX_WINDOWS = 1000
 MAX_T = 700.0
 MIN_H = 2.0**-9
+MAX_S_GRID = 64
 
 # `main` reads at most this much of --config, so that a huge file or a
 # device such as /dev/zero is refused instead of filling memory
@@ -77,6 +80,24 @@ MAX_CONFIG_BYTES = 2**20
 
 # the constancy probe starts its trajectories at t = 1, i.e. r = 1/e
 CONSTANCY_T0 = 1.0
+
+# least and most allowed value of each bounded key, for a list of each
+# entry; len(KEY) bounds a list's length.  t_max must exceed CONSTANCY_T0.
+BOUNDS = {
+    "radius_count": (1, MAX_WINDOWS),
+    "probes.s_grid": (0.0, math.inf),
+    "len(probes.s_grid)": (1, MAX_S_GRID),
+    "probes.t_max": (math.nextafter(CONSTANCY_T0, math.inf), MAX_T),
+    "probes.rtol": dynsys.RTOL_RANGE,
+    "criteria.n_windows": (1, MAX_WINDOWS),
+    "criteria.prefix_windows": (1, MAX_WINDOWS),
+    "pde.h": (MIN_H, math.inf),
+}
+
+CHOICES = {
+    "probes.system": ("reduced", "full"),
+    "pde.boundary": tuple(sorted(pdelab.BOUNDARY_LIBRARY)),
+}
 
 
 class ConfigError(ValueError):
@@ -115,8 +136,7 @@ class AnalysisConfig:
     pde: PdeConfig = dc_field(default_factory=PdeConfig)
 
 
-def _apply_section(instance, section, name: str, violations: list,
-                   positive: tuple = ()):
+def _apply_section(instance, section, name: str, violations: list):
     if not isinstance(section, dict):
         violations.append(f"{name} must be an object")
         return
@@ -148,9 +168,24 @@ def _apply_section(instance, section, name: str, violations: list,
                 violations.append(f"{name}.{key} {exc}")
                 continue
         setattr(instance, key, value)
-    for key in positive:
-        if not getattr(instance, key) > 0:
-            violations.append(f"{name}.{key} must be positive")
+
+
+def _bound_violations(config) -> list:
+    """A message for each key of BOUNDS and CHOICES whose value config breaks."""
+    values = {f"{name}.{key}": value for name in ("probes", "criteria", "pde")
+              for key, value in vars(getattr(config, name)).items()}
+    values["radius_count"] = config.radius_count
+    values["len(probes.s_grid)"] = len(config.probes.s_grid)
+    out = []
+    for key, (least, most) in BOUNDS.items():
+        entries = values[key] if isinstance(values[key], tuple) else (values[key],)
+        if any(v > most for v in entries):
+            out.append(f"{key} must be at most {most!r}")
+        elif any(v < least for v in entries):
+            out.append(f"{key} must be " + ("positive" if min(entries) <= 0 < least
+                                           else f"at least {least!r}"))
+    return out + [f"{key} must be one of {list(choices)}"
+                  for key, choices in CHOICES.items() if values[key] not in choices]
 
 
 def validate_config(raw) -> AnalysisConfig:
@@ -165,10 +200,8 @@ def validate_config(raw) -> AnalysisConfig:
     if not isinstance(raw, dict):
         raise ConfigError(["config must be a JSON object"])
     violations = []
-    known_top = {"schema", "family", "analyses", "radius_count",
-                 "probes", "criteria", "pde"}
     for key in raw:
-        if key not in known_top:
+        if key not in {"schema", *AnalysisConfig.__dataclass_fields__}:
             violations.append(f"unknown top-level key {key!r}")
     try:
         schema = coeff.as_number(raw.get("schema", 1), int)
@@ -201,49 +234,26 @@ def validate_config(raw) -> AnalysisConfig:
         config.radius_count = coeff.as_number(raw.get("radius_count", 20), int)
     except ValueError as exc:
         violations.append(f"radius_count {exc}")
-    if config.radius_count < 1:
-        violations.append("radius_count must be positive")
-    _apply_section(config.probes, raw.get("probes", {}), "probes", violations,
-                   positive=("rtol",))
-    if config.probes.system not in ("reduced", "full"):
-        violations.append("probes.system must be 'reduced' or 'full'")
+    _apply_section(config.probes, raw.get("probes", {}), "probes", violations)
     _apply_section(config.criteria, raw.get("criteria", {}), "criteria",
-                   violations, positive=("n_windows", "prefix_windows"))
-    _apply_section(config.pde, raw.get("pde", {}), "pde", violations,
-                   positive=("h",))
-    for key, value in (("radius_count", config.radius_count),
-                       ("criteria.n_windows", config.criteria.n_windows),
-                       ("criteria.prefix_windows", config.criteria.prefix_windows)):
-        if value > MAX_WINDOWS:
-            violations.append(f"{key} must be at most {MAX_WINDOWS}")
-    if not config.probes.t_max > CONSTANCY_T0:
-        violations.append(f"probes.t_max must exceed {CONSTANCY_T0:g}, "
-                          f"where the constancy probe starts")
-    elif not config.probes.t_max <= MAX_T:
-        violations.append(f"probes.t_max must be at most {MAX_T:g}")
-    lo, hi = dynsys.RTOL_RANGE
-    if config.probes.rtol > 0 and not lo <= config.probes.rtol <= hi:
-        violations.append(f"probes.rtol must lie in [{lo:g}, {hi:g}]")
-    if not config.pde.h >= MIN_H:
-        violations.append("pde.h must be at least 2^-9")
-    else:
+                   violations)
+    _apply_section(config.pde, raw.get("pde", {}), "pde", violations)
+    violations += _bound_violations(config)
+    grid = list(config.probes.s_grid)
+    if sorted(grid) != grid:
+        violations.append("probes.s_grid must be sorted")
+    elif grid and grid[-1] >= config.probes.t_max:
+        violations.append("probes.s_grid entries must lie below probes.t_max")
+    if config.pde.h >= MIN_H:
         try:
             pdelab.cell_count(config.pde.h)
         except ValueError as exc:
             violations.append(f"pde.h: {exc}")
         else:
-            n = _pde_radii(config.pde.h).size
+            n = pdelab.profile_radii(config.pde.h).size
             if n < pdelab.MIN_PROFILE_RADII:
                 violations.append(f"pde.h must leave {pdelab.MIN_PROFILE_RADII} "
                                   f"decomposition radii; {config.pde.h:g} leaves {n}")
-    grid = list(config.probes.s_grid)
-    if not grid or sorted(grid) != grid:
-        violations.append("probes.s_grid must be nonempty and sorted")
-    elif grid[-1] >= config.probes.t_max:
-        violations.append("probes.s_grid entries must lie below probes.t_max")
-    if config.pde.boundary not in pdelab.BOUNDARY_LIBRARY:
-        violations.append(f"pde.boundary must be one of "
-                          f"{sorted(pdelab.BOUNDARY_LIBRARY)}")
     if violations:
         raise ConfigError(violations)
     return config
@@ -324,13 +334,7 @@ def _stage_probes(config, field, out_dir):
         "constancy_samples": [[float(v) for v in row]
                               for row in constancy.constancy_samples],
         "trajectory_csv": traj_path.name,
-        "reduction_check": {
-            "max_ratio": reduction["max_ratio"],
-            "tail_slope": reduction["tail_slope"],
-            "t": reduction["t"],
-            "ratio": reduction["ratio"],
-            "eps_zero": reduction["eps_zero"],
-        },
+        "reduction_check": reduction,
         "moments_work": dict(radial.work),
         "integrator": integrator,
     }
@@ -376,33 +380,17 @@ def _write_witness_csv(path, witness: dict):
             fh.write(",".join(row) + "\n")
 
 
-def _pde_radii(h: float) -> np.ndarray:
-    """The decomposition radii at mesh width h: inside the band (4h, L/2)
-    where bilinear interpolation is trustworthy and the annuli fit."""
-    return pdelab.geometric_radii(4.0 * h * 1.01, pdelab.HALF_WIDTH / 2.0 * 0.99)
-
-
 def _stage_pde(config, field, out_dir):
     """The pde payload, and the field's and the control's profiles, which
     the compare stage reads."""
     pc = config.pde
     sol = pdelab.solve_dirichlet(field, pc.h, pc.boundary)
     control = pdelab.solve_dirichlet(coeff.constant_laplacian(), pc.h, pc.boundary)
-    radii = _pde_radii(pc.h)
+    radii = pdelab.profile_radii(pc.h)
     prof = pdelab.decompose(pdelab.gradient_field(sol), pc.h, radii)
     prof_control = pdelab.decompose(pdelab.gradient_field(control), pc.h, radii)
-    rvp = np.linalg.norm(prof_control.rVprime, axis=1)
-    scale = np.maximum(np.asarray(field.modulus(prof_control.radii), dtype=float)
-                       * prof_control.radii, 1e-300)
-    floor = {
-        "lip": rvp,
-        "rvp": rvp,
-        "w_ratio": prof_control.M1p_W / scale,
-        "u0_ratio": np.linalg.norm(prof_control.U0 - prof_control.U0[0], axis=1)
-        / scale,
-    }
     hq = pdelab.hessian_quotients(sol, [2, 4, 8, 16])
-    verdicts = pdelab.regularity_diagnostics(prof, field.modulus, floor)
+    verdicts = pdelab.regularity_diagnostics(prof, field.modulus, prof_control)
     pdelab.write_profile_csv(out_dir / "profile.csv", prof)
     pdelab.write_profile_csv(out_dir / "profile_control.csv", prof_control)
     pdelab.write_solution_csv(out_dir / "solution.csv", sol)

@@ -6,6 +6,12 @@ evaluators are vectorized over numpy arrays and immutable after
 construction, so they are safe for concurrent read-only use.  Coefficients
 are extended by their unit-circle values for r > 1; only r <= 1 is ever
 analyzed.
+
+MAX_MODE bounds the mode n of a harmonic family and the degree of a
+`trig_random` field: the circle quadrature weighs the coefficients by theta
+monomials of degree <= 4, which its 64-node level integrates exactly up to
+mode 59.  Past that its 32- and 64-node levels can agree on an aliased
+value (modes 60 to 68 do), and far past it a run chases the node cap.
 """
 from __future__ import annotations
 
@@ -21,20 +27,13 @@ from .tails import EvaluationError, TailAnalysis
 
 @dataclass(frozen=True)
 class ModulusOfContinuity:
-    """Nondecreasing bound omega(r) on the coefficient oscillation at radius r.
-
-    `eps` reads it in the log-radius variable t = -log r.
-    """
+    """Nondecreasing bound omega(r) on the coefficient oscillation at radius r."""
 
     omega: Callable[[np.ndarray], np.ndarray]
     label: str = "omega"
 
     def __call__(self, r):
         return self.omega(np.minimum(np.asarray(r, dtype=float), 1.0))
-
-    def eps(self, t):
-        """omega in the log-radius variable, eps(t) = omega(e^-t)."""
-        return self(np.exp(-np.asarray(t, dtype=float)))
 
 
 @dataclass(frozen=True)
@@ -54,19 +53,19 @@ class CoefficientField:
         return self.a(x, y), self.b(x, y), self.c(x, y)
 
 
-def _clamp_radius(x, y):
-    r = np.hypot(x, y)
-    scale = np.where(r > 1.0, 1.0 / np.where(r > 1.0, r, 1.0), 1.0)
-    return x * scale, y * scale, np.minimum(r, 1.0)
+def _one(x, y):
+    return np.ones_like(np.asarray(x, dtype=float))
+
+
+def _zero(x, y):
+    return np.zeros_like(np.asarray(x, dtype=float))
 
 
 def constant_laplacian() -> CoefficientField:
     """The unperturbed field a = c = 1, b = 0."""
-    one = lambda x, y: np.ones_like(np.asarray(x, dtype=float))
-    zero = lambda x, y: np.zeros_like(np.asarray(x, dtype=float))
     modulus = ModulusOfContinuity(lambda r: np.zeros_like(np.asarray(r, dtype=float)),
                                   label="zero")
-    return CoefficientField(one, zero, one, modulus, ellipticity_lower=4.0,
+    return CoefficientField(_one, _zero, _one, modulus, ellipticity_lower=4.0,
                             label="constant")
 
 
@@ -195,79 +194,62 @@ def profile_from_descriptor(desc: dict) -> RadialProfile:
 _TARGETS = ("a", "b", "c")
 _PROFILE_CHECK_RADII = 2.0 ** -np.arange(0, 40, dtype=float)
 
+# the largest harmonic mode and trig_random degree (see the module docstring)
+MAX_MODE = 59
 
-def _check_profile_bound(profile: RadialProfile):
-    vals = np.abs(np.asarray(profile.g(_PROFILE_CHECK_RADII), dtype=float))
+
+def _profile_family(target: str, radial_profile: RadialProfile, mode: int,
+                    phase: float = 0.0) -> CoefficientField:
+    """Field with one coefficient perturbed by g(r) * cos(mode*phi + phase),
+    or by g(r) alone for mode 0, whose modulus is the envelope of g.
+    |g| <= 1/2 is enforced on a dyadic grid."""
+    if target not in _TARGETS:
+        raise ValueError(f"target must be one of {_TARGETS}")
+    vals = np.abs(np.asarray(radial_profile.g(_PROFILE_CHECK_RADII), dtype=float))
     if np.any(vals > 0.5 + 1e-12):
         k = int(np.argmax(vals > 0.5 + 1e-12))
-        raise ValueError(
-            f"|g| exceeds 1/2 at r={_PROFILE_CHECK_RADII[k]:.3g} "
-            f"(value {vals[k]:.3g}); ellipticity would be at risk"
-        )
-
-
-def _field_with_target(target, perturbation, modulus, label, ellipticity_lower):
-    one = lambda x, y: np.ones_like(np.asarray(x, dtype=float))
-    zero = lambda x, y: np.zeros_like(np.asarray(x, dtype=float))
-    evals = {"a": one, "b": zero, "c": one}
+        raise ValueError(f"|g| exceeds 1/2 at r={_PROFILE_CHECK_RADII[k]:.3g} "
+                         f"(value {vals[k]:.3g}); ellipticity would be at risk")
+    base = 0.0 if target == "b" else 1.0
 
     def perturbed(x, y):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        base = 0.0 if target == "b" else 1.0
-        return base + perturbation(x, y)
+        r = np.minimum(np.hypot(x, y), 1.0)
+        if mode == 0:
+            g = np.asarray(radial_profile.g(np.maximum(r, 1e-300)), dtype=float)
+            return base + g * np.ones_like(r)
+        g = np.where(r > 0, radial_profile.g(np.maximum(r, 1e-300)), 0.0)
+        return base + g * np.cos(mode * np.arctan2(y, x) + phase)
 
-    evals[target] = perturbed
+    evals = {"a": _one, "b": _zero, "c": _one, target: perturbed}
+    modulus = ModulusOfContinuity(
+        lambda r: np.abs(np.asarray(radial_profile.envelope(np.asarray(r, dtype=float)))),
+        label=radial_profile.label,
+    )
+    label = (f"radial({target}, {radial_profile.label})" if mode == 0
+             else f"harmonic({target}, n={mode}, {radial_profile.label})")
     return CoefficientField(evals["a"], evals["b"], evals["c"], modulus,
-                            ellipticity_lower=ellipticity_lower, label=label)
+                            ellipticity_lower=2.0, label=label)
 
 
 def make_harmonic_family(target: str, radial_profile: RadialProfile,
                          angular_mode: int, phase: float = 0.0) -> CoefficientField:
     """Field with one coefficient perturbed by g(r) * cos(n*phi + phase).
 
-    Angular modes n >= 2 only: modes 0 and 1 would break the normalization
-    (a, b, c)(0) = (1, 0, 1).  |g| <= 1/2 is enforced on a dyadic grid.
+    Angular modes 2 <= n <= MAX_MODE only: modes 0 and 1 would break the
+    normalization (a, b, c)(0) = (1, 0, 1).  |phase| <= 2 pi.
     """
-    if target not in _TARGETS:
-        raise ValueError(f"target must be one of {_TARGETS}")
-    if int(angular_mode) != angular_mode or angular_mode < 2:
-        raise ValueError("angular_mode must be an integer >= 2")
-    _check_profile_bound(radial_profile)
-    n = int(angular_mode)
-
-    def perturbation(x, y):
-        xc, yc, r = _clamp_radius(x, y)
-        phi = np.arctan2(yc, xc)
-        g = np.where(r > 0, radial_profile.g(np.maximum(r, 1e-300)), 0.0)
-        return g * np.cos(n * phi + phase)
-
-    modulus = ModulusOfContinuity(
-        lambda r: np.abs(np.asarray(radial_profile.envelope(np.asarray(r, dtype=float)))),
-        label=radial_profile.label,
-    )
-    label = f"harmonic({target}, n={n}, {radial_profile.label})"
-    return _field_with_target(target, perturbation, modulus, label,
-                              ellipticity_lower=2.0)
+    if int(angular_mode) != angular_mode or not 2 <= angular_mode <= MAX_MODE:
+        raise ValueError(f"angular_mode must lie in [2, {MAX_MODE}] and be an integer")
+    if not abs(phase) <= 2.0 * math.pi:
+        raise ValueError(f"phase must lie in [-2 pi, 2 pi], got {phase!r}")
+    return _profile_family(target, radial_profile, int(angular_mode), phase)
 
 
 def make_radial_family(target: str, radial_profile: RadialProfile) -> CoefficientField:
     """Field with one coefficient perturbed radially: no angular dependence."""
-    if target not in _TARGETS:
-        raise ValueError(f"target must be one of {_TARGETS}")
-    _check_profile_bound(radial_profile)
-
-    def perturbation(x, y):
-        _, _, r = _clamp_radius(x, y)
-        return np.asarray(radial_profile.g(np.maximum(r, 1e-300)), dtype=float) * np.ones_like(r)
-
-    modulus = ModulusOfContinuity(
-        lambda r: np.abs(np.asarray(radial_profile.envelope(np.asarray(r, dtype=float)))),
-        label=radial_profile.label,
-    )
-    label = f"radial({target}, {radial_profile.label})"
-    return _field_with_target(target, perturbation, modulus, label,
-                              ellipticity_lower=2.0)
+    return _profile_family(target, radial_profile, 0)
 
 
 def make_trig_field(seed: int, degree: int = 6, amplitude: float = 0.2) -> CoefficientField:
@@ -319,11 +301,6 @@ def make_trig_field(seed: int, degree: int = 6, amplitude: float = 0.2) -> Coeff
 # ---------------------------------------------------------------------------
 
 
-# a trig_random degree past this would only allocate: the fields are for
-# circle-structure cross-checks at low degree
-MAX_TRIG_DEGREE = 64
-
-
 def family_from_descriptor(desc: dict) -> CoefficientField:
     """Build a field from a JSON-style descriptor.
 
@@ -351,8 +328,8 @@ def family_from_descriptor(desc: dict) -> CoefficientField:
         _require_keys(desc, {"family", "seed", "degree", "amplitude"},
                       optional={"degree", "amplitude"})
         degree = _number(desc, "degree", int, 6)
-        if not 0 <= degree <= MAX_TRIG_DEGREE:
-            raise ValueError(f"degree must lie in [0, {MAX_TRIG_DEGREE}]")
+        if not 0 <= degree <= MAX_MODE:
+            raise ValueError(f"degree must lie in [0, {MAX_MODE}]")
         return make_trig_field(_number(desc, "seed", int), degree,
                                _number(desc, "amplitude", float, 0.2))
     raise ValueError(f"unknown family kind {kind!r}")

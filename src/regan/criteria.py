@@ -32,6 +32,7 @@ import numpy as np
 
 from . import tails
 from .dynsys import ReducedSystem
+from .moments import MOMENT_POSITIONS
 from .moments import moment_vector  # noqa: F401 - bench/tracer.py patches it here
 from .tails import CONVERGED, DIVERGED, FAILS, HOLDS, INCONCLUSIVE, LN2
 
@@ -55,11 +56,6 @@ TOL = 0.05                     # tail-estimate tolerance for convergence
 GROUP = 4                      # window aggregation against oscillation
 APPLICABILITY_TOL = 1e-10      # largest b- or c-moment of the decoupled case
 APPLICABILITY_SAMPLES = 33
-
-
-# positions of the moments in the drift matrix (`moment_matrix`)
-_A1, _A2 = (0, 0), (1, 0)
-_BC = ((0, 2), (1, 1), (0, 3), (1, 3))     # b1, b2, c1, c2
 
 
 def _window_sums_of(system, fn, n_windows: int) -> np.ndarray:
@@ -106,11 +102,10 @@ def check_symmetric_part_bound(system, prefix_windows: int = 120) -> CriterionRe
     scale = 1e-11 * (1.0 + float(np.max(np.abs(prefix))))
     mirrored = tails.lower_bound_verdict(-prefix, scale)
     drawup = float(np.max(prefix - np.minimum.accumulate(prefix)))
-    verdict = {HOLDS: HOLDS, FAILS: FAILS, INCONCLUSIVE: INCONCLUSIVE}[mirrored.verdict]
     return CriterionResult(
         id="eigenvalue_bound",
-        verdict=verdict,
-        implied_conclusion=LIPSCHITZ if verdict == HOLDS else NONE,
+        verdict=mirrored.verdict,
+        implied_conclusion=LIPSCHITZ if mirrored.verdict == HOLDS else NONE,
         witness={"running_sup": drawup, "prefix": prefix.tolist(),
                  **mirrored.witness},
     )
@@ -135,7 +130,7 @@ def check_iterated_integral(system, n_windows: int = 80) -> CriterionResult:
 
     # convergence of the inner integral, entry by entry via the six moments
     inner_divergent = False
-    for i, j in ((0, 0), (1, 0), (0, 2), (1, 1), (0, 3), (1, 3)):
+    for i, j in MOMENT_POSITIONS:
         entry_prefix = prefix[:, i, j]
         scale = 1e-11 * (1.0 + float(np.max(np.abs(entry_prefix))))
         sub = entry_prefix[::nodes_per_window]
@@ -183,8 +178,8 @@ def check_decoupled_case(system, prefix_windows: int = 120) -> list[CriterionRes
     t_samples = np.linspace(0.0, (prefix_windows - 1) * LN2, APPLICABILITY_SAMPLES)
     worst = 0.0
     for t in t_samples:
-        R = system.matrix(t)
-        worst = max(worst, *(abs(float(R[ij])) for ij in _BC))
+        R = system.matrix(t)   # b1, b2, c1, c2 follow a1, a2
+        worst = max(worst, *(abs(float(R[ij])) for ij in MOMENT_POSITIONS[2:]))
     if worst > APPLICABILITY_TOL:
         return [CriterionResult(
             id="special_case", verdict=INCONCLUSIVE, flags=("not_applicable",),
@@ -193,7 +188,7 @@ def check_decoupled_case(system, prefix_windows: int = 120) -> list[CriterionRes
 
     prefixes = [tails.prefix_from_sums(_window_sums_of(
         system, lambda Rs: Rs[:, i, j], prefix_windows))
-        for i, j in (_A1, _A2)]
+        for i, j in MOMENT_POSITIONS[:2]]
     floor0 = 1e-11 * (1.0 + float(np.max(np.abs(prefixes[0]))))
     floor1 = 1e-11 * (1.0 + float(np.max(np.abs(prefixes[1]))))
 

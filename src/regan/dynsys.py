@@ -51,12 +51,12 @@ from .coeff import CoefficientField
 from .moments import (DEFAULT_QUADRATURE, BlockTable, QuadratureSettings,
                       block_table, block_tables, moment_matrices, moment_matrix,
                       moment_vector, moment_vectors)
+from .tails import INCONCLUSIVE
 
 STABLE = "stable"
 UNSTABLE = "unstable"
 CONSTANT = "constant"
 DIVERGENT = "divergent"
-INCONCLUSIVE = "inconclusive"
 
 # the relative tolerances `propagate_lanes` accepts
 RTOL_RANGE = (1e-12, 1e-3)

@@ -11,7 +11,8 @@ spectrally accurate for these periodic integrands.  One sampler,
 `_circle_samples`, evaluates and checks a, b, c on the nodes of a batch of
 circles, and one loop, `_refine`, doubles the node count
 per radius until two refinements agree; the moment vectors and the block
-tables both go through that loop.
+tables both go through that loop.  `_MOMENT_GATHER` declares where the
+six moments sit in the 4x4 drift matrix.
 
 `moment_vectors` and `block_tables` are the batched paths of the six
 moments and of the block tables: they evaluate the coefficients once per
@@ -80,20 +81,29 @@ def _circle_samples(field: CoefficientField, radii: np.ndarray, n: int):
     return cos, sin, abc
 
 
-def _refine(sample: Callable, quad: QuadratureSettings, count: int):
-    """Double the node count from quad.base_nodes until two samples agree, per row.
+def _refine(level: Callable, field: CoefficientField, radii: np.ndarray,
+            quad: QuadratureSettings):
+    """Double the node count from quad.base_nodes until two levels agree, per radius.
 
-    sample(n, rows) returns a (len(rows), width) array for `rows`, an index
-    array into range(count).  A row has converged when max|cur - prev| <=
-    rel_tol * max(1, max|cur|) over its entries; only the rows that have
-    not are sampled again.  Returns the (count, width) array of each row's
-    finest sample and the mask of rows that stopped at max_nodes without
-    agreeing (cap hits).
+    level(field, radii, n) samples one node level of some radii as the rows
+    of a (len(radii), width) array.  Each level is one call on the radii
+    still unconverged, split into calls of at most `_CHUNK_POINTS` points
+    (one radius per call past that many nodes).  A radius has converged
+    when max|cur - prev| <= rel_tol * max(1, max|cur|) over its row.
+    Returns the (len(radii), width) array of each radius's finest level
+    and the mask of radii that stopped at max_nodes without agreeing (cap
+    hits).
     """
-    rows = np.arange(count)
+
+    def sample(n, rows):
+        step = max(1, _CHUNK_POINTS // n)
+        return np.concatenate([level(field, radii[rows[i:i + step]], n)
+                               for i in range(0, rows.size, step)])
+
+    rows = np.arange(radii.size)
     n = quad.base_nodes
     prev = sample(n, rows)
-    out = np.empty((count, prev.shape[1]))
+    out = np.empty((radii.size, prev.shape[1]))
     while rows.size and n < quad.max_nodes:
         n *= 2
         cur = sample(n, rows)
@@ -102,7 +112,7 @@ def _refine(sample: Callable, quad: QuadratureSettings, count: int):
         out[rows[done]] = cur[done]
         rows, prev = rows[~done], cur[~done]
     out[rows] = prev
-    capped = np.zeros(count, dtype=bool)
+    capped = np.zeros(radii.size, dtype=bool)
     capped[rows] = True
     return out, capped
 
@@ -222,28 +232,13 @@ def _radius_array(radii) -> np.ndarray:
     return radii
 
 
-def _refine_radii(level: Callable, field: CoefficientField, radii: np.ndarray,
-                  quad: QuadratureSettings):
-    """`_refine` over a batch of radii, where level(field, radii, n) samples
-    one node level of some radii as rows.  Each level is one call on the
-    radii still unconverged, split into calls of at most `_CHUNK_POINTS`
-    points (one radius per call past that many nodes)."""
-
-    def sample(n, rows):
-        step = max(1, _CHUNK_POINTS // n)
-        return np.concatenate([level(field, radii[rows[i:i + step]], n)
-                               for i in range(0, rows.size, step)])
-
-    return _refine(sample, quad, radii.size)
-
-
 def _stacked_tables(field: CoefficientField, radii: np.ndarray,
                     quad: QuadratureSettings):
     """The six moments and the eight block tables at each radius, converged
     per radius in every entry, each with a leading radius axis, and the
     mask of radii that hit the node cap."""
     ends = np.cumsum([math.prod(shape) for shape in _TABLE_SHAPES])
-    flat, capped = (_refine_radii(_tables_at, field, radii, quad) if radii.size
+    flat, capped = (_refine(_tables_at, field, radii, quad) if radii.size
                     else (np.zeros((0, ends[-1])), np.zeros(0, dtype=bool)))
     return [part.reshape((radii.size,) + shape) for part, shape
             in zip(np.split(flat, ends[:-1], axis=1), _TABLE_SHAPES)], capped
@@ -274,7 +269,7 @@ def moment_vectors(field: CoefficientField, radii,
     def level(field, rows, n):
         return _second_harmonics(*_circle_samples(field, rows, n))
 
-    return _refine_radii(level, field, radii, quad)
+    return _refine(level, field, radii, quad)
 
 
 def moment_vector(field: CoefficientField, r: float,
@@ -293,6 +288,11 @@ def moment_vector(field: CoefficientField, r: float,
 # (a1, a2, b1, b2, c1, c2, 0), negated where _MOMENT_NEGATED is set
 _MOMENT_GATHER = np.array([[0, 6, 2, 4], [1, 3, 6, 5], [1, 6, 3, 5], [0, 2, 6, 4]])
 _MOMENT_NEGATED = np.array([[False] * 4] * 3 + [[True, True, False, True]])
+
+# the first (row-major) position in the drift matrix of each of a1, a2, b1,
+# b2, c1, c2, where it appears with its own sign
+MOMENT_POSITIONS = tuple(tuple(int(i) for i in np.argwhere(_MOMENT_GATHER == k)[0])
+                         for k in range(6))
 
 
 def moment_matrices(m6) -> np.ndarray:
@@ -317,9 +317,7 @@ def block_table(field: CoefficientField, r: float,
 
     This is the one-radius case of `block_tables`.
     """
-    if not 0.0 < r <= 1.0:
-        raise ValueError("radius must lie in (0, 1]")
-    _, tabs = _converged_tables(field, r, quad)
+    _, tabs = _converged_tables(field, _radius_array(r)[0], quad)
     return BlockTable(r, *tabs)
 
 

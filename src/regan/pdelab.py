@@ -5,9 +5,10 @@ A Dirichlet problem is solved on a uniform Cartesian grid over a square
 polar singularity enters).  The gradient field is decomposed on circles
 into circle mean + first-moment part + higher-harmonic remainder, and the
 profiles feed regularity indicators that mirror the dynamical-system
-predictions.  Indicators are always read against a discretization floor
-estimated from a constant-coefficient control run at the same mesh width:
-a finite grid cannot see below its own resolution.
+predictions.  Indicators are always read against a discretization floor,
+the same indicators of a constant-coefficient control run at the same mesh
+width and radii (`profile_radii`): a finite grid cannot see below its own
+resolution.
 """
 from __future__ import annotations
 
@@ -21,6 +22,7 @@ import scipy.sparse.linalg as spla
 
 from .coeff import CoefficientField
 from .dynsys import FullSystem, propagate_dense
+from .tails import INCONCLUSIVE
 
 
 class SolveError(RuntimeError):
@@ -45,7 +47,7 @@ CIRCLE_NODES = 256
 ANNULUS_RADII = 17
 ANNULUS_P = 4.0
 
-# `geometric_radii`: radii per halving of r
+# `profile_radii`: radii per halving of r
 RADII_PER_OCTAVE = 4
 
 
@@ -66,15 +68,6 @@ BOUNDARY_LIBRARY: dict[str, Callable] = {
     # second-harmonic-rich: the gradient is a pure second harmonic
     "w_rich_mix": lambda x, y: x**3 - 3.0 * x * y**2 + 0.25 * (x**2 - y**2),
 }
-
-
-def boundary_evaluator(boundary) -> Callable:
-    if callable(boundary):
-        return boundary
-    try:
-        return BOUNDARY_LIBRARY[boundary]
-    except KeyError:
-        raise ValueError(f"unknown boundary data id {boundary!r}") from None
 
 
 @dataclass
@@ -117,10 +110,14 @@ def solve_dirichlet(field: CoefficientField, h: float, boundary) -> GridSolution
     Centered second differences for u_xx and u_yy, the four-point cross
     stencil for u_xy (no upwinding: the coefficients are near-identity).
     The mesh width must pass `cell_count`, so the origin is a node; it
-    carries the normalized values (1, 0, 1).
+    carries the normalized values (1, 0, 1).  boundary is a callable or a
+    key of BOUNDARY_LIBRARY.
     """
     N = cell_count(h)
-    data_fn = boundary_evaluator(boundary)
+    try:
+        data_fn = boundary if callable(boundary) else BOUNDARY_LIBRARY[boundary]
+    except KeyError:
+        raise ValueError(f"unknown boundary data id {boundary!r}") from None
 
     xs = -HALF_WIDTH + h * np.arange(N + 1)
     ix, iy = np.meshgrid(np.arange(1, N), np.arange(1, N), indexing="ij")
@@ -346,16 +343,15 @@ def decompose(U: np.ndarray, h: float, radii) -> DecompositionProfile:
                                 proj, recon)
 
 
-def geometric_radii(r_min: float, r_max: float) -> np.ndarray:
-    """Radii descending from r_max by the factor 2^(-1/RADII_PER_OCTAVE),
-    above r_min."""
-    out = []
-    r = r_max
-    ratio = 2.0 ** (-1.0 / RADII_PER_OCTAVE)
-    while r > r_min:
+def profile_radii(h: float) -> np.ndarray:
+    """The decomposition radii at mesh width h, ascending: from 0.99 L/2 down
+    by the factor 2^(-1/RADII_PER_OCTAVE) while above 1.01 * 4h, so strictly
+    inside the band (4h, L/2) of `decompose`."""
+    out, r = [], HALF_WIDTH / 2.0 * 0.99
+    while r > 4.0 * h * 1.01:
         out.append(r)
-        r *= ratio
-    return np.array(sorted(out))
+        r *= 2.0 ** (-1.0 / RADII_PER_OCTAVE)
+    return np.array(out[::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -366,14 +362,6 @@ BOUNDED = "bounded"
 GROWING = "growing"
 VANISHING = "vanishing"
 PERSISTENT = "persistent"
-INCONCLUSIVE = "inconclusive"
-
-
-def _per_radius_floor(floor, key, n):
-    if floor is None or key not in floor:
-        return np.zeros(n)
-    val = np.asarray(floor[key], dtype=float)
-    return np.broadcast_to(val, (n,)).copy()
 
 
 def _trend_verdict(values, floors, grow_word=GROWING, ok_word=BOUNDED):
@@ -393,42 +381,53 @@ def _trend_verdict(values, floors, grow_word=GROWING, ok_word=BOUNDED):
 
 MIN_PROFILE_RADII = 8
 
+# the (growing, ok) verdict words of an indicator, where not (GROWING, BOUNDED)
+_WORDS = {"differentiability": (PERSISTENT, VANISHING)}
+
+
+def _indicators(prof: DecompositionProfile, modulus) -> dict:
+    """The four indicators of a profile per radius, by verdict name."""
+    rvp = np.linalg.norm(prof.rVprime, axis=1)
+    omega_r = np.asarray(modulus(prof.radii), dtype=float) * prof.radii
+    safe = np.where(omega_r > 1e-300, omega_r, np.inf)
+    return {
+        "lipschitz": np.linalg.norm(prof.V, axis=1) + rvp,
+        "differentiability": rvp,
+        "w_growth": prof.M1p_W / safe,
+        "u0_growth": np.linalg.norm(prof.U0 - prof.U0[0], axis=1) / safe,
+    }
+
 
 def regularity_diagnostics(prof: DecompositionProfile, modulus,
-                           floor: Optional[dict] = None) -> dict:
+                           control: Optional[DecompositionProfile] = None) -> dict:
     """Threshold verdicts for the regularity indicators of a profile.
 
     The indicators are |V| + |r V'| ("lipschitz"), |r V'|
     ("differentiability"), M1p(W, r) / (omega(r) r) ("w_growth") and
-    |U0(r) - U0(r_min)| / (omega(r) r) ("u0_growth").  Requires at least
-    MIN_PROFILE_RADII radii.  Trends are judged on the 4 smallest radii
-    against three times the per-key floor (the constant-coefficient control
-    value at the same radii); everything below that is resolution, not
-    signal.  Returns the verdict per indicator.
+    |U0(r) - U0(r_min)| / (omega(r) r) ("u0_growth"), the ratios 0 where
+    omega(r) r <= 1e-300.  Requires at least MIN_PROFILE_RADII radii.
+    Trends are judged on the 4 smallest radii against three times the
+    floor: the same indicators of the `control` profile (0 without one),
+    except that the floor of "lipschitz" is the control's |r V'|;
+    everything below that is resolution, not signal.  Returns the verdict
+    per indicator.
     """
     n = prof.radii.size
     if n < MIN_PROFILE_RADII:
         raise ValueError(f"profile must cover at least {MIN_PROFILE_RADII} radii")
-    vnorm = np.linalg.norm(prof.V, axis=1)
-    rvp = np.linalg.norm(prof.rVprime, axis=1)
-    lip = vnorm + rvp
-    omega_r = np.asarray(modulus(prof.radii), dtype=float) * prof.radii
-    safe = np.where(omega_r > 1e-300, omega_r, np.inf)
-    w_ratio = prof.M1p_W / safe
-    u0_dev = np.linalg.norm(prof.U0 - prof.U0[0], axis=1)
-    u0_ratio = u0_dev / safe
-
+    values = _indicators(prof, modulus)
+    if control is None:
+        floors = dict.fromkeys(values, np.zeros(n))
+    elif np.array_equal(control.radii, prof.radii):
+        floors = _indicators(control, modulus)
+        floors["lipschitz"] = floors["differentiability"]
+    else:
+        raise ValueError("the control profile must have the radii of the profile")
     # four smallest radii, ordered from larger to smaller r
     sel = slice(3, None, -1)
-    floors = {key: _per_radius_floor(floor, key, n)
-              for key in ("lip", "rvp", "w_ratio", "u0_ratio")}
-    return {
-        "lipschitz": _trend_verdict(lip[sel], floors["lip"][sel]),
-        "differentiability": _trend_verdict(
-            rvp[sel], floors["rvp"][sel], grow_word=PERSISTENT, ok_word=VANISHING),
-        "w_growth": _trend_verdict(w_ratio[sel], floors["w_ratio"][sel]),
-        "u0_growth": _trend_verdict(u0_ratio[sel], floors["u0_ratio"][sel]),
-    }
+    return {key: _trend_verdict(v[sel], floors[key][sel],
+                                *_WORDS.get(key, (GROWING, BOUNDED)))
+            for key, v in values.items()}
 
 
 def compare_with_dynamics(prof: DecompositionProfile, system: FullSystem,

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import numpy as np
 
-from regan import cli, criteria, dynsys
+from regan import cli, coeff, criteria, dynsys
 from regan.cli import (ANALYSES, MAX_CONFIG_BYTES, AnalysisConfig, ConfigError,
                        CriteriaConfig, PdeConfig, ProbeConfig, main, run_pipeline,
                        validate_config)
@@ -335,6 +335,63 @@ def test_family_values_past_their_bounds_exit_2_naming_the_key(tmp_path, family,
     line, = err.strip().splitlines()
     assert line.startswith(f"config error: family: {key} must lie in")
     assert not (tmp_path / "o").exists()
+
+
+def _harmonic(mode=2, phase=0.0):
+    return {"family": "harmonic", "target": "a", "mode": mode, "phase": phase,
+            "profile": {"kind": "power", "gamma": 0.3, "alpha": 0.5}}
+
+
+@pytest.mark.parametrize("family, key, literal", [
+    (_harmonic(mode=coeff.MAX_MODE + 1), "angular_mode", None),
+    (_harmonic(mode=10**12), "angular_mode", None),
+    (_harmonic(mode="@"), "angular_mode", "1" + "0" * 400),
+    (_harmonic(phase=1e8), "phase", None),
+    (_harmonic(phase=-1e15), "phase", None),
+    (_harmonic(phase=6.3), "phase", None),
+])
+def test_harmonic_mode_and_phase_past_their_bounds_exit_2(tmp_path, family,
+                                                         key, literal):
+    # mode 10**12 once ran unbounded, 10**400 failed inside a stage (exit
+    # 3), and a phase of 1e8 sent many radii to the quadrature's node cap
+    code, err = _main_exit(tmp_path, minimal_config(
+        family=family, analyses=["validate", "probes"],
+        probes={"s_grid": [0], "t_max": 3}), literal)
+    assert code == 2
+    line, = err.strip().splitlines()
+    assert line.startswith(f"config error: family: {key} must lie in")
+    assert not (tmp_path / "o").exists()
+
+
+def test_config_accepts_the_edge_modes_and_phases():
+    for mode in (2, coeff.MAX_MODE):
+        for phase in (-2.0 * np.pi, 2.0 * np.pi):
+            validate_config(minimal_config(family=_harmonic(mode, phase)))
+
+
+@pytest.mark.parametrize("s_grid, key", [
+    ([-100000.0], "probes.s_grid must be at least 0"),
+    ([-1e308], "probes.s_grid must be at least 0"),
+    ([-0.5, 1.0], "probes.s_grid must be at least 0"),
+    (list(range(65)), "len(probes.s_grid) must be at most 64"),
+    ([], "len(probes.s_grid) must be positive"),
+])
+def test_s_grid_out_of_bounds_exits_2_naming_the_key(tmp_path, s_grid, key):
+    # a negative entry asks for radii r = e^-s > 1 (once "math range error",
+    # exit 3), and each entry is one probes lane holding all its samples
+    code, err = _main_exit(tmp_path, minimal_config(
+        analyses=["probes"], probes={"s_grid": s_grid, "t_max": 100.0}))
+    assert code == 2
+    line, = err.strip().splitlines()
+    assert line.startswith(f"config error: {key}")
+    assert not (tmp_path / "o").exists()
+
+
+def test_config_accepts_the_edge_s_grids():
+    for grid in ([0.0], [float(s) for s in range(64)]):
+        config = validate_config(minimal_config(probes={"s_grid": grid,
+                                                        "t_max": 64.5}))
+        assert config.probes.s_grid == tuple(grid)
 
 
 def test_non_finite_s_grid_entries_are_rejected():

@@ -43,6 +43,48 @@ def test_harmonic_family_values():
     assert np.allclose(b, 0.0) and np.allclose(c, 1.0)
 
 
+# a grid through the origin and past the unit circle, where the
+# coefficients keep their unit-circle values
+_XS = np.linspace(-1.5, 1.5, 13)
+_GX, _GY = np.meshgrid(_XS, _XS, indexing="ij")
+
+
+@pytest.mark.parametrize("target", ["a", "b", "c"])
+@pytest.mark.parametrize("profile", [profile_log_inverse(0.4),
+                                     profile_power(0.3, 0.5)],
+                         ids=lambda p: p.label)
+@pytest.mark.parametrize("mode, phase", [(0, 0.0), (2, 0.0), (3, -1.25),
+                                         (coeff.MAX_MODE, 2.0 * math.pi)])
+def test_profile_families_evaluate_their_formula_bitwise(target, profile,
+                                                        mode, phase):
+    r = np.minimum(np.hypot(_GX, _GY), 1.0)
+    g = profile.g(np.maximum(r, 1e-300))
+    if mode == 0:
+        field = make_radial_family(target, profile)
+        perturbation = g
+    else:
+        field = make_harmonic_family(target, profile, mode, phase)
+        perturbation = np.where(r > 0, g, 0.0) * np.cos(
+            mode * np.arctan2(_GY, _GX) + phase)
+    expect = {"a": np.ones_like(r), "b": np.zeros_like(r), "c": np.ones_like(r)}
+    expect[target] = (0.0 if target == "b" else 1.0) + perturbation
+    for got, name in zip(field.coefficients(_GX, _GY), "abc"):
+        assert np.array_equal(got, expect[name]), name
+
+
+@pytest.mark.parametrize("mode, phase, message", [
+    (coeff.MAX_MODE + 1, 0.0, "angular_mode must lie in"),
+    (10**400, 0.0, "angular_mode must lie in"),
+    (2.5, 0.0, "angular_mode"),
+    (2, 2.0 * math.pi + 1e-9, "phase must lie in"),
+    (2, -1e15, "phase must lie in"),
+    (2, float("nan"), "phase must lie in"),
+])
+def test_harmonic_family_bounds_mode_and_phase(mode, phase, message):
+    with pytest.raises(ValueError, match=message):
+        make_harmonic_family("a", profile_log_inverse(0.4), mode, phase)
+
+
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0])
 def test_classify_power_modulus(alpha):
     m = modulus_from(lambda r, alpha=alpha: r**alpha)
@@ -167,4 +209,4 @@ def test_modulus_eps_matches_analytic_tail():
     prof = profile_log_inverse(0.4)
     field = make_harmonic_family("a", prof, 2)
     ts = np.linspace(0.0, 30.0, 7)
-    assert np.allclose(field.modulus.eps(ts), 0.4 / (1.0 + ts), rtol=1e-12)
+    assert np.allclose(field.modulus(np.exp(-ts)), 0.4 / (1.0 + ts), rtol=1e-12)

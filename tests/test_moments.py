@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from oracles import oracle_moment_vector, oracle_tables
-from regan import moments
+from regan import coeff, moments
 from regan.coeff import (CoefficientField, builtin_families, constant_laplacian,
                          family_from_descriptor, make_harmonic_family,
                          make_radial_family, make_trig_field,
                          profile_log_inverse, profile_power)
-from regan.moments import (DEFAULT_QUADRATURE, MOMENT_MATRIX_ZEROS, MomentVector,
-                           QuadratureSettings, block_table, block_tables,
+from regan.moments import (DEFAULT_QUADRATURE, MOMENT_MATRIX_ZEROS,
+                           MOMENT_POSITIONS, MomentVector, QuadratureSettings,
+                           block_table, block_tables, moment_matrices,
                            moment_matrix, moment_matrix_residual, moment_vector,
                            moment_vectors, write_moment_csv)
 from regan.tails import EvaluationError
@@ -83,6 +84,30 @@ def test_structural_zeros_always_hold():
         R = moment_matrix(moment_vector(make_trig_field(seed), 0.7))
         for i, j in MOMENT_MATRIX_ZEROS:
             assert R[i, j] == 0.0
+
+
+def test_moment_positions_are_the_first_place_of_each_moment():
+    # moment k alone fills its entries of the drift matrix; the first one in
+    # row-major order is where criteria read it, with its own sign
+    for k, Rk in enumerate(moment_matrices(np.eye(6))):
+        first = tuple(int(i) for i in np.argwhere(Rk != 0.0)[0])
+        assert first == MOMENT_POSITIONS[k]
+        assert Rk[first] == 1.0
+
+
+def test_modes_up_to_the_bound_read_exact_moments_and_tables():
+    # a mode n >= 5 has no part of degree <= 4, so its moments vanish and its
+    # tables are those of the constant field; aliasing at the first two node
+    # levels would make both agree on another value (modes 60 to 68 do)
+    plain = block_table(constant_laplacian(), 0.5)
+    for mode in range(5, coeff.MAX_MODE + 1):
+        field = make_harmonic_family("a", const_profile(0.3), mode, 0.7)
+        assert np.max(np.abs(moment_vector(field, 0.5).as_array())) <= 1e-13
+        table = block_table(field, 0.5)
+        for name in ("theta2_mean", "theta3_mean", "theta1_col", "theta1_row",
+                     "theta4", "theta2_col", "theta2_row", "plain"):
+            assert np.allclose(getattr(table, name), getattr(plain, name),
+                               rtol=0.0, atol=1e-13), (mode, name)
 
 
 def test_zero_moments_give_zero_matrix():

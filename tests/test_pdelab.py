@@ -1,14 +1,17 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from regan.coeff import (CoefficientField, ModulusOfContinuity,
-                         constant_laplacian, make_harmonic_family,
-                         profile_log_inverse, profile_log_oscillatory)
+from regan import pdelab
+from regan.coeff import (CoefficientField, ModulusOfContinuity, builtin_families,
+                         constant_laplacian, family_from_descriptor,
+                         make_harmonic_family, profile_log_inverse,
+                         profile_log_oscillatory)
 from regan.dynsys import FullSystem
 from regan.pdelab import (BOUNDARY_LIBRARY, EllipticityError, bilinear_sample,
-                          compare_with_dynamics, decompose, geometric_radii,
+                          compare_with_dynamics, decompose, profile_radii,
                           gradient_field, hessian_quotients,
                           regularity_diagnostics, solve_dirichlet,
                           write_profile_csv, write_solution_csv)
@@ -126,7 +129,7 @@ def test_bilinear_sample_linear_exact():
 
 
 def radii_for(h):
-    return geometric_radii(4.0 * h * 1.01, L / 2.0 * 0.99)
+    return profile_radii(h)
 
 
 def test_decompose_pure_first_moment_field():
@@ -219,6 +222,59 @@ def test_regularity_diagnostics_needs_depth():
         reconstruction_residual=prof.reconstruction_residual[:4])
     with pytest.raises(ValueError, match="8"):
         regularity_diagnostics(small, constant_laplacian().modulus)
+
+
+def _floor_dict_verdicts(prof, control, modulus):
+    """Reference: the verdicts of a floor dict built from the control profile
+    with the guard max(omega r, 1e-300), read against the field's indicators
+    as four separate trend calls."""
+    rvp_c = np.linalg.norm(control.rVprime, axis=1)
+    scale = np.maximum(np.asarray(modulus(control.radii), dtype=float)
+                       * control.radii, 1e-300)
+    floor = {"lip": rvp_c, "rvp": rvp_c, "w_ratio": control.M1p_W / scale,
+             "u0_ratio": np.linalg.norm(control.U0 - control.U0[0], axis=1) / scale}
+    rvp = np.linalg.norm(prof.rVprime, axis=1)
+    omega_r = np.asarray(modulus(prof.radii), dtype=float) * prof.radii
+    safe = np.where(omega_r > 1e-300, omega_r, np.inf)
+    values = {"lip": np.linalg.norm(prof.V, axis=1) + rvp, "rvp": rvp,
+              "w_ratio": prof.M1p_W / safe,
+              "u0_ratio": np.linalg.norm(prof.U0 - prof.U0[0], axis=1) / safe}
+    sel = slice(3, None, -1)
+    trend = lambda key, *words: pdelab._trend_verdict(
+        values[key][sel], floor[key][sel], *words)
+    return {"lipschitz": trend("lip"),
+            "differentiability": trend("rvp", "persistent", "vanishing"),
+            "w_growth": trend("w_ratio"), "u0_growth": trend("u0_ratio")}
+
+
+@pytest.mark.parametrize("name", sorted(builtin_families()))
+def test_regularity_diagnostics_reads_the_control_floor(name):
+    # `constant` has omega r = 0 at every radius, where the two guards differ
+    field = family_from_descriptor(builtin_families()[name])
+    prof = decompose(gradient_field(solve_dirichlet(field, H6, "v_rich_mix")),
+                     H6, radii_for(H6))
+    control = control_profile()
+    got = regularity_diagnostics(prof, field.modulus, control)
+    assert got == _floor_dict_verdicts(prof, control, field.modulus)
+    with pytest.raises(ValueError, match="radii"):
+        regularity_diagnostics(prof, field.modulus, decompose(
+            gradient_field(solve_dirichlet(constant_laplacian(), H6, "v_rich_mix")),
+            H6, radii_for(H6)[1:]))
+
+
+def test_regularity_diagnostics_control_floor_absorbs_a_small_trend():
+    # |r V'| doubling toward r = 0 below three times the control's |r V'|
+    # is resolution with the control and a persistent trend without it
+    control = control_profile()
+    rising = np.zeros_like(control.rVprime)
+    rising[:4, 0] = [8e-4, 4e-4, 2e-4, 1e-4]
+    prof = dataclasses.replace(control, rVprime=rising)
+    control = dataclasses.replace(control, rVprime=np.full_like(rising, 5e-4))
+    modulus = constant_laplacian().modulus
+    assert regularity_diagnostics(prof, modulus)["differentiability"] == "persistent"
+    got = regularity_diagnostics(prof, modulus, control)
+    assert got["differentiability"] == "vanishing"
+    assert got == _floor_dict_verdicts(prof, control, modulus)
 
 
 def test_compare_with_dynamics_control_floor():

@@ -1,0 +1,68 @@
+import importlib.util
+import json
+import shutil
+from pathlib import Path
+
+import pytest
+
+_TOOL = Path(__file__).resolve().parents[1] / "tools" / "report_identity.py"
+_spec = importlib.util.spec_from_file_location("report_identity", _TOOL)
+report_identity = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(report_identity)
+
+REPORT = {"schema": 1, "results": {"pde": {"h": 0.015625, "verdicts": ["bounded"]},
+                                   "probes": {"kappa_max": 1.5}},
+          "timings": {"pde": 0.25}}
+
+
+def _tree(root: Path, report=REPORT, csv="r,v\n0.5,1.25\n") -> Path:
+    op = root / "pde_fine__constant__pde"
+    op.mkdir(parents=True)
+    (op / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True))
+    (op / "profile.csv").write_text(csv)
+    return root
+
+
+def _diff(a: Path, b: Path, *ignore) -> int:
+    return report_identity.main(["diff", str(a), str(b),
+                                 *(["--ignore", *ignore] if ignore else [])])
+
+
+@pytest.fixture
+def parent(tmp_path):
+    return _tree(tmp_path / "a")
+
+
+def test_identical_trees_exit_0(tmp_path, parent, capsys):
+    assert _diff(parent, _tree(tmp_path / "b")) == 0
+    assert "2 files, 0 differ" in capsys.readouterr().out
+
+
+def test_a_changed_timings_block_alone_exits_0(tmp_path, parent):
+    changed = {**REPORT, "timings": {"pde": 9.5, "probes": 1.0}}
+    assert _diff(parent, _tree(tmp_path / "b", report=changed)) == 0
+
+
+def test_one_changed_csv_byte_exits_1(tmp_path, parent, capsys):
+    assert _diff(parent, _tree(tmp_path / "b", csv="r,v\n0.5,1.26\n")) == 1
+    assert "differs: pde_fine__constant__pde/profile.csv" in capsys.readouterr().out
+
+
+def test_a_changed_results_field_exits_1_unless_ignored(tmp_path, parent, capsys):
+    changed = json.loads(json.dumps(REPORT))
+    changed["results"]["probes"]["kappa_max"] = 1.5000000000000002
+    other = _tree(tmp_path / "b", report=changed)
+    assert _diff(parent, other) == 1
+    assert "results.probes.kappa_max" in capsys.readouterr().out
+    assert _diff(parent, other, "results.probes.kappa_max") == 0
+    assert _diff(parent, other, "results.probes") == 0
+    assert _diff(parent, other, "results.pde") == 1
+
+
+def test_a_file_on_one_side_only_exits_1(tmp_path, parent, capsys):
+    other = _tree(tmp_path / "b")
+    shutil.copy(other / "pde_fine__constant__pde" / "profile.csv",
+                other / "pde_fine__constant__pde" / "profile_control.csv")
+    assert _diff(parent, other) == 1
+    assert "only in" in capsys.readouterr().out
+    assert _diff(other, parent) == 1
