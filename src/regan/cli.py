@@ -400,6 +400,9 @@ def _stage_pde(config, field, out_dir):
         "boundary": pc.boundary,
         "residual_norm": sol.residual_norm,
         "control_residual_norm": control.residual_norm,
+        "solves": {name: {"method": g.method,
+                          "residual_history": g.residual_history}
+                   for name, g in (("field", sol), ("control", control))},
         "profile_csv": "profile.csv",
         "control_profile_csv": "profile_control.csv",
         "solution_csv": "solution.csv",

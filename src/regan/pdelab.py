@@ -9,6 +9,10 @@ predictions.  Indicators are always read against a discretization floor,
 the same indicators of a constant-coefficient control run at the same mesh
 width and radii (`profile_radii`): a finite grid cannot see below its own
 resolution.
+
+A field's stencil is factored by SuperLU.  The control's stencil is the
+plain 5-point Laplacian, which a type-I discrete sine transform inverts
+exactly (`_laplacian_solve`), so the control factors no matrix.
 """
 from __future__ import annotations
 
@@ -26,7 +30,12 @@ from .tails import INCONCLUSIVE
 
 
 class SolveError(RuntimeError):
-    """The sparse linear solve did not reach the requested residual."""
+    """The linear solve did not reach the requested residual; history holds
+    the max-norm residual after the solve and after the refinement step."""
+
+    def __init__(self, message: str, history: list):
+        super().__init__(message)
+        self.history = history
 
 
 class EllipticityError(RuntimeError):
@@ -38,8 +47,13 @@ class EllipticityError(RuntimeError):
 HALF_WIDTH = 0.6875
 
 # max-norm residual of the solve, relative to 1 + max |rhs|, before one
-# refinement step and before SolveError
+# refinement step with the same solver and before SolveError; both solvers
+# land far below it (about 1e-15 to 1e-14 at h = 2^-8)
 SOLVER_TOL = 1e-10
+
+# `GridSolution.method`: which solver inverted the stencil
+SUPERLU = "superlu"
+SINE_TRANSFORM = "sine_transform"
 
 # `decompose`: samples per circle, radii per annulus r < |x| < 2r, and the
 # exponent p > 2 of the annulus L^p means
@@ -75,12 +89,20 @@ class GridSolution:
     """Nodal solution u[ix, iy] on x = -L + ix*h, y = -L + iy*h, L = HALF_WIDTH.
 
     residual_norm is the max-norm residual of the h^2-scaled stencil
-    equations (the algebraic system actually solved).
+    equations (the algebraic system actually solved), the last entry of
+    residual_history: one entry per solve, two after a refinement step.
+    method names the solver, SUPERLU or SINE_TRANSFORM.
     """
 
     h: float
     u: np.ndarray
     residual_norm: float
+    residual_history: Optional[list] = None
+    method: str = SUPERLU
+
+    def __post_init__(self):
+        if self.residual_history is None:
+            self.residual_history = [self.residual_norm]
 
     @property
     def n_cells(self) -> int:
@@ -104,22 +126,15 @@ def cell_count(h: float) -> int:
     return N
 
 
-def solve_dirichlet(field: CoefficientField, h: float, boundary) -> GridSolution:
-    """Nine-point finite-difference solve of a u_xx + b u_xy + c u_yy = 0.
+def _assemble(field: CoefficientField, h: float, data_fn, xs: np.ndarray):
+    """The h^2-scaled stencil equations A u = rhs on the interior nodes.
 
-    Centered second differences for u_xx and u_yy, the four-point cross
-    stencil for u_xy (no upwinding: the coefficients are near-identity).
-    The mesh width must pass `cell_count`, so the origin is a node; it
-    carries the normalized values (1, 0, 1).  boundary is a callable or a
-    key of BOUNDARY_LIBRARY.
+    Unknowns are ordered ix-major, (ix - 1) * (N - 1) + (iy - 1).  The
+    origin node carries the normalized values (1, 0, 1).  Also returns
+    whether a == 1, c == 1 and b == 0 at every interior node, so that A is
+    the plain 5-point Laplacian.
     """
-    N = cell_count(h)
-    try:
-        data_fn = boundary if callable(boundary) else BOUNDARY_LIBRARY[boundary]
-    except KeyError:
-        raise ValueError(f"unknown boundary data id {boundary!r}") from None
-
-    xs = -HALF_WIDTH + h * np.arange(N + 1)
+    N = xs.size - 1
     ix, iy = np.meshgrid(np.arange(1, N), np.arange(1, N), indexing="ij")
     ix, iy = ix.ravel(), iy.ravel()
     X, Y = xs[ix], xs[iy]
@@ -166,23 +181,85 @@ def solve_dirichlet(field: CoefficientField, h: float, boundary) -> GridSolution
         (np.concatenate(vals_list),
          (np.concatenate(rows_list), np.concatenate(cols_list))),
         shape=(n_int, n_int))
-    u_int = spla.spsolve(A, rhs)
-    history = []
+    laplacian = bool(np.all(a == 1.0) and np.all(c == 1.0) and np.all(b == 0.0))
+    return A, rhs, laplacian
+
+
+def _dst1(x: np.ndarray, axis: int) -> np.ndarray:
+    """Type-I discrete sine transform along axis, unnormalized:
+    X_k = sum_j x_j sin(pi j k / N) for j, k = 1 .. N - 1, read off
+    `numpy.fft.rfft` of the odd extension (0, x, 0, -reversed x) of
+    length 2N."""
+    x = np.moveaxis(x, axis, 0)
+    n = x.shape[0]
+    ext = np.zeros((2 * n + 2,) + x.shape[1:])
+    ext[1:n + 1] = x
+    ext[n + 2:] = -x[::-1]
+    out = -0.5 * np.fft.rfft(ext, axis=0)[1:n + 1].imag
+    return np.moveaxis(out, 0, axis)
+
+
+def _laplacian_solve(f: np.ndarray) -> np.ndarray:
+    """Exact inverse of the h^2-scaled 5-point Laplacian on the (N - 1)^2
+    interior nodes with zero Dirichlet data, for f ordered as in `_assemble`.
+
+    The DST-I diagonalizes the operator (Buzbee, Golub & Nielson 1970):
+    transform along both axes, divide by lambda_j + lambda_k with
+    lambda_k = -4 sin^2(pi k / 2N), transform back and scale by (2/N)^2.
+    """
+    n = math.isqrt(f.size)
+    N = n + 1
+    lam = -4.0 * np.sin(0.5 * math.pi * np.arange(1, N) / N) ** 2
+    F = _dst1(_dst1(f.reshape(n, n), 0), 1)
+    U = _dst1(_dst1(F / (lam[:, None] + lam[None, :]), 0), 1)
+    return (U * (2.0 / N) ** 2).ravel()
+
+
+def solve_dirichlet(field: CoefficientField, h: float, boundary) -> GridSolution:
+    """Nine-point finite-difference solve of a u_xx + b u_xy + c u_yy = 0.
+
+    Centered second differences for u_xx and u_yy, the four-point cross
+    stencil for u_xy (no upwinding: the coefficients are near-identity).
+    The mesh width must pass `cell_count`, so the origin is a node; it
+    carries the normalized values (1, 0, 1).  boundary is a callable or a
+    key of BOUNDARY_LIBRARY.
+
+    The solver is picked from the assembled coefficients: where a = c = 1
+    and b = 0 at every interior node the stencil is the 5-point Laplacian,
+    inverted exactly by `_laplacian_solve` (method SINE_TRANSFORM);
+    otherwise SuperLU factors it (`spsolve`, method SUPERLU).  A residual
+    above SOLVER_TOL gets one refinement step with the same solver, then
+    SolveError.
+    """
+    N = cell_count(h)
+    try:
+        data_fn = boundary if callable(boundary) else BOUNDARY_LIBRARY[boundary]
+    except KeyError:
+        raise ValueError(f"unknown boundary data id {boundary!r}") from None
+
+    xs = -HALF_WIDTH + h * np.arange(N + 1)
+    A, rhs, laplacian = _assemble(field, h, data_fn, xs)
+    if laplacian:
+        method, solve = SINE_TRANSFORM, _laplacian_solve
+    else:
+        method, solve = SUPERLU, lambda r: spla.spsolve(A, r)
+    u_int = solve(rhs)
     residual = float(np.max(np.abs(A @ u_int - rhs)))
-    history.append(residual)
+    history = [residual]
     denom = float(np.max(np.abs(rhs))) + 1.0
     if residual > SOLVER_TOL * denom:
-        u_int = u_int + spla.spsolve(A, rhs - A @ u_int)
+        u_int = u_int + solve(rhs - A @ u_int)
         residual = float(np.max(np.abs(A @ u_int - rhs)))
         history.append(residual)
         if residual > SOLVER_TOL * denom:
-            raise SolveError(f"linear solve stalled; residual history {history}")
+            raise SolveError(f"linear solve ({method}) stalled; residual "
+                             f"history {history}", history)
 
     u = np.empty((N + 1, N + 1))
     gx, gy = np.meshgrid(xs, xs, indexing="ij")
     u[:, :] = data_fn(gx, gy)
     u[1:N, 1:N] = u_int.reshape(N - 1, N - 1)
-    return GridSolution(h, u, residual)
+    return GridSolution(h, u, residual, history, method)
 
 
 def gradient_field(sol: GridSolution) -> np.ndarray:
@@ -480,11 +557,7 @@ def write_profile_csv(path, prof: DecompositionProfile) -> None:
 
 def write_solution_csv(path, sol: GridSolution) -> None:
     """Nodal values, row-major by y then x, after a geometry header."""
-    lines = [f"# L={HALF_WIDTH!r} h={sol.h!r} ordering=row-major-y-then-x",
-             "u"]
-    N = sol.n_cells
-    for iy in range(N + 1):
-        for ix in range(N + 1):
-            lines.append("%.17g" % sol.u[ix, iy])
+    header = f"# L={HALF_WIDTH!r} h={sol.h!r} ordering=row-major-y-then-x\nu\n"
+    body = "\n".join(map("%.17g".__mod__, sol.u.T.ravel().tolist()))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(header + body + "\n")

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import numpy as np
 
-from regan import cli, coeff, criteria, dynsys
+from regan import cli, coeff, criteria, dynsys, pdelab
 from regan.cli import (ANALYSES, MAX_CONFIG_BYTES, AnalysisConfig, ConfigError,
                        CriteriaConfig, PdeConfig, ProbeConfig, main, run_pipeline,
                        validate_config)
@@ -155,6 +155,27 @@ def test_compare_reports_the_work_of_the_fields_8x8_system(tmp_path, monkeypatch
     assert report["results"]["compare"]["moments_work"] == {
         "radii": seen[field.label], "cap_hits": 0}
     assert seen["constant"] > 0
+
+
+def test_pde_stage_reports_its_solves_and_factors_once(tmp_path, monkeypatch):
+    # the field goes through SuperLU, the constant-coefficient control
+    # through the sine transform
+    calls = []
+    spsolve = pdelab.spla.spsolve
+    monkeypatch.setattr(pdelab.spla, "spsolve",
+                        lambda *args: calls.append(1) or spsolve(*args))
+    config = validate_config({
+        "schema": 1, "family": builtin_families()["dini_power"],
+        "analyses": ["pde"], "pde": {"h": 2.0**-6}})
+    report, code = run_pipeline(config, tmp_path)
+    assert code == 0
+    assert calls == [1]
+    pde = report["results"]["pde"]
+    assert {k: v["method"] for k, v in pde["solves"].items()} == {
+        "field": "superlu", "control": "sine_transform"}
+    assert pde["solves"]["field"]["residual_history"][-1] == pde["residual_norm"]
+    assert (pde["solves"]["control"]["residual_history"]
+            == [pde["control_residual_norm"]])
 
 
 def test_pipeline_stage_failure_exits_3(tmp_path):

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from regan import pdelab
 from regan.coeff import (CoefficientField, ModulusOfContinuity, builtin_families,
@@ -93,6 +94,84 @@ def test_ellipticity_violation_names_node():
                              ellipticity_lower=0.1)
     with pytest.raises(EllipticityError, match="node"):
         solve_dirichlet(field, H5, "quadratic_saddle")
+
+
+# ---------------------------------------------------------------------------
+# the sine-transform Laplacian solve
+# ---------------------------------------------------------------------------
+
+
+def assembled(field, h, boundary):
+    N = pdelab.cell_count(h)
+    xs = -L + h * np.arange(N + 1)
+    return pdelab._assemble(field, h, BOUNDARY_LIBRARY[boundary], xs)
+
+
+@pytest.mark.parametrize("k", [5, 6, 7])
+@pytest.mark.parametrize("boundary", sorted(BOUNDARY_LIBRARY))
+def test_laplacian_solve_matches_spsolve(boundary, k):
+    A, rhs, laplacian = assembled(constant_laplacian(), 2.0**-k, boundary)
+    assert laplacian
+    got = pdelab._laplacian_solve(rhs)
+    assert np.max(np.abs(got - spla.spsolve(A, rhs))) <= 1e-12
+
+
+def test_laplacian_solve_reproduces_the_cubic():
+    # the 5-point stencil is exact on cubics, so only rounding remains
+    sol = solve_dirichlet(constant_laplacian(), 2.0**-7, "harmonic_cubic")
+    x, y = np.meshgrid(sol.axis(), sol.axis(), indexing="ij")
+    assert np.max(np.abs(sol.u - (x**3 - 3.0 * x * y**2))) <= 1e-14
+    assert sol.method == pdelab.SINE_TRANSFORM
+    assert sol.residual_history == [sol.residual_norm]
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("spsolve reached")
+
+
+def test_control_solve_never_reaches_superlu(monkeypatch):
+    monkeypatch.setattr(pdelab.spla, "spsolve", _refuse)
+    sol = solve_dirichlet(constant_laplacian(), H6, "v_rich_mix")
+    assert sol.method == pdelab.SINE_TRANSFORM
+    assert sol.residual_norm <= 1e-14
+
+
+def test_one_perturbed_node_goes_through_superlu(monkeypatch):
+    # a = 1.25 at the single interior node (0.25, 0.25)
+    one = lambda x, y: np.ones_like(np.asarray(x, dtype=float))
+    zero = lambda x, y: np.zeros_like(np.asarray(x, dtype=float))
+    bump = lambda x, y: np.where((np.abs(x - 0.25) < 1e-9)
+                                 & (np.abs(y - 0.25) < 1e-9), 1.25, 1.0)
+    field = CoefficientField(bump, zero, one,
+                             ModulusOfContinuity(lambda r: np.ones_like(r)),
+                             ellipticity_lower=0.5)
+    A, rhs, laplacian = assembled(field, H5, "v_rich_mix")
+    assert not laplacian
+    calls = []
+    spsolve = spla.spsolve
+    monkeypatch.setattr(pdelab.spla, "spsolve",
+                        lambda *args: calls.append(1) or spsolve(*args))
+    sol = solve_dirichlet(field, H5, "v_rich_mix")
+    assert calls == [1]
+    assert sol.method == pdelab.SUPERLU
+    assert np.array_equal(sol.u[1:-1, 1:-1].ravel(), spsolve(A, rhs))
+
+
+def test_stalled_laplacian_solve_refines_with_itself(monkeypatch):
+    calls = []
+
+    def wrong(f):
+        calls.append(f)
+        return np.zeros_like(f)
+
+    monkeypatch.setattr(pdelab, "_laplacian_solve", wrong)
+    monkeypatch.setattr(pdelab.spla, "spsolve", _refuse)
+    with pytest.raises(pdelab.SolveError, match="sine_transform") as info:
+        solve_dirichlet(constant_laplacian(), H5, "v_rich_mix")
+    assert len(calls) == 2
+    history = info.value.history
+    assert len(history) == 2
+    assert history[0] == history[1] > pdelab.SOLVER_TOL
 
 
 def test_hessian_quotients_quadratic():
@@ -305,3 +384,7 @@ def test_profile_and_solution_csv(tmp_path):
     lines = spath.read_text().splitlines()
     assert lines[0].startswith("# L=0.6875 h=0.03125 ordering=row-major-y-then-x")
     assert len(lines) == 2 + (sol.n_cells + 1) ** 2
+    # one value per line, y outer and x inner, at full precision
+    N = sol.n_cells
+    assert lines[1:] == ["u"] + ["%.17g" % sol.u[ix, iy]
+                                 for iy in range(N + 1) for ix in range(N + 1)]
