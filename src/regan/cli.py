@@ -46,6 +46,11 @@ those whose quadrature stopped at the node cap (`cap_hits`): in
 or the 8x8 system under the block view, reduction check included), in
 `results.criteria` for the criteria's reduced system and in
 `results.compare` for the field's 8x8 system.
+
+`results.pde.solves` holds, for the `field` and the `control` solve, the
+GMRES `iterations` and its `residual_history` (see
+`pdelab.GridSolution`), next to the max-norm residuals `residual_norm` and
+`control_residual_norm` that the solve checks against `pdelab.SOLVER_TOL`.
 """
 from __future__ import annotations
 
@@ -400,7 +405,7 @@ def _stage_pde(config, field, out_dir):
         "boundary": pc.boundary,
         "residual_norm": sol.residual_norm,
         "control_residual_norm": control.residual_norm,
-        "solves": {name: {"method": g.method,
+        "solves": {name: {"iterations": len(g.residual_history),
                           "residual_history": g.residual_history}
                    for name, g in (("field", sol), ("control", control))},
         "profile_csv": "profile.csv",

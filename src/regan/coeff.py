@@ -259,8 +259,11 @@ def make_trig_field(seed: int, degree: int = 6, amplitude: float = 0.2) -> Coeff
     n <= degree and sum |alpha| + |beta| = amplitude, constant in r.  Used
     for cross-check suites where only the circle structure matters.  The
     amplitude must lie in [0, 1/2], the bound on |g| of the profile
-    families, so that a, c >= 1/2 and the declared ellipticity holds.
+    families, so that a, c >= 1/2 and the declared ellipticity holds.  The
+    degree must lie in [0, MAX_MODE].
     """
+    if not 0 <= degree <= MAX_MODE:
+        raise ValueError(f"degree must lie in [0, {MAX_MODE}]")
     if not 0.0 <= amplitude <= 0.5:
         raise ValueError(f"amplitude must lie in [0, 0.5], got {amplitude!r}")
     rng = np.random.default_rng(seed)
@@ -327,10 +330,8 @@ def family_from_descriptor(desc: dict) -> CoefficientField:
     if kind == "trig_random":
         _require_keys(desc, {"family", "seed", "degree", "amplitude"},
                       optional={"degree", "amplitude"})
-        degree = _number(desc, "degree", int, 6)
-        if not 0 <= degree <= MAX_MODE:
-            raise ValueError(f"degree must lie in [0, {MAX_MODE}]")
-        return make_trig_field(_number(desc, "seed", int), degree,
+        return make_trig_field(_number(desc, "seed", int),
+                               _number(desc, "degree", int, 6),
                                _number(desc, "amplitude", float, 0.2))
     raise ValueError(f"unknown family kind {kind!r}")
 

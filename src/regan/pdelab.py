@@ -10,9 +10,12 @@ the same indicators of a constant-coefficient control run at the same mesh
 width and radii (`profile_radii`): a finite grid cannot see below its own
 resolution.
 
-A field's stencil is factored by SuperLU.  The control's stencil is the
-plain 5-point Laplacian, which a type-I discrete sine transform inverts
-exactly (`_laplacian_solve`), so the control factors no matrix.
+Every stencil is solved one way: GMRES preconditioned by the exact inverse
+of the plain 5-point Laplacian, a type-I discrete sine transform
+(`_laplacian_solve`; Concus & Golub 1973).  A field's stencil is that
+Laplacian plus a bounded perturbation, so the iteration count does not grow
+as h shrinks; the control's stencil is the Laplacian itself and converges
+in one iteration.
 """
 from __future__ import annotations
 
@@ -31,7 +34,7 @@ from .tails import INCONCLUSIVE
 
 class SolveError(RuntimeError):
     """The linear solve did not reach the requested residual; history holds
-    the max-norm residual after the solve and after the refinement step."""
+    the GMRES residual history (see `GridSolution`)."""
 
     def __init__(self, message: str, history: list):
         super().__init__(message)
@@ -46,14 +49,17 @@ class EllipticityError(RuntimeError):
 # 2L = 11/8 splits into 11 * 2^(k-3) cells of width 2^-k, even from k = 4
 HALF_WIDTH = 0.6875
 
-# max-norm residual of the solve, relative to 1 + max |rhs|, before one
-# refinement step with the same solver and before SolveError; both solvers
-# land far below it (about 1e-15 to 1e-14 at h = 2^-8)
+# max-norm residual of the solve, relative to 1 + max |rhs|, above which
+# the solve raises SolveError; GMRES lands far below it (about 1e-15 to
+# 1e-14 at h = 2^-8)
 SOLVER_TOL = 1e-10
 
-# `GridSolution.method`: which solver inverted the stencil
-SUPERLU = "superlu"
-SINE_TRANSFORM = "sine_transform"
+# GMRES: the relative 2-norm residual it stops at, and its iteration cap,
+# one cycle with no restart.  The perturbed fields, up to |g| = 1/2, need
+# 10 to 23 iterations at every h from 2^-6 to 2^-9; the cap bounds the
+# Krylov basis, GMRES_MAX_ITER + 1 vectors of the unknowns.
+GMRES_RTOL = 1e-14
+GMRES_MAX_ITER = 60
 
 # `decompose`: samples per circle, radii per annulus r < |x| < 2r, and the
 # exponent p > 2 of the annulus L^p means
@@ -89,20 +95,16 @@ class GridSolution:
     """Nodal solution u[ix, iy] on x = -L + ix*h, y = -L + iy*h, L = HALF_WIDTH.
 
     residual_norm is the max-norm residual of the h^2-scaled stencil
-    equations (the algebraic system actually solved), the last entry of
-    residual_history: one entry per solve, two after a refinement step.
-    method names the solver, SUPERLU or SINE_TRANSFORM.
+    equations (the algebraic system actually solved).  residual_history
+    holds one entry per GMRES iteration, the 2-norm of the preconditioned
+    residual over the 2-norm of rhs (scipy's `callback_type="pr_norm"`);
+    it is empty for zero boundary data.
     """
 
     h: float
     u: np.ndarray
     residual_norm: float
-    residual_history: Optional[list] = None
-    method: str = SUPERLU
-
-    def __post_init__(self):
-        if self.residual_history is None:
-            self.residual_history = [self.residual_norm]
+    residual_history: list
 
     @property
     def n_cells(self) -> int:
@@ -130,9 +132,7 @@ def _assemble(field: CoefficientField, h: float, data_fn, xs: np.ndarray):
     """The h^2-scaled stencil equations A u = rhs on the interior nodes.
 
     Unknowns are ordered ix-major, (ix - 1) * (N - 1) + (iy - 1).  The
-    origin node carries the normalized values (1, 0, 1).  Also returns
-    whether a == 1, c == 1 and b == 0 at every interior node, so that A is
-    the plain 5-point Laplacian.
+    origin node carries the normalized values (1, 0, 1).
     """
     N = xs.size - 1
     ix, iy = np.meshgrid(np.arange(1, N), np.arange(1, N), indexing="ij")
@@ -181,8 +181,7 @@ def _assemble(field: CoefficientField, h: float, data_fn, xs: np.ndarray):
         (np.concatenate(vals_list),
          (np.concatenate(rows_list), np.concatenate(cols_list))),
         shape=(n_int, n_int))
-    laplacian = bool(np.all(a == 1.0) and np.all(c == 1.0) and np.all(b == 0.0))
-    return A, rhs, laplacian
+    return A, rhs
 
 
 def _dst1(x: np.ndarray, axis: int) -> np.ndarray:
@@ -224,12 +223,10 @@ def solve_dirichlet(field: CoefficientField, h: float, boundary) -> GridSolution
     carries the normalized values (1, 0, 1).  boundary is a callable or a
     key of BOUNDARY_LIBRARY.
 
-    The solver is picked from the assembled coefficients: where a = c = 1
-    and b = 0 at every interior node the stencil is the 5-point Laplacian,
-    inverted exactly by `_laplacian_solve` (method SINE_TRANSFORM);
-    otherwise SuperLU factors it (`spsolve`, method SUPERLU).  A residual
-    above SOLVER_TOL gets one refinement step with the same solver, then
-    SolveError.
+    A u = rhs is solved by GMRES from u = 0, preconditioned by
+    `_laplacian_solve`, to the relative residual GMRES_RTOL within
+    GMRES_MAX_ITER iterations.  A max-norm residual above SOLVER_TOL
+    (relative to 1 + max |rhs|) raises SolveError with the residual history.
     """
     N = cell_count(h)
     try:
@@ -238,28 +235,22 @@ def solve_dirichlet(field: CoefficientField, h: float, boundary) -> GridSolution
         raise ValueError(f"unknown boundary data id {boundary!r}") from None
 
     xs = -HALF_WIDTH + h * np.arange(N + 1)
-    A, rhs, laplacian = _assemble(field, h, data_fn, xs)
-    if laplacian:
-        method, solve = SINE_TRANSFORM, _laplacian_solve
-    else:
-        method, solve = SUPERLU, lambda r: spla.spsolve(A, r)
-    u_int = solve(rhs)
+    A, rhs = _assemble(field, h, data_fn, xs)
+    history = []
+    u_int, _ = spla.gmres(
+        A, rhs, rtol=GMRES_RTOL, atol=0.0, restart=GMRES_MAX_ITER, maxiter=1,
+        M=spla.LinearOperator(A.shape, matvec=_laplacian_solve, dtype=float),
+        callback=history.append, callback_type="pr_norm")
     residual = float(np.max(np.abs(A @ u_int - rhs)))
-    history = [residual]
-    denom = float(np.max(np.abs(rhs))) + 1.0
-    if residual > SOLVER_TOL * denom:
-        u_int = u_int + solve(rhs - A @ u_int)
-        residual = float(np.max(np.abs(A @ u_int - rhs)))
-        history.append(residual)
-        if residual > SOLVER_TOL * denom:
-            raise SolveError(f"linear solve ({method}) stalled; residual "
-                             f"history {history}", history)
+    if residual > SOLVER_TOL * (float(np.max(np.abs(rhs))) + 1.0):
+        raise SolveError(f"GMRES stalled after {len(history)} iterations at "
+                         f"max-norm residual {residual:.3g}", history)
 
     u = np.empty((N + 1, N + 1))
     gx, gy = np.meshgrid(xs, xs, indexing="ij")
     u[:, :] = data_fn(gx, gy)
     u[1:N, 1:N] = u_int.reshape(N - 1, N - 1)
-    return GridSolution(h, u, residual, history, method)
+    return GridSolution(h, u, residual, history)
 
 
 def gradient_field(sol: GridSolution) -> np.ndarray:

@@ -85,6 +85,14 @@ def test_harmonic_family_bounds_mode_and_phase(mode, phase, message):
         make_harmonic_family("a", profile_log_inverse(0.4), mode, phase)
 
 
+@pytest.mark.parametrize("degree", [-1, coeff.MAX_MODE + 1, coeff.MAX_MODE + 3])
+def test_trig_field_bounds_its_degree(degree):
+    # degree 62 would alias in the circle quadrature (see the module docstring)
+    with pytest.raises(ValueError, match="degree must lie in"):
+        make_trig_field(seed=1, degree=degree)
+    make_trig_field(seed=1, degree=coeff.MAX_MODE)
+
+
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0])
 def test_classify_power_modulus(alpha):
     m = modulus_from(lambda r, alpha=alpha: r**alpha)

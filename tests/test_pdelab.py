@@ -8,8 +8,9 @@ import scipy.sparse.linalg as spla
 from regan import pdelab
 from regan.coeff import (CoefficientField, ModulusOfContinuity, builtin_families,
                          constant_laplacian, family_from_descriptor,
-                         make_harmonic_family, profile_log_inverse,
-                         profile_log_oscillatory)
+                         make_harmonic_family, make_trig_field,
+                         profile_log_inverse, profile_log_oscillatory,
+                         profile_power)
 from regan.dynsys import FullSystem
 from regan.pdelab import (BOUNDARY_LIBRARY, EllipticityError, bilinear_sample,
                           compare_with_dynamics, decompose, profile_radii,
@@ -97,7 +98,7 @@ def test_ellipticity_violation_names_node():
 
 
 # ---------------------------------------------------------------------------
-# the sine-transform Laplacian solve
+# the sine-transform Laplacian solve and the GMRES it preconditions
 # ---------------------------------------------------------------------------
 
 
@@ -110,8 +111,7 @@ def assembled(field, h, boundary):
 @pytest.mark.parametrize("k", [5, 6, 7])
 @pytest.mark.parametrize("boundary", sorted(BOUNDARY_LIBRARY))
 def test_laplacian_solve_matches_spsolve(boundary, k):
-    A, rhs, laplacian = assembled(constant_laplacian(), 2.0**-k, boundary)
-    assert laplacian
+    A, rhs = assembled(constant_laplacian(), 2.0**-k, boundary)
     got = pdelab._laplacian_solve(rhs)
     assert np.max(np.abs(got - spla.spsolve(A, rhs))) <= 1e-12
 
@@ -121,23 +121,43 @@ def test_laplacian_solve_reproduces_the_cubic():
     sol = solve_dirichlet(constant_laplacian(), 2.0**-7, "harmonic_cubic")
     x, y = np.meshgrid(sol.axis(), sol.axis(), indexing="ij")
     assert np.max(np.abs(sol.u - (x**3 - 3.0 * x * y**2))) <= 1e-14
-    assert sol.method == pdelab.SINE_TRANSFORM
-    assert sol.residual_history == [sol.residual_norm]
 
 
-def _refuse(*args, **kwargs):
-    raise AssertionError("spsolve reached")
-
-
-def test_control_solve_never_reaches_superlu(monkeypatch):
-    monkeypatch.setattr(pdelab.spla, "spsolve", _refuse)
-    sol = solve_dirichlet(constant_laplacian(), H6, "v_rich_mix")
-    assert sol.method == pdelab.SINE_TRANSFORM
+@pytest.mark.parametrize("k", [5, 6, 8])
+def test_control_solve_converges_in_one_iteration(k):
+    # the preconditioner is the exact inverse of the control's stencil
+    sol = solve_dirichlet(constant_laplacian(), 2.0**-k, "v_rich_mix")
+    assert len(sol.residual_history) == 1
     assert sol.residual_norm <= 1e-14
 
 
-def test_one_perturbed_node_goes_through_superlu(monkeypatch):
-    # a = 1.25 at the single interior node (0.25, 0.25)
+# the largest perturbation of the Laplacian a config can reach: |g| = 1/2
+# at every radius, in each coefficient, at the lowest and highest mode, and
+# the trig_random fields of the highest degree and amplitude
+WORST_FIELDS = ([make_harmonic_family(t, profile_power(0.5, 0.0), n)
+                 for t in "abc" for n in (2, 59)]
+                + [make_trig_field(s, degree=59, amplitude=0.5) for s in range(8)])
+
+
+@pytest.mark.parametrize("field", WORST_FIELDS, ids=lambda f: f.label)
+def test_worst_fields_converge_under_the_cap_and_match_spsolve(field):
+    sol = solve_dirichlet(field, H6, "v_rich_mix")
+    assert 1 < len(sol.residual_history) < pdelab.GMRES_MAX_ITER
+    assert sol.residual_norm <= pdelab.SOLVER_TOL
+    A, rhs = assembled(field, H6, "v_rich_mix")
+    assert np.max(np.abs(sol.u[1:-1, 1:-1].ravel() - spla.spsolve(A, rhs))) <= 1e-12
+
+
+def test_iteration_count_does_not_grow_with_the_mesh():
+    field = WORST_FIELDS[0]
+    coarse, fine = (len(solve_dirichlet(field, h, "v_rich_mix").residual_history)
+                    for h in (H6, 2.0**-8))
+    assert fine <= coarse + 3
+
+
+def test_one_perturbed_node_is_solved_by_gmres():
+    # a = 1.25 at the single interior node (0.25, 0.25): the preconditioner
+    # alone no longer inverts the stencil, GMRES does in a few iterations
     one = lambda x, y: np.ones_like(np.asarray(x, dtype=float))
     zero = lambda x, y: np.zeros_like(np.asarray(x, dtype=float))
     bump = lambda x, y: np.where((np.abs(x - 0.25) < 1e-9)
@@ -145,33 +165,28 @@ def test_one_perturbed_node_goes_through_superlu(monkeypatch):
     field = CoefficientField(bump, zero, one,
                              ModulusOfContinuity(lambda r: np.ones_like(r)),
                              ellipticity_lower=0.5)
-    A, rhs, laplacian = assembled(field, H5, "v_rich_mix")
-    assert not laplacian
-    calls = []
-    spsolve = spla.spsolve
-    monkeypatch.setattr(pdelab.spla, "spsolve",
-                        lambda *args: calls.append(1) or spsolve(*args))
     sol = solve_dirichlet(field, H5, "v_rich_mix")
-    assert calls == [1]
-    assert sol.method == pdelab.SUPERLU
-    assert np.array_equal(sol.u[1:-1, 1:-1].ravel(), spsolve(A, rhs))
+    assert 1 < len(sol.residual_history) < pdelab.GMRES_MAX_ITER
+    A, rhs = assembled(field, H5, "v_rich_mix")
+    assert np.max(np.abs(sol.u[1:-1, 1:-1].ravel() - spla.spsolve(A, rhs))) <= 1e-12
 
 
-def test_stalled_laplacian_solve_refines_with_itself(monkeypatch):
-    calls = []
-
-    def wrong(f):
-        calls.append(f)
-        return np.zeros_like(f)
-
-    monkeypatch.setattr(pdelab, "_laplacian_solve", wrong)
-    monkeypatch.setattr(pdelab.spla, "spsolve", _refuse)
-    with pytest.raises(pdelab.SolveError, match="sine_transform") as info:
+def test_stalled_preconditioner_raises_with_its_history(monkeypatch):
+    # a Jacobi scaling in place of the Laplacian inverse: wrong but nonzero,
+    # so GMRES runs to the cap without reaching SOLVER_TOL
+    monkeypatch.setattr(pdelab, "_laplacian_solve", lambda f: -0.25 * f)
+    with pytest.raises(pdelab.SolveError, match="stalled") as info:
         solve_dirichlet(constant_laplacian(), H5, "v_rich_mix")
-    assert len(calls) == 2
     history = info.value.history
-    assert len(history) == 2
-    assert history[0] == history[1] > pdelab.SOLVER_TOL
+    assert len(history) == pdelab.GMRES_MAX_ITER
+    assert history[-1] > pdelab.GMRES_RTOL
+
+
+def test_zero_boundary_data_gives_zero_without_iterating():
+    sol = solve_dirichlet(WORST_FIELDS[0], H5, lambda x, y: 0.0 * x)
+    assert not np.any(sol.u)
+    assert sol.residual_history == []
+    assert sol.residual_norm == 0.0
 
 
 def test_hessian_quotients_quadratic():

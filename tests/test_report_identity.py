@@ -66,3 +66,15 @@ def test_a_file_on_one_side_only_exits_1(tmp_path, parent, capsys):
     assert _diff(parent, other) == 1
     assert "only in" in capsys.readouterr().out
     assert _diff(other, parent) == 1
+
+
+@pytest.mark.parametrize("before, after, drift", [
+    ("1e-16", "-1e-16", "2e-16"),     # near zero: the absolute change
+    ("400", "400.004", "1e-05"),       # past 1: the change relative to A
+])
+def test_drift_is_the_gate_measure(tmp_path, capsys, before, after, drift):
+    a = _tree(tmp_path / "a", csv=f"r,v\n0.5,{before}\n")
+    b = _tree(tmp_path / "b", csv=f"r,v\n0.5,{after}\n")
+    assert _diff(a, b) == 1
+    assert (f"largest drift {drift} at pde_fine__constant__pde/profile.csv: 1.1"
+            in capsys.readouterr().out)

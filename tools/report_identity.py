@@ -14,9 +14,11 @@ if an operation returns a nonzero code.
 equal byte for byte; report.json is compared as JSON without its "timings"
 block and without each ignored KEY, a dotted path such as
 `results.probes.moments_work`.  It lists every file that differs (and, for a
-report, the paths of the differing fields), prints the largest relative
-drift |a - b| / max(|a|, |b|) over the numeric fields of the reports and of
-the CSV tables, and exits 1 on any difference.
+report, the paths of the differing fields), prints the largest drift
+|b - a| / max(1, |a|) over the numeric fields of the reports and of the CSV
+tables, and exits 1 on any difference.  The drift is the measure of
+`bench/gate.py`, with A as the reference, so a value near zero reads its
+absolute change and the tool and the benchmark read the same number.
 """
 from __future__ import annotations
 
@@ -98,11 +100,10 @@ def _csv_numbers(path: Path) -> dict:
 
 
 def _drift(a: dict, b: dict):
-    """(largest relative drift, its key) over the keys of a and b."""
+    """(largest drift |b - a| / max(1, |a|), its key) over the keys of a and b."""
     worst, where = 0.0, None
     for key in a.keys() & b.keys():
-        scale = max(abs(a[key]), abs(b[key]))
-        drift = abs(a[key] - b[key]) / scale if scale else 0.0
+        drift = abs(b[key] - a[key]) / max(1.0, abs(a[key]))
         if drift > worst:
             worst, where = drift, key
     return worst, where
@@ -135,7 +136,7 @@ def diff(a: Path, b: Path, ignore) -> int:
                           else _drift(_csv_numbers(pa), _csv_numbers(pb)))
         if drift > worst:
             worst, where = drift, f"{name}: {key}"
-    print(f"{len(names)} files, {differing} differ; largest relative drift "
+    print(f"{len(names)} files, {differing} differ; largest drift "
           f"{worst:.3g}" + (f" at {where}" if where else ""))
     return 1 if differing else 0
 
