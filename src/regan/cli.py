@@ -51,6 +51,10 @@ or the 8x8 system under the block view, reduction check included), in
 GMRES `iterations` and its `residual_history` (see
 `pdelab.GridSolution`), next to the max-norm residuals `residual_norm` and
 `control_residual_norm` that the solve checks against `pdelab.SOLVER_TOL`.
+
+The report's `verdict` block holds the `headline`, `decided_by` (the ids of
+the criteria whose `implied_conclusion` is the headline, empty for
+no_guarantee) and the `probe_annotation`.
 """
 from __future__ import annotations
 
@@ -436,11 +440,13 @@ def _stage_compare(config, field, prof, prof_control):
 
 
 def _verdict_block(results: dict) -> dict:
-    """Headline and probe note; a stage whose entry is an error adds nothing."""
-    conclusion = NO_GUARANTEE
-    mapped = results.get("criteria", {}).get("conclusion", criteria.NONE)
-    if mapped != criteria.NONE:
-        conclusion = mapped
+    """Headline, the criteria that imply it and probe note; a stage whose
+    entry is an error adds nothing."""
+    found = results.get("criteria", {})
+    mapped = found.get("conclusion", criteria.NONE)
+    conclusion = NO_GUARANTEE if mapped == criteria.NONE else mapped
+    decided_by = [c["id"] for c in found.get("criteria", [])
+                  if c["implied_conclusion"] == conclusion]
     probe_note = None
     if "uniform_stability" in results.get("probes", {}):
         stab = results["probes"]["uniform_stability"]
@@ -450,7 +456,8 @@ def _verdict_block(results: dict) -> dict:
             probe_note += " (criterion gap: probes suggest stability beyond the criteria)"
         if conclusion != NO_GUARANTEE and stab == dynsys.UNSTABLE:
             probe_note += " (criterion gap: probe instability contradicts a criterion)"
-    return {"headline": conclusion, "probe_annotation": probe_note}
+    return {"headline": conclusion, "decided_by": decided_by,
+            "probe_annotation": probe_note}
 
 
 STAGES = {

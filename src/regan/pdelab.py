@@ -10,12 +10,14 @@ the same indicators of a constant-coefficient control run at the same mesh
 width and radii (`profile_radii`): a finite grid cannot see below its own
 resolution.
 
-Every stencil is solved one way: GMRES preconditioned by the exact inverse
-of the plain 5-point Laplacian, a type-I discrete sine transform
-(`_laplacian_solve`; Concus & Golub 1973).  A field's stencil is that
-Laplacian plus a bounded perturbation, so the iteration count does not grow
-as h shrinks; the control's stencil is the Laplacian itself and converges
-in one iteration.
+No matrix is stored: the nine-point stencil is applied by array slices
+(`_assemble`), and that one function gives the GMRES operator, the
+right-hand side and the residual check.  Every stencil is solved one way:
+GMRES preconditioned by the exact inverse of the plain 5-point Laplacian, a
+type-I discrete sine transform (`_laplacian_solve`; Concus & Golub 1973).
+A field's stencil is that Laplacian plus a bounded perturbation, so the
+iteration count does not grow as h shrinks; the control's stencil is the
+Laplacian itself and converges in one iteration.
 """
 from __future__ import annotations
 
@@ -24,7 +26,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .coeff import CoefficientField
@@ -95,10 +96,11 @@ class GridSolution:
     """Nodal solution u[ix, iy] on x = -L + ix*h, y = -L + iy*h, L = HALF_WIDTH.
 
     residual_norm is the max-norm residual of the h^2-scaled stencil
-    equations (the algebraic system actually solved).  residual_history
-    holds one entry per GMRES iteration, the 2-norm of the preconditioned
-    residual over the 2-norm of rhs (scipy's `callback_type="pr_norm"`);
-    it is empty for zero boundary data.
+    equations (the algebraic system actually solved), read as the stencil
+    applied to u, boundary ring included.  residual_history holds one entry
+    per GMRES iteration, the 2-norm of the preconditioned residual over the
+    2-norm of rhs (scipy's `callback_type="pr_norm"`); it is empty for zero
+    boundary data.
     """
 
     h: float
@@ -128,60 +130,31 @@ def cell_count(h: float) -> int:
     return N
 
 
-def _assemble(field: CoefficientField, h: float, data_fn, xs: np.ndarray):
-    """The h^2-scaled stencil equations A u = rhs on the interior nodes.
-
-    Unknowns are ordered ix-major, (ix - 1) * (N - 1) + (iy - 1).  The
-    origin node carries the normalized values (1, 0, 1).
+def _assemble(field: CoefficientField, h: float, xs: np.ndarray):
+    """The h^2-scaled nine-point stencil of a u_xx + b u_xy + c u_yy on the
+    interior nodes of the grid xs x xs, N = xs.size - 1, kept as the
+    (N - 1)^2 weights (a, b/4, c, -2(a + c)), indexed [ix - 1, iy - 1]; the
+    origin node carries (a, b, c) = (1, 0, 1).  Returns the weights and
+    apply(U), the stencil applied by array slices to an (N + 1)^2 grid U.
     """
     N = xs.size - 1
-    ix, iy = np.meshgrid(np.arange(1, N), np.arange(1, N), indexing="ij")
-    ix, iy = ix.ravel(), iy.ravel()
-    X, Y = xs[ix], xs[iy]
-    a, b, c = field.coefficients(X, Y)
-    a, b, c = (np.asarray(v, dtype=float).copy() for v in (a, b, c))
+    X, Y = np.meshgrid(xs[1:N], xs[1:N], indexing="ij")
+    a, b, c = (np.asarray(v, dtype=float).copy() for v in field.coefficients(X, Y))
     origin = (np.abs(X) < 0.5 * h) & (np.abs(Y) < 0.5 * h)
     a[origin], b[origin], c[origin] = 1.0, 0.0, 1.0
     disc = 4.0 * a * c - b * b
     if np.min(disc) <= 0.0:
-        k = int(np.argmin(disc))
+        k = np.unravel_index(np.argmin(disc), disc.shape)
         raise EllipticityError(
             f"4ac - b^2 = {disc[k]:.3g} <= 0 at node ({X[k]:.6g}, {Y[k]:.6g})")
+    b4, d = 0.25 * b, -2.0 * (a + c)
 
-    n_int = (N - 1) ** 2
+    def apply(U: np.ndarray) -> np.ndarray:
+        return (a * (U[2:, 1:-1] + U[:-2, 1:-1]) + c * (U[1:-1, 2:] + U[1:-1, :-2])
+                + b4 * (U[2:, 2:] + U[:-2, :-2] - U[2:, :-2] - U[:-2, 2:])
+                + d * U[1:-1, 1:-1])
 
-    def int_index(jx, jy):
-        return (jx - 1) * (N - 1) + (jy - 1)
-
-    rows_list, cols_list, vals_list = [], [], []
-    rhs = np.zeros(n_int)
-    center_rows = int_index(ix, iy)
-    rows_list.append(center_rows)
-    cols_list.append(center_rows)
-    vals_list.append(-2.0 * (a + c))
-
-    stencil = (
-        (1, 0, a), (-1, 0, a), (0, 1, c), (0, -1, c),
-        (1, 1, 0.25 * b), (-1, -1, 0.25 * b),
-        (1, -1, -0.25 * b), (-1, 1, -0.25 * b),
-    )
-    for dx, dy, w in stencil:
-        jx, jy = ix + dx, iy + dy
-        inside = (jx >= 1) & (jx <= N - 1) & (jy >= 1) & (jy <= N - 1)
-        rows_list.append(center_rows[inside])
-        cols_list.append(int_index(jx[inside], jy[inside]))
-        w_arr = np.broadcast_to(w, ix.shape)
-        vals_list.append(w_arr[inside])
-        edge = ~inside
-        if np.any(edge):
-            contrib = w_arr[edge] * data_fn(xs[jx[edge]], xs[jy[edge]])
-            np.subtract.at(rhs, center_rows[edge], contrib)
-
-    A = sp.csr_matrix(
-        (np.concatenate(vals_list),
-         (np.concatenate(rows_list), np.concatenate(cols_list))),
-        shape=(n_int, n_int))
-    return A, rhs
+    return (a, b4, c, d), apply
 
 
 def _dst1(x: np.ndarray, axis: int) -> np.ndarray:
@@ -200,7 +173,8 @@ def _dst1(x: np.ndarray, axis: int) -> np.ndarray:
 
 def _laplacian_solve(f: np.ndarray) -> np.ndarray:
     """Exact inverse of the h^2-scaled 5-point Laplacian on the (N - 1)^2
-    interior nodes with zero Dirichlet data, for f ordered as in `_assemble`.
+    interior nodes with zero Dirichlet data, for f ordered ix-major,
+    (ix - 1) * (N - 1) + (iy - 1).
 
     The DST-I diagonalizes the operator (Buzbee, Golub & Nielson 1970):
     transform along both axes, divide by lambda_j + lambda_k with
@@ -223,10 +197,14 @@ def solve_dirichlet(field: CoefficientField, h: float, boundary) -> GridSolution
     carries the normalized values (1, 0, 1).  boundary is a callable or a
     key of BOUNDARY_LIBRARY.
 
-    A u = rhs is solved by GMRES from u = 0, preconditioned by
+    data_fn is read once, on the 4N nodes of the boundary ring, into a grid
+    that is zero inside; rhs is minus the stencil of that grid, on the
+    interior unknowns ordered ix-major.  A u = rhs is solved by GMRES from
+    u = 0, its matvec the stencil of u padded with zeros, preconditioned by
     `_laplacian_solve`, to the relative residual GMRES_RTOL within
-    GMRES_MAX_ITER iterations.  A max-norm residual above SOLVER_TOL
-    (relative to 1 + max |rhs|) raises SolveError with the residual history.
+    GMRES_MAX_ITER iterations.  The stencil of the full grid solution is
+    then A u - rhs; a max-norm above SOLVER_TOL (relative to 1 + max |rhs|)
+    raises SolveError with the residual history.
     """
     N = cell_count(h)
     try:
@@ -235,21 +213,29 @@ def solve_dirichlet(field: CoefficientField, h: float, boundary) -> GridSolution
         raise ValueError(f"unknown boundary data id {boundary!r}") from None
 
     xs = -HALF_WIDTH + h * np.arange(N + 1)
-    A, rhs = _assemble(field, h, data_fn, xs)
-    history = []
+    _, apply = _assemble(field, h, xs)
+    u, padded = np.zeros((N + 1, N + 1)), np.zeros((N + 1, N + 1))
+    ring = np.ones(u.shape, dtype=bool)
+    ring[1:N, 1:N] = False
+    ix, iy = np.nonzero(ring)
+    u[ix, iy] = data_fn(xs[ix], xs[iy])
+    rhs = -apply(u).ravel()
+
+    def matvec(v):
+        padded[1:N, 1:N] = v.reshape(N - 1, N - 1)
+        return apply(padded).ravel()
+
+    shape, history = (rhs.size, rhs.size), []
     u_int, _ = spla.gmres(
-        A, rhs, rtol=GMRES_RTOL, atol=0.0, restart=GMRES_MAX_ITER, maxiter=1,
-        M=spla.LinearOperator(A.shape, matvec=_laplacian_solve, dtype=float),
+        spla.LinearOperator(shape, matvec=matvec, dtype=float), rhs,
+        rtol=GMRES_RTOL, atol=0.0, restart=GMRES_MAX_ITER, maxiter=1,
+        M=spla.LinearOperator(shape, matvec=_laplacian_solve, dtype=float),
         callback=history.append, callback_type="pr_norm")
-    residual = float(np.max(np.abs(A @ u_int - rhs)))
+    u[1:N, 1:N] = u_int.reshape(N - 1, N - 1)
+    residual = float(np.max(np.abs(apply(u))))
     if residual > SOLVER_TOL * (float(np.max(np.abs(rhs))) + 1.0):
         raise SolveError(f"GMRES stalled after {len(history)} iterations at "
                          f"max-norm residual {residual:.3g}", history)
-
-    u = np.empty((N + 1, N + 1))
-    gx, gy = np.meshgrid(xs, xs, indexing="ij")
-    u[:, :] = data_fn(gx, gy)
-    u[1:N, 1:N] = u_int.reshape(N - 1, N - 1)
     return GridSolution(h, u, residual, history)
 
 
@@ -549,6 +535,6 @@ def write_profile_csv(path, prof: DecompositionProfile) -> None:
 def write_solution_csv(path, sol: GridSolution) -> None:
     """Nodal values, row-major by y then x, after a geometry header."""
     header = f"# L={HALF_WIDTH!r} h={sol.h!r} ordering=row-major-y-then-x\nu\n"
-    body = "\n".join(map("%.17g".__mod__, sol.u.T.ravel().tolist()))
+    vals = sol.u.T.ravel().tolist()
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + body + "\n")
+        fh.write(header + ("%.17g\n" * len(vals)) % tuple(vals))

@@ -3,11 +3,15 @@
 Circle means of trigonometric polynomials are computed here by exact
 Fourier-coefficient algebra (complex exponential convolution), a path with
 no quadrature in it, so agreement with the trapezoid-based library code is
-a genuine cross-check.
+a genuine cross-check.  The nine-point stencil of `pdelab` is assembled
+here entry by entry into a sparse matrix, with the boundary data moved to
+the right-hand side node by node, against which the library's slice
+operator and its GMRES solves are checked.
 """
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 
 class FourierSeries:
@@ -155,3 +159,45 @@ def oracle_moment_vector(seed: int):
         (series["b"] * w2).mean(), (series["b"] * wx).mean(),
         (series["c"] * w2).mean(), (series["c"] * wx).mean(),
     ])
+
+
+def stencil_matrix(field, h, data_fn, half_width):
+    """The h^2-scaled nine-point equations A u = rhs of
+    a u_xx + b u_xy + c u_yy = 0 on the interior nodes of the grid
+    -half_width + h * k, as a CSR matrix of COO triplets.
+
+    Unknowns are ordered ix-major, (ix - 1) * (N - 1) + (iy - 1); the origin
+    node carries (a, b, c) = (1, 0, 1); each neighbour on the boundary ring
+    moves its data_fn value times its weight to rhs.
+    """
+    N = int(round(2.0 * half_width / h))
+    xs = -half_width + h * np.arange(N + 1)
+    ix, iy = np.meshgrid(np.arange(1, N), np.arange(1, N), indexing="ij")
+    ix, iy = ix.ravel(), iy.ravel()
+    X, Y = xs[ix], xs[iy]
+    a, b, c = (np.asarray(v, dtype=float).copy() for v in field.coefficients(X, Y))
+    origin = (np.abs(X) < 0.5 * h) & (np.abs(Y) < 0.5 * h)
+    a[origin], b[origin], c[origin] = 1.0, 0.0, 1.0
+
+    def index(jx, jy):
+        return (jx - 1) * (N - 1) + (jy - 1)
+
+    center = index(ix, iy)
+    rows, cols, vals = [center], [center], [-2.0 * (a + c)]
+    rhs = np.zeros((N - 1) ** 2)
+    stencil = ((1, 0, a), (-1, 0, a), (0, 1, c), (0, -1, c),
+               (1, 1, 0.25 * b), (-1, -1, 0.25 * b),
+               (1, -1, -0.25 * b), (-1, 1, -0.25 * b))
+    for dx, dy, w in stencil:
+        jx, jy = ix + dx, iy + dy
+        inside = (jx >= 1) & (jx <= N - 1) & (jy >= 1) & (jy <= N - 1)
+        rows.append(center[inside])
+        cols.append(index(jx[inside], jy[inside]))
+        vals.append(w[inside])
+        edge = ~inside
+        np.subtract.at(rhs, center[edge],
+                       w[edge] * data_fn(xs[jx[edge]], xs[jy[edge]]))
+    A = sp.csr_matrix((np.concatenate(vals),
+                       (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(rhs.size, rhs.size))
+    return A, rhs

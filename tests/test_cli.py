@@ -2,6 +2,10 @@ import contextlib
 import dataclasses
 import io
 import json
+import math
+import os
+import subprocess
+import sys
 import tempfile
 from dataclasses import fields
 from pathlib import Path
@@ -138,6 +142,27 @@ def test_pipeline_pde_and_compare(tmp_path):
     assert compare["moments_work"]["cap_hits"] == 0
 
 
+def test_pde_pipeline_never_imports_scipy_fft():
+    # importing scipy.fft adds 4.2 to 4.9 MB of peak RSS on the benchmark
+    # workloads, and 64.9 -> 69.7 MB on this pipeline; the sine transforms
+    # of pdelab run on numpy.fft
+    script = (
+        "import json, sys, tempfile\n"
+        "from regan import cli\n"
+        "config = cli.validate_config({'schema': 1, 'family': {'family': 'constant'},"
+        " 'analyses': ['pde', 'compare'], 'pde': {'h': 2.0**-6}})\n"
+        "with tempfile.TemporaryDirectory() as out:\n"
+        "    _, code = cli.run_pipeline(config, out)\n"
+        "print(json.dumps([code, 'scipy.fft' in sys.modules]))\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, False]
+
+
 def test_compare_reports_the_work_of_the_fields_8x8_system(tmp_path, monkeypatch):
     # the control's system evaluates its radii through the same function,
     # so count the radii per field
@@ -155,6 +180,36 @@ def test_compare_reports_the_work_of_the_fields_8x8_system(tmp_path, monkeypatch
     assert report["results"]["compare"]["moments_work"] == {
         "radii": seen[field.label], "cap_hits": 0}
     assert seen["constant"] > 0
+
+
+SECOND_ORDER_BY = ["dini_R", "iterated_L1", "special_a1_converges",
+                   "special_a2_extended"]
+
+
+@pytest.mark.parametrize("name, phase, headline, decided_by", [
+    ("constant", 0.0, "second_order_differentiable", SECOND_ORDER_BY),
+    ("dini_power", 0.0, "second_order_differentiable", SECOND_ORDER_BY),
+    ("radial_log", 0.0, "second_order_differentiable", SECOND_ORDER_BY),
+    ("oscillatory_log", 0.0, "second_order_differentiable", SECOND_ORDER_BY[1:]),
+    ("square_dini_log", 0.0, "no_guarantee", []),
+    # a = 1 - g sin 2 theta: the headline rests on the special_* checks alone,
+    # which test the decoupled case in the coordinate frame only
+    ("square_dini_log", math.pi / 2, "second_order_differentiable",
+     ["special_a1_converges", "special_a2_extended"]),
+])
+def test_verdict_names_the_criteria_that_decide_it(tmp_path, name, phase,
+                                                    headline, decided_by):
+    family = dict(builtin_families()[name])
+    if "phase" in family:
+        family["phase"] = phase
+    report, code = run_pipeline(validate_config(minimal_config(
+        family=family, analyses=["criteria"], criteria={})), tmp_path)
+    assert code == 0
+    assert report["verdict"]["headline"] == headline
+    assert report["verdict"]["decided_by"] == decided_by
+    implied = {c["id"]: c["implied_conclusion"]
+               for c in report["results"]["criteria"]["criteria"]}
+    assert decided_by == [i for i, v in implied.items() if v == headline]
 
 
 def test_pde_stage_reports_its_solves(tmp_path):
@@ -601,7 +656,8 @@ def test_failed_probes_stage_exits_3_with_report(tmp_path):
     assert code == 3
     assert "error" in report["results"]["probes"]
     assert "criteria" not in report["results"]
-    assert report["verdict"] == {"headline": "no_guarantee", "probe_annotation": None}
+    assert report["verdict"] == {"headline": "no_guarantee", "decided_by": [],
+                                 "probe_annotation": None}
     assert (tmp_path / "report.json").exists()
 
 
