@@ -18,8 +18,8 @@ from .criteria import (CriterionResult, check_decoupled_case,
                        check_symmetric_part_bound, criteria_conclusion,
                        run_all_criteria)
 from .dynsys import (FullSystem, ReducedSystem, StabilityReport,
-                     TransitionMatrix, asymptotic_constancy_probe, propagate,
-                     propagate_dense, propagate_lanes, second_harmonic_system,
+                     asymptotic_constancy_probe, propagate_dense,
+                     propagate_lanes, second_harmonic_system,
                      uniform_stability_probe)
 from .moments import (BlockTable, MomentVector, block_table, moment_matrix,
                       moment_matrix_residual, moment_vector)

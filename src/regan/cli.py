@@ -2,8 +2,9 @@
 
 `regan run --config cfg.json --out DIR` executes the requested analyses in
 dependency order and writes a JSON report plus CSV witness tables.  The
-report is byte-reproducible for a fixed config and version except for its
-"timings" block.  Exit codes: 0 success, 2 config error, 3 numeric failure.
+report is byte-reproducible, apart from its "timings" block, for a fixed
+config, version and BLAS thread count.  Exit codes: 0 success, 2 config
+error, 3 numeric failure.
 
 A config is a JSON object with a required "family" descriptor (see
 `regan families`), an optional "schema" (must be 1) and these ten
@@ -33,12 +34,15 @@ library's, and no config bends them: each is a module constant next to the
 code that reads it, in `dynsys`, `criteria`, `tails`, `moments` and
 `pdelab`.
 
-The probes stage reports the work of its propagation in
-`results.probes.integrator` (see `dynsys.propagate_lanes`): `rounds`,
-`accepted` and `rejected` steps, the stage times its plan prefetched
-(`planned`), the trial steps off that plan (`off_plan`) and `est_error`,
-the largest lane's sum of per-step max-abs local error estimates.  That
-sum is a rough size of the integration error, not a bound on it.
+The probes stage propagates the stability lanes, one per s_grid entry,
+and the constancy lane together; `trajectory.csv` holds t and Phi(t, s)
+row-major at each sample time of the lane from the smallest s.  The work
+is in `results.probes.integrator` (see `dynsys.propagate_lanes`):
+`rounds`, `accepted` and `rejected` steps, the stage times its plan
+prefetched (`planned`), the trial steps off that plan (`off_plan`) and
+`est_error`, the largest of these lanes' sums of per-step max-abs local
+error estimates.  That sum is a rough size of the integration error, not
+a bound on it.
 
 `moments_work` counts the radii a radial system evaluated (`radii`) and
 those whose quadrature stopped at the node cap (`cap_hits`): in
@@ -311,23 +315,23 @@ def _stage_probes(config, field, out_dir):
     # semantics live on the conjugated neutral block, which reads `full`
     radial = full if pc.system == "full" else reduced
     system = full.reduced_block_system() if radial is full else reduced
-    # the stability lanes, the constancy lane and the trajectory lane run in
-    # lockstep, and each probe reads its own slice of the results
+    # the stability lanes and the constancy lane run in lockstep, and each
+    # probe reads its own slice of the results
     stab_lanes = dynsys.stability_lanes(pc.s_grid, pc.t_max)
     const_lanes = dynsys.constancy_lanes(CONSTANCY_T0, pc.t_max)
-    ts = np.linspace(min(pc.s_grid), pc.t_max, 201)
-    results, integrator = dynsys.propagate_lanes(
-        system, stab_lanes + const_lanes + [(float(ts[0]), ts)], pc.rtol)
+    results, integrator = dynsys.propagate_lanes(system, stab_lanes + const_lanes,
+                                                 pc.rtol)
     n = len(stab_lanes)
     stability = dynsys.classify_stability(stab_lanes, results[:n], pc.t_max)
-    constancy = dynsys.classify_constancy(const_lanes, results[n:-1], pc.t_max)
-    phis, _ = results[-1]
+    constancy = dynsys.classify_constancy(const_lanes, results[n:], pc.t_max)
+    # s_grid is sorted, so lane 0 is the one from the smallest s
+    (_, ts), (phis, _) = stab_lanes[0], results[0]
+    values = np.column_stack([ts, phis.reshape(len(ts), -1)]).ravel().tolist()
     traj_path = out_dir / "trajectory.csv"
     with open(traj_path, "w", encoding="utf-8") as fh:
         d = system.dim
         fh.write("t," + ",".join(f"phi_{i}{j}" for i in range(d) for j in range(d)) + "\n")
-        for t, phi in zip(ts, phis):
-            fh.write(",".join("%.17g" % v for v in [t, *phi.ravel()]) + "\n")
+        fh.write(("%.17g," * d * d + "%.17g\n") * len(ts) % tuple(values))
 
     reduction = dynsys.reduction_deviation(full, reduced,
                                            np.linspace(1.0, pc.t_max, 30))

@@ -66,6 +66,11 @@ def _window_sums_of(system, fn, n_windows: int) -> np.ndarray:
         lambda ts: np.ascontiguousarray(fn(system.matrices(ts))), n_windows)
 
 
+def _prefix_floor(prefix: np.ndarray) -> float:
+    """The rounding floor of a prefix test: 1e-11 relative to 1 + max |prefix|."""
+    return 1e-11 * (1.0 + float(np.max(np.abs(prefix))))
+
+
 def check_dini_integrability(system, n_windows: int = 80) -> CriterionResult:
     """Criterion dini_R: the drift matrix is integrable against dr/r.
 
@@ -99,8 +104,7 @@ def check_symmetric_part_bound(system, prefix_windows: int = 120) -> CriterionRe
     prefix = tails.prefix_from_sums(sums)
     # sup over window pairs [r1, r2] of the integral = prefix drawup;
     # upward escape is drawdown of the mirrored prefix
-    scale = 1e-11 * (1.0 + float(np.max(np.abs(prefix))))
-    mirrored = tails.lower_bound_verdict(-prefix, scale)
+    mirrored = tails.lower_bound_verdict(-prefix, _prefix_floor(prefix))
     drawup = float(np.max(prefix - np.minimum.accumulate(prefix)))
     return CriterionResult(
         id="eigenvalue_bound",
@@ -132,7 +136,7 @@ def check_iterated_integral(system, n_windows: int = 80) -> CriterionResult:
     inner_divergent = False
     for i, j in MOMENT_POSITIONS:
         entry_prefix = prefix[:, i, j]
-        scale = 1e-11 * (1.0 + float(np.max(np.abs(entry_prefix))))
+        scale = _prefix_floor(entry_prefix)
         sub = entry_prefix[::nodes_per_window]
         if tails.bounded_oscillation_verdict(sub, scale).verdict == FAILS:
             inner_divergent = True
@@ -189,8 +193,7 @@ def check_decoupled_case(system, prefix_windows: int = 120) -> list[CriterionRes
     prefixes = [tails.prefix_from_sums(_window_sums_of(
         system, lambda Rs: Rs[:, i, j], prefix_windows))
         for i, j in MOMENT_POSITIONS[:2]]
-    floor0 = 1e-11 * (1.0 + float(np.max(np.abs(prefixes[0]))))
-    floor1 = 1e-11 * (1.0 + float(np.max(np.abs(prefixes[1]))))
+    floor0, floor1 = map(_prefix_floor, prefixes)
 
     bounded = tails.bounded_oscillation_verdict(prefixes[0], floor0)
     lower = tails.lower_bound_verdict(prefixes[1], floor1)

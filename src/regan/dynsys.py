@@ -87,6 +87,11 @@ class MatrixSystem:
         """Nothing to fill: every matrix is read from the callable."""
 
 
+def _radius(t: float) -> float:
+    """r = min(1, e^-t); math.exp, as np.exp differs in the last bit for some t."""
+    return min(1.0, math.exp(-t))
+
+
 # the most radii one evaluation batch of a radial system holds: past it the
 # batch's tables and moments would cost memory and save no time
 FILL_BATCH = 1024
@@ -132,11 +137,11 @@ class _RadialSystem:
 
     def prefetch(self, ts) -> None:
         """Evaluate and memoise the radii of the times ts (any iterable)."""
-        self._fill(min(1.0, math.exp(-t)) for t in ts)
+        self._fill(map(_radius, ts))
 
     def matrices(self, ts) -> np.ndarray:
         """The stack of drift matrices over ts, shape (len(ts), dim, dim)."""
-        radii = [min(1.0, math.exp(-t)) for t in ts]
+        radii = [_radius(t) for t in ts]
         self._fill(radii)
         return np.array([self._memo[r] for r in radii])
 
@@ -158,7 +163,7 @@ class ReducedSystem(_RadialSystem):
         return moment_matrices(m6), capped
 
     def matrix(self, t: float) -> np.ndarray:
-        r = min(1.0, math.exp(-t))
+        r = _radius(t)
         if r not in self._memo:
             m = moment_vector(self.field, r, self.quad)
             self._store([r], [moment_matrix(m)], [m.capped])
@@ -277,7 +282,7 @@ class FullSystem(_RadialSystem):
 
     def s1(self, t: float) -> np.ndarray:
         """First-order remainder S1, from the raw (uncorrected) blocks."""
-        bt = block_table(self.field, min(1.0, math.exp(-t)), self.quad)
+        bt = block_table(self.field, _radius(t), self.quad)
         raw_inv = np.linalg.inv(bt.theta4)
         return _join(_I4 - raw_inv @ bt.theta2_col,
                      raw_inv - 2.0 * _I4,
@@ -289,7 +294,7 @@ class FullSystem(_RadialSystem):
 
     def eff_blocks(self, t: float):
         """(a_eff, b_eff, bt_eff, c_eff) at r = min(1, e^-t)."""
-        bt = block_table(self.field, min(1.0, math.exp(-t)), self.quad)
+        bt = block_table(self.field, _radius(t), self.quad)
         _, eff = self._assembled(_map_tables(lambda v: np.asarray(v)[None], bt))
         return tuple(block[0] for block in eff)
 
@@ -337,16 +342,6 @@ _DP_A = (
 )
 _DP_ERR = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
            22 / 525, -1 / 40)
-
-
-@dataclass
-class TransitionMatrix:
-    """Fundamental matrix sample Phi(t, s) with a crude global error tally."""
-
-    s: float
-    t: float
-    Phi: np.ndarray
-    est_error: float
 
 
 class _Lane:
@@ -512,19 +507,14 @@ def propagate_lanes(system, lanes, rtol: float = 1e-10):
 
 
 def propagate_dense(system, s: float, t_eval, rtol: float = 1e-10):
-    """Propagate the fundamental matrix through every time in t_eval.
+    """Fundamental matrix Phi(t, s) of y' + K(tau) y = 0 at every t in t_eval.
 
-    The one-lane case of `propagate_lanes`.  Returns (array of Phi with
-    shape (len(t_eval), d, d), accumulated error).
+    The one-lane case of `propagate_lanes`; one sample Phi(t, s) is
+    `propagate_dense(system, s, [t])[0][0]`.  Returns (array of Phi with
+    shape (len(t_eval), d, d), the lane's error tally).
     """
     results, _ = propagate_lanes(system, [(s, t_eval)], rtol)
     return results[0]
-
-
-def propagate(system, s: float, t: float, rtol: float = 1e-10) -> TransitionMatrix:
-    """Fundamental matrix Phi(t, s) of y' + K(tau) y = 0."""
-    phis, err = propagate_dense(system, s, [t], rtol)
-    return TransitionMatrix(s, t, phis[0], err)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .coeff import CoefficientField
 from .dynsys import FullSystem, propagate_dense
@@ -224,6 +223,9 @@ def solve_dirichlet(field: CoefficientField, h: float, boundary) -> GridSolution
     def matvec(v):
         padded[1:N, 1:N] = v.reshape(N - 1, N - 1)
         return apply(padded).ravel()
+
+    # imported here: a process that never solves keeps half the RSS without it
+    import scipy.sparse.linalg as spla
 
     shape, history = (rhs.size, rhs.size), []
     u_int, _ = spla.gmres(

@@ -142,6 +142,18 @@ def test_pipeline_pde_and_compare(tmp_path):
     assert compare["moments_work"]["cap_hits"] == 0
 
 
+def _last_line_of_fresh_process(script: str) -> str:
+    """The last line a new Python process running script prints, with this
+    checkout's regan on its path."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
 def test_pde_pipeline_never_imports_scipy_fft():
     # importing scipy.fft adds 4.2 to 4.9 MB of peak RSS on the benchmark
     # workloads, and 64.9 -> 69.7 MB on this pipeline; the sine transforms
@@ -154,13 +166,18 @@ def test_pde_pipeline_never_imports_scipy_fft():
         "with tempfile.TemporaryDirectory() as out:\n"
         "    _, code = cli.run_pipeline(config, out)\n"
         "print(json.dumps([code, 'scipy.fft' in sys.modules]))\n")
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == [0, False]
+    assert json.loads(_last_line_of_fresh_process(script)) == [0, False]
+
+
+def test_validating_a_config_never_imports_scipy_sparse():
+    # scipy.sparse is imported by the pde solve alone; a process that only
+    # validates configs ran at half the RSS without it (32 against 62 MB)
+    script = (
+        "import sys\n"
+        "from regan import cli\n"
+        "cli.validate_config({'schema': 1, 'family': {'family': 'constant'}})\n"
+        "print('scipy.sparse' in sys.modules)\n")
+    assert _last_line_of_fresh_process(script) == "False"
 
 
 def test_compare_reports_the_work_of_the_fields_8x8_system(tmp_path, monkeypatch):
@@ -757,8 +774,9 @@ def test_probes_stage_matches_the_public_probes_in_sequence(tmp_path, system):
     stab = dynsys.uniform_stability_probe(probed, pc.s_grid, pc.t_max, pc.rtol)
     const = dynsys.asymptotic_constancy_probe(probed, cli.CONSTANCY_T0, pc.t_max,
                                               pc.rtol)
-    ts = np.linspace(0.0, pc.t_max, 201)
-    phis, _ = dynsys.propagate_dense(probed, 0.0, ts, pc.rtol)
+    # trajectory.csv holds the samples of lane 0, the one from min(s_grid)
+    (s, ts), = dynsys.stability_lanes(pc.s_grid[:1], pc.t_max)
+    phis, _ = dynsys.propagate_dense(probed, s, ts, pc.rtol)
     for key in ("uniform_stability", "kappa_max", "growth_slope"):
         assert payload[key] == getattr(stab, key)
     for key in ("asymptotic_constancy", "deviation_half", "norm_growth"):
@@ -766,12 +784,13 @@ def test_probes_stage_matches_the_public_probes_in_sequence(tmp_path, system):
     assert payload["kappa_samples"] == [list(row) for row in stab.kappa_samples]
     assert payload["constancy_samples"] == [[float(v) for v in row]
                                             for row in const.constancy_samples]
-    traj = np.loadtxt(tmp_path / "trajectory.csv", delimiter=",", skiprows=1)
-    assert np.array_equal(traj[:, 0], ts)
-    assert np.array_equal(traj[:, 1:], phis.reshape(len(ts), -1))
+    # one row per sample, each value in %.17g, so the CSV reads back exactly
+    rows = [",".join("%.17g" % v for v in [t, *phi.ravel()])
+            for t, phi in zip(ts, phis)]
+    assert (tmp_path / "trajectory.csv").read_text().splitlines()[1:] == rows
 
 
-def test_seven_lane_probes_stage_batches_its_steps(tmp_path, monkeypatch):
+def test_six_lane_probes_stage_batches_its_steps(tmp_path, monkeypatch):
     calls = []
     vectors = dynsys.moment_vectors
     monkeypatch.setattr(dynsys, "moment_vectors",
@@ -785,7 +804,7 @@ def test_seven_lane_probes_stage_batches_its_steps(tmp_path, monkeypatch):
     assert sorted(work) == ["accepted", "est_error", "off_plan", "planned",
                             "rejected", "rounds"]
     steps = work["accepted"] + work["rejected"]
-    # one batch per round for all seven lanes, not one per step
+    # one batch per round for all six lanes, not one per step
     assert len(calls) < steps / 3
     assert work["rounds"] < steps / 3
     # nearly every step is capped at the next sample, so its stage times

@@ -16,7 +16,7 @@ from regan.dynsys import (CONSTANT, DIVERGENT, J_BASIS, J_BASIS_INV, M_INF,
                           STABLE, UNSTABLE, FullSystem, MatrixSystem,
                           ReducedSystem, SingularSystemError, StepUnderflowError,
                           asymptotic_constancy_probe, classify_stability,
-                          constancy_lanes, propagate, propagate_dense,
+                          constancy_lanes, propagate_dense,
                           propagate_lanes, reduction_deviation,
                           second_harmonic_system, stability_lanes,
                           uniform_stability_probe)
@@ -225,32 +225,30 @@ def test_reduction_deviation_flags_zero_eps():
 
 def test_propagate_zero_system_is_identity():
     sys = ReducedSystem(constant_laplacian())
-    got = propagate(sys, 0.0, 12.0, rtol=1e-10)
-    assert np.allclose(got.Phi, np.eye(4), atol=1e-12)
+    (got,), _ = propagate_dense(sys, 0.0, [12.0], rtol=1e-10)
+    assert np.allclose(got, np.eye(4), atol=1e-12)
 
 
 def test_propagate_validates_rtol():
     sys = ReducedSystem(constant_laplacian())
     with pytest.raises(ValueError):
-        propagate(sys, 0.0, 1.0, rtol=1e-2)
+        propagate_dense(sys, 0.0, [1.0], rtol=1e-2)
     with pytest.raises(ValueError):
-        propagate(sys, 0.0, 1.0, rtol=1e-13)
+        propagate_dense(sys, 0.0, [1.0], rtol=1e-13)
 
 
 def test_propagate_constant_diagonal_oracle():
     c = 0.7
     sys = MatrixSystem(4, lambda t: c * np.eye(4))
-    got = propagate(sys, 1.0, 5.0, rtol=1e-10)
-    assert np.allclose(got.Phi, math.exp(-c * 4.0) * np.eye(4), rtol=1e-9)
+    (got,), _ = propagate_dense(sys, 1.0, [5.0], rtol=1e-10)
+    assert np.allclose(got, math.exp(-c * 4.0) * np.eye(4), rtol=1e-9)
 
 
 def _probes_stage_lanes(s_grid, t_max, thin):
-    """The seven lanes of the probes stage (`cli._stage_probes`): five
-    stability lanes, the constancy lane from t = 1 and the trajectory lane,
-    each keeping every thin-th sample."""
-    ts = np.linspace(min(s_grid), t_max, 201)
-    lanes = (stability_lanes(s_grid, t_max) + constancy_lanes(1.0, t_max)
-             + [(float(ts[0]), ts)])
+    """The six lanes of the probes stage (`cli._stage_probes`): five
+    stability lanes and the constancy lane from t = 1, each keeping every
+    thin-th sample."""
+    lanes = stability_lanes(s_grid, t_max) + constancy_lanes(1.0, t_max)
     return [(s, t_eval[::thin]) for s, t_eval in lanes]
 
 
@@ -449,8 +447,8 @@ def test_closed_form_on_field_backed_system():
     field = make_harmonic_family("a", profile_log_inverse(gamma), 2)
     sys = ReducedSystem(field)
     s, t = 1.0, 25.0
-    got = propagate(sys, s, t, rtol=1e-11).Phi[0, 0]
-    assert got == pytest.approx(((1.0 + t) / (1.0 + s)) ** (gamma / 2.0), rel=1e-8)
+    (phi,), _ = propagate_dense(sys, s, [t], rtol=1e-11)
+    assert phi[0, 0] == pytest.approx(((1.0 + t) / (1.0 + s)) ** (gamma / 2.0), rel=1e-8)
 
 
 def test_oscillatory_exponent_matches_quadrature_oracle():
@@ -459,8 +457,8 @@ def test_oscillatory_exponent_matches_quadrature_oracle():
     s, t = 0.0, 17.0
     integral, _ = quad(lambda tau: gamma * math.cos(eta * tau) / (1.0 + tau), s, t,
                        limit=200)
-    got = propagate(sys, s, t, rtol=1e-11).Phi[0, 0]
-    assert got == pytest.approx(math.exp(0.5 * integral), rel=1e-8)
+    (phi,), _ = propagate_dense(sys, s, [t], rtol=1e-11)
+    assert phi[0, 0] == pytest.approx(math.exp(0.5 * integral), rel=1e-8)
 
 
 def test_semigroup_property():
@@ -468,8 +466,10 @@ def test_semigroup_property():
     sys = ReducedSystem(field)
     rtol = 1e-9
     s, u, t = 0.5, 4.0, 9.0
-    full = propagate(sys, s, t, rtol).Phi
-    composed = propagate(sys, u, t, rtol).Phi @ propagate(sys, s, u, rtol).Phi
+    (full,), _ = propagate_dense(sys, s, [t], rtol)
+    (late,), _ = propagate_dense(sys, u, [t], rtol)
+    (early,), _ = propagate_dense(sys, s, [u], rtol)
+    composed = late @ early
     assert np.max(np.abs(full - composed)) <= 10.0 * rtol * np.max(np.abs(full))
 
 
@@ -477,8 +477,8 @@ def test_time_reversal():
     field = make_trig_field(seed=9, amplitude=0.15)
     sys = ReducedSystem(field)
     rtol = 1e-9
-    fwd = propagate(sys, 1.0, 6.0, rtol).Phi
-    bwd = propagate(sys, 6.0, 1.0, rtol).Phi
+    (fwd,), _ = propagate_dense(sys, 1.0, [6.0], rtol)
+    (bwd,), _ = propagate_dense(sys, 6.0, [1.0], rtol)
     assert np.max(np.abs(fwd @ bwd - np.eye(4))) <= 10.0 * rtol
 
 
@@ -577,5 +577,5 @@ def test_probe_full_system_reduced_block():
 def test_full_system_propagation_matches_matrix_exponential():
     sys = FullSystem(constant_laplacian())
     span = 1.5
-    got = propagate(sys, 0.0, span, rtol=1e-11).Phi
+    (got,), _ = propagate_dense(sys, 0.0, [span], rtol=1e-11)
     assert np.allclose(got, expm(-M_INF * span), atol=1e-9)

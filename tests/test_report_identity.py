@@ -59,6 +59,16 @@ def test_a_changed_results_field_exits_1_unless_ignored(tmp_path, parent, capsys
     assert _diff(parent, other, "results.pde") == 1
 
 
+def test_each_repeated_ignore_flag_takes_effect(tmp_path, parent):
+    changed = json.loads(json.dumps(REPORT))
+    changed["results"]["probes"]["kappa_max"] = 2.5
+    changed["results"]["pde"]["h"] = 0.0078125
+    other = _tree(tmp_path / "b", report=changed)
+    argv = ["diff", str(parent), str(other), "--ignore", "results.probes"]
+    assert report_identity.main(argv) == 1
+    assert report_identity.main(argv + ["--ignore", "results.pde.h"]) == 0
+
+
 def test_a_file_on_one_side_only_exits_1(tmp_path, parent, capsys):
     other = _tree(tmp_path / "b")
     shutil.copy(other / "pde_fine__constant__pde" / "profile.csv",

@@ -149,7 +149,8 @@ def main(argv=None) -> int:
     diff_p = sub.add_parser("diff", help="compare two `run` directories")
     diff_p.add_argument("a", type=Path)
     diff_p.add_argument("b", type=Path)
-    diff_p.add_argument("--ignore", nargs="*", default=[], metavar="KEY",
+    diff_p.add_argument("--ignore", nargs="*", action="extend", default=[],
+                        metavar="KEY",
                         help="dotted report.json path left out of the comparison")
     args = parser.parse_args(argv)
     if args.command == "run":
