@@ -7,20 +7,28 @@ The operator's coefficient matrices live in four 2x2 blocks
 
 and everything downstream is a circle mean of these blocks against small
 monomials in theta = (cos phi, sin phi).  The uniform trapezoid rule is
-spectrally accurate for these periodic integrands.  One sampler,
-`_circle_samples`, evaluates and checks a, b, c on the nodes of a batch of
-circles, and one loop, `_refine`, doubles the node count
-per radius until two refinements agree; the moment vectors and the block
-tables both go through that loop.  `_MOMENT_GATHER` declares where the
-six moments sit in the 4x4 drift matrix.
+spectrally accurate for these periodic integrands, and its node levels
+nest: the 2n nodes of one level are the n nodes of the level before plus
+n new odd ones.  One loop, `_refine`, owns the sampling.  It evaluates and
+checks a, b, c through `_circle_samples` at the base level and then, per
+level, only at the new odd nodes of the radii that have not converged,
+and it doubles the node count per radius until two levels agree.  Two
+reducers turn one level's samples into numbers: `_second_harmonics` (the
+six moments) and `_tables_at` (the six moments and the eight block
+tables, summed over the eight block entries that are not identically
+zero, `_SLOTS`).  `_MOMENT_GATHER` declares where the six moments sit in
+the 4x4 drift matrix.
+
+Both shortcuts give, bit for bit, what fresh samples per level and the
+16-entry block array give: `_refine` says why the nested samples are the
+fresh ones, and `_tables_at` why the slot sums are the block sums.
 
 `moment_vectors` and `block_tables` are the batched paths of the six
-moments and of the block tables: they evaluate the coefficients once per
-node level on a (radii x nodes) grid, in calls of at most `_CHUNK_POINTS`
-points, and only the radii that have not converged go on to the next
-level.  Each radius gets the node count and, bit for bit, the values it
-gets when evaluated alone; `moment_vector` and `block_table` are the
-one-radius cases.
+moments and of the block tables: radii go through the node levels in
+groups of at most `_CHUNK_POINTS` points, and only the radii that have not
+converged go on to the next level.  Each radius gets the node count and,
+bit for bit, the values it gets when evaluated alone; `moment_vector` and
+`block_table` are the one-radius cases.
 
 All operations here are pure functions of immutable inputs and safe to
 evaluate concurrently over radius grids.
@@ -49,8 +57,8 @@ DEFAULT_QUADRATURE = QuadratureSettings()
 # positions that are identically zero in the assembled 4x4 moment matrix
 MOMENT_MATRIX_ZEROS = ((0, 1), (1, 2), (2, 1), (3, 2))
 
-# coefficient points per call of the batched sampler: a batch never holds a
-# larger grid than one radius at the default node cap
+# coefficient points per group of radii at one node level: a group never
+# holds a larger grid than one radius at the default node cap
 _CHUNK_POINTS = 2**14
 
 
@@ -58,16 +66,20 @@ def _nodes(n: int) -> np.ndarray:
     return 2.0 * math.pi * np.arange(n) / n
 
 
-def _circle_samples(field: CoefficientField, radii: np.ndarray, n: int):
-    """cos phi, sin phi and the checked coefficients a, b, c at n uniform
-    nodes on each circle of a 1-D array of radii.
+def _odd_nodes(n: int) -> np.ndarray:
+    """The n nodes that level 2n adds to level n: 2 pi (2j + 1) / (2n)."""
+    return 2.0 * math.pi * np.arange(1, 2 * n, 2) / (2 * n)
 
-    The coefficients come from one call on the (radii x nodes) grid and are
-    stacked into one array of shape (3, len(radii), n); EvaluationError
-    names the coefficient, radius and angle of the first value that is not
-    finite.
+
+def _circle_samples(field: CoefficientField, radii: np.ndarray, phi: np.ndarray):
+    """cos phi, sin phi and the checked coefficients a, b, c at the angles
+    phi on each circle of a 1-D array of radii.
+
+    The coefficients come from one call on the (radii x phi) grid and are
+    stacked into one array of shape (3, len(radii), len(phi));
+    EvaluationError names the coefficient, radius and angle of the first
+    value that is not finite.
     """
-    phi = _nodes(n)
     cos, sin = np.cos(phi), np.sin(phi)
     x, y = radii[:, None] * cos, radii[:, None] * sin
     abc = np.empty((3,) + x.shape)
@@ -81,39 +93,74 @@ def _circle_samples(field: CoefficientField, radii: np.ndarray, n: int):
     return cos, sin, abc
 
 
-def _refine(level: Callable, field: CoefficientField, radii: np.ndarray,
+def _interleave(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
+    """The samples of level 2n along the last axis from those of level n
+    (its even nodes) and of the n new ones (its odd nodes)."""
+    out = np.empty(even.shape[:-1] + (2 * even.shape[-1],))
+    out[..., 0::2] = even
+    out[..., 1::2] = odd
+    return out
+
+
+def _refine(reduce: Callable, field: CoefficientField, radii: np.ndarray,
             quad: QuadratureSettings):
     """Double the node count from quad.base_nodes until two levels agree, per radius.
 
-    level(field, radii, n) samples one node level of some radii as the rows
-    of a (len(radii), width) array.  Each level is one call on the radii
-    still unconverged, split into calls of at most `_CHUNK_POINTS` points
-    (one radius per call past that many nodes).  A radius has converged
-    when max|cur - prev| <= rel_tol * max(1, max|cur|) over its row.
-    Returns the (len(radii), width) array of each radius's finest level
-    and the mask of radii that stopped at max_nodes without agreeing (cap
-    hits).
+    reduce(cos, sin, abc) maps the samples of one node level, abc of shape
+    (3, k, n) as from `_circle_samples`, to a (k, width) array.  The levels
+    nest: node 2j of level 2n is 2 pi 2j / (2n), which equals 2 pi j / n
+    bit for bit because doubling a numerator and its denominator is exact.
+    So a level after the first evaluates a, b, c only at the n odd nodes of
+    the radii still unconverged, computed contiguously by the operations
+    that give node 2j + 1 of `_nodes(2n)`, and interleaves them with the
+    kept samples: reduce sees the very array that evaluating all 2n nodes
+    afresh would give, and a radius that converges at 2n nodes costs 2n
+    coefficient points, not 3n.
+
+    Radii go through the levels in groups whose next level fits in
+    `_CHUNK_POINTS` points; a group that outgrows that splits into groups
+    that fit (one radius per group past that many nodes).  So each
+    coefficient call and each reduce call holds at most `_CHUNK_POINTS`
+    points or one radius, and the kept samples a few times that.
+
+    A radius has converged when max|cur - prev| <= rel_tol * max(1, max|cur|)
+    over its row.  Returns the (len(radii), width) array of each radius's
+    finest level and the mask of radii that stopped at max_nodes without
+    agreeing (cap hits).
     """
-
-    def sample(n, rows):
-        step = max(1, _CHUNK_POINTS // n)
-        return np.concatenate([level(field, radii[rows[i:i + step]], n)
-                               for i in range(0, rows.size, step)])
-
-    rows = np.arange(radii.size)
-    n = quad.base_nodes
-    prev = sample(n, rows)
-    out = np.empty((radii.size, prev.shape[1]))
-    while rows.size and n < quad.max_nodes:
-        n *= 2
-        cur = sample(n, rows)
-        scale = np.maximum(1.0, np.max(np.abs(cur), axis=1))
-        done = np.max(np.abs(cur - prev), axis=1) <= quad.rel_tol * scale
-        out[rows[done]] = cur[done]
-        rows, prev = rows[~done], cur[~done]
-    out[rows] = prev
-    capped = np.zeros(radii.size, dtype=bool)
-    capped[rows] = True
+    out, capped = None, np.zeros(radii.size, dtype=bool)
+    base = quad.base_nodes
+    first = max(1, _CHUNK_POINTS // (2 * base))
+    for start in range(0, radii.size, first):
+        rows = np.arange(start, min(start + first, radii.size))
+        cos, sin, abc = _circle_samples(field, radii[rows], _nodes(base))
+        prev = reduce(cos, sin, abc)
+        if out is None:
+            out = np.empty((radii.size, prev.shape[1]))
+        # groups still refining, last one next; a loop, not a recursive
+        # closure, whose reference cycle would hold each call's arrays
+        # until the garbage collector runs
+        todo = [(rows, base, cos, sin, abc, prev)]
+        while todo:
+            rows, n, cos, sin, abc, prev = todo.pop()
+            step = max(1, _CHUNK_POINTS // (2 * n))
+            if rows.size > step:
+                todo += [(rows[i:i + step], n, cos, sin, abc[:, i:i + step],
+                          prev[i:i + step]) for i in reversed(range(0, rows.size, step))]
+                continue
+            if n >= quad.max_nodes:
+                out[rows] = prev
+                capped[rows] = True
+                continue
+            cos_odd, sin_odd, new = _circle_samples(field, radii[rows], _odd_nodes(n))
+            cos, sin = _interleave(cos, cos_odd), _interleave(sin, sin_odd)
+            abc = _interleave(abc, new)
+            cur = reduce(cos, sin, abc)
+            scale = np.maximum(1.0, np.max(np.abs(cur), axis=1))
+            done = np.max(np.abs(cur - prev), axis=1) <= quad.rel_tol * scale
+            out[rows[done]] = cur[done]
+            if not done.all():
+                todo.append((rows[~done], 2 * n, cos, sin, abc[:, ~done], cur[~done]))
     return out, capped
 
 
@@ -165,19 +212,12 @@ class BlockTable:
     plain: np.ndarray
 
 
-def _blocks(a, b, c) -> np.ndarray:
-    """The four 2x2 coefficient blocks A_ij from node samples of a, b, c.
-
-    Returns an array of shape (2, 2, 2, 2) + a.shape, indexed [i, j, row, col].
-    """
-    one = np.ones(a.shape)
-    zero = np.zeros(a.shape)
-    A = np.empty((2, 2, 2, 2) + a.shape)
-    A[0, 0] = [[a, zero], [zero, one]]
-    A[0, 1] = [[b, c - 1.0], [zero, zero]]
-    A[1, 0] = [[zero, zero], [a - 1.0, b]]
-    A[1, 1] = [[one, zero], [zero, c]]
-    return A
+# the entries A_ij[p, q] of the four blocks that are not identically zero,
+# as (i, j, p, q) in lexicographic order; six hold a field (a, b, c - 1,
+# a - 1, b, c, in `_FIELD_SLOTS` order) and two the constant 1
+_SLOTS = ((0, 0, 0, 0), (0, 0, 1, 1), (0, 1, 0, 0), (0, 1, 0, 1),
+          (1, 0, 1, 0), (1, 0, 1, 1), (1, 1, 0, 0), (1, 1, 1, 1))
+_FIELD_SLOTS, _ONE_SLOTS = [0, 2, 3, 4, 5, 7], [1, 6]
 
 
 def _second_harmonics(cos, sin, abc) -> np.ndarray:
@@ -199,30 +239,84 @@ _TABLE_SHAPES = ((6,), (2, 2), (2, 2, 2), (2, 2, 2), (2, 2, 2),
                  (4, 4), (4, 4), (4, 4), (4, 4))
 
 
-def _tables_at(field: CoefficientField, radii: np.ndarray, n: int) -> np.ndarray:
+def _slot_columns() -> np.ndarray:
+    """Where each slot's sums land in a raveled row of the six moments and
+    the eight tables: an (8, 14) array of columns.
+
+    Slot (i, j, p, q) adds to entry (.., p, q) of each table, at the table
+    index that i or j gives (theta1_col: j, theta1_row: i, theta2_col:
+    l = j, theta2_row: k = i, plain: (k, l) = (i, j)), once for each
+    value of the free monomial indices k, l of the table's einsum in
+    `_tables_at`, in their order.  The 4x4 tables are read as blocks
+    [k, l, p, q] at [2k + p, 2l + q].
+    """
+    every = slice(None)
+    where = (lambda i, j: (), lambda i, j: (every,), lambda i, j: (j,),
+             lambda i, j: (i,), lambda i, j: (every, every),
+             lambda i, j: (every, j), lambda i, j: (i, every), lambda i, j: (i, j))
+    columns, start = [], _TABLE_SHAPES[0][0]
+    for shape, at in zip(_TABLE_SHAPES[1:], where):
+        index = start + np.arange(math.prod(shape)).reshape(shape)
+        if shape == (4, 4):
+            index = index.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3)
+        columns.append([np.ravel(index[at(i, j) + (p, q)]) for i, j, p, q in _SLOTS])
+        start += index.size
+    return np.concatenate(columns, axis=1)
+
+
+_SLOT_COLUMNS = _slot_columns()
+
+
+def _slot_sums(V: np.ndarray, t: np.ndarray, slots: list) -> np.ndarray:
+    """Per-slot node sums of the eight tables for the values V[s, r, n] of
+    some of the `_SLOTS`: shape (len(slots), r, 14), the free monomial
+    indices of each table raveled in order (see `_slot_columns`)."""
+    ti, tj = t[[_SLOTS[s][0] for s in slots]], t[[_SLOTS[s][1] for s in slots]]
+    return np.concatenate([np.reshape(v, V.shape[:2] + (-1,)) for v in (
+        np.einsum("srn,sn,sn->sr", V, ti, tj),
+        np.stack([np.einsum("srn,sn,sn->sr", V * tk, ti, tj) for tk in t], axis=-1),
+        np.einsum("srn,sn->sr", V, ti),
+        np.einsum("srn,sn->sr", V, tj),
+        np.einsum("srn,kn,ln->srkl", V * ti[:, None] * tj[:, None], t, t),
+        np.einsum("srn,sn,kn->srk", V, ti, t),
+        np.einsum("srn,sn,ln->srl", V, tj, t),
+        np.mean(V, axis=-1))], axis=2)
+
+
+def _tables_at(cos, sin, abc) -> np.ndarray:
     """The six moments and the eight block tables at each of k radii from one
-    set of circle samples: a (k, width) array, each row raveled in
-    `_TABLE_SHAPES` order."""
-    cos, sin, abc = _circle_samples(field, radii, n)
+    node level, abc of shape (3, k, n): a (k, width) array, each row raveled
+    in `_TABLE_SHAPES` order.
+
+    Each table is an einsum over a slot axis, which gives one node sum per
+    slot; the slot sums are then added at `_SLOT_COLUMNS` one slot after
+    the other, in `_SLOTS` order, and divided by n.  That is the einsum
+    over the 16-entry block array bit for bit, because numpy's einsum also
+    sums each (i, j) term's node loop by itself and adds the terms in
+    (i, j) order, and a slot that is identically zero adds exactly 0.
+    Each node loop multiplies its factors in the order of the block einsum,
+    samples first.  theta3 and theta4 multiply their first factors
+    elementwise beforehand, which rounds each product as einsum's loop
+    does; with three operands left, einsum's loop sums in sequence as its
+    many-operand loop does, and runs several times faster.  The two
+    constant-1 slots give the same sums at every radius, so they are summed
+    on one row.  `test_block_tables_bitwise_equal_per_radius` and
+    `test_nested_levels_equal_fresh_sampling_per_radius` hold all this
+    against the 16-entry einsum.
+    """
+    n, k = cos.size, abc.shape[1]
     t = np.vstack([cos, sin])
-    A = _blocks(*abc)  # [i, j, p, q, r, n]
-
-    theta2_mean = np.einsum("ijpqrn,in,jn->rpq", A, t, t) / n
-    theta3_mean = np.einsum("ijpqrn,kn,in,jn->rkpq", A, t, t, t) / n
-    theta1_col = np.einsum("ikpqrn,in->rkpq", A, t) / n
-    theta1_row = np.einsum("kipqrn,in->rkpq", A, t) / n
-    theta4_b = np.einsum("ijpqrn,in,jn,kn,ln->rklpq", A, t, t, t, t) / n
-    theta2_col_b = np.einsum("ilpqrn,in,kn->rklpq", A, t, t) / n
-    theta2_row_b = np.einsum("kipqrn,in,ln->rklpq", A, t, t) / n
-    plain_b = np.moveaxis(np.mean(A, axis=-1), -1, 0)  # [r, k, l, p, q]
-
-    def to4(blocks):  # blocks[r, k, l, p, q] -> (k, 4, 4)
-        return blocks.transpose(0, 1, 3, 2, 4).reshape(-1, 4, 4)
-
-    return np.concatenate([np.reshape(v, (len(radii), -1)) for v in (
-        _second_harmonics(cos, sin, abc), theta2_mean, theta3_mean,
-        theta1_col, theta1_row, to4(theta4_b), to4(theta2_col_b),
-        to4(theta2_row_b), to4(plain_b))], axis=1)
+    a, b, c = abc
+    field = _slot_sums(np.stack([a, b, c - 1.0, a - 1.0, b, c]), t, _FIELD_SLOTS)
+    ones = _slot_sums(np.ones((2, 1, n)), t, _ONE_SLOTS)  # the same at every radius
+    sums = dict(zip(_FIELD_SLOTS + _ONE_SLOTS, [*field, *ones]))
+    first, plain = _TABLE_SHAPES[0][0], math.prod(_TABLE_SHAPES[-1])
+    out = np.zeros((k, sum(map(math.prod, _TABLE_SHAPES))))
+    out[:, :first] = _second_harmonics(cos, sin, abc)
+    for s, columns in enumerate(_SLOT_COLUMNS):
+        out[:, columns] += sums[s]
+    out[:, first:-plain] /= n  # plain holds means already
+    return out
 
 
 def _radius_array(radii) -> np.ndarray:
@@ -258,18 +352,16 @@ def moment_vectors(field: CoefficientField, radii,
 
     Returns (moments, capped): a (k, 6) array of (a1, a2, b1, b2, c1, c2)
     rows and a (k,) mask of the radii whose node doubling stopped at
-    max_nodes without converging.  Each node level is one coefficient call
-    on the grid of the radii still unconverged, split into calls of at most
-    `_CHUNK_POINTS` points (one radius per call past that many nodes).
+    max_nodes without converging.  Each node level after the first
+    evaluates the coefficients only at its new nodes, on the grid of the
+    radii still unconverged, in groups of at most `_CHUNK_POINTS` points
+    (one radius per group past that many nodes).
     """
     radii = _radius_array(radii)
     if not radii.size:
         return np.zeros((0, 6)), np.zeros(0, dtype=bool)
 
-    def level(field, rows, n):
-        return _second_harmonics(*_circle_samples(field, rows, n))
-
-    return _refine(level, field, radii, quad)
+    return _refine(_second_harmonics, field, radii, quad)
 
 
 def moment_vector(field: CoefficientField, r: float,
@@ -344,7 +436,7 @@ def moment_matrix_residual(field: CoefficientField, r: float,
     The two sides are algebraically identical, so the residual is pure
     quadrature error; it cross-checks two independent computation paths.
     """
-    m6, tabs = _converged_tables(field, r, quad)
+    m6, tabs = _converged_tables(field, _radius_array(r)[0], quad)
     R = moment_matrices(m6)
     theta2_col, plain = tabs[5], tabs[7]
     return float(np.max(np.abs(R - (plain - 2.0 * theta2_col))))

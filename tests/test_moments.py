@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import oracle_moment_vector, oracle_tables
 from regan import coeff, moments
@@ -184,39 +186,42 @@ TABLE_NAMES = ("theta2_mean", "theta3_mean", "theta1_col", "theta1_row",
                "theta4", "theta2_col", "theta2_row", "plain")
 
 
+def _one_circle_tables(field, r, n):
+    """The six moments and the eight block tables of one circle at n nodes,
+    raveled in `_TABLE_SHAPES` order: einsums of the 16-entry block array
+    over 1-D nodes."""
+    cos, sin, (a, b, c) = _one_circle(field, r, n)
+    t = np.vstack([cos, sin])
+    one, zero = np.ones(n), np.zeros(n)
+    A = np.array([[[[a, zero], [zero, one]], [[b, c - 1.0], [zero, zero]]],
+                  [[[zero, zero], [a - 1.0, b]], [[one, zero], [zero, c]]]])
+    to4 = lambda blocks: blocks.transpose(0, 2, 1, 3).reshape(4, 4)
+    tabs = (np.einsum("ijpqn,in,jn->pq", A, t, t) / n,
+            np.einsum("ijpqn,kn,in,jn->kpq", A, t, t, t) / n,
+            np.einsum("ikpqn,in->kpq", A, t) / n,
+            np.einsum("kipqn,in->kpq", A, t) / n,
+            to4(np.einsum("ijpqn,in,jn,kn,ln->klpq", A, t, t, t, t) / n),
+            to4(np.einsum("ilpqn,in,kn->klpq", A, t, t) / n),
+            to4(np.einsum("kipqn,in,ln->klpq", A, t, t) / n),
+            to4(np.mean(A, axis=-1)))
+    return np.concatenate([_six_moments(cos, sin, (a, b, c))]
+                          + [np.ravel(tab) for tab in tabs])
+
+
 def _per_radius_tables(field, r, quad):
-    """The eight block tables of one radius by the one-circle doubling loop:
-    einsums over 1-D nodes, converged on the six moments and the tables."""
-
-    def level(n):
-        cos, sin, (a, b, c) = _one_circle(field, r, n)
-        t = np.vstack([cos, sin])
-        one, zero = np.ones(n), np.zeros(n)
-        A = np.array([[[[a, zero], [zero, one]], [[b, c - 1.0], [zero, zero]]],
-                      [[[zero, zero], [a - 1.0, b]], [[one, zero], [zero, c]]]])
-        to4 = lambda blocks: blocks.transpose(0, 2, 1, 3).reshape(4, 4)
-        tabs = (np.einsum("ijpqn,in,jn->pq", A, t, t) / n,
-                np.einsum("ijpqn,kn,in,jn->kpq", A, t, t, t) / n,
-                np.einsum("ikpqn,in->kpq", A, t) / n,
-                np.einsum("kipqn,in->kpq", A, t) / n,
-                to4(np.einsum("ijpqn,in,jn,kn,ln->klpq", A, t, t, t, t) / n),
-                to4(np.einsum("ilpqn,in,kn->klpq", A, t, t) / n),
-                to4(np.einsum("kipqn,in,ln->klpq", A, t, t) / n),
-                to4(np.mean(A, axis=-1)))
-        return np.concatenate([_six_moments(cos, sin, (a, b, c))]
-                              + [np.ravel(tab) for tab in tabs])
-
-    flat, _ = _doubling(level, quad)
+    """The eight block tables of one radius by the one-circle doubling loop,
+    converged on the six moments and the tables, and whether the cap hit."""
+    flat, capped = _doubling(lambda n: _one_circle_tables(field, r, n), quad)
     shapes = moments._TABLE_SHAPES
     ends = np.cumsum([math.prod(shape) for shape in shapes])
     return [part.reshape(shape) for part, shape
-            in zip(np.split(flat, ends[:-1])[1:], shapes[1:])]
+            in zip(np.split(flat, ends[:-1])[1:], shapes[1:])], capped
 
 
 @pytest.mark.parametrize("field", BATCH_FIELDS, ids=lambda f: f.label)
 def test_block_tables_bitwise_equal_per_radius(field, monkeypatch):
     radii = [min(1.0, math.exp(-t)) for t in np.linspace(0.0, 40.0, 97)]
-    want = [_per_radius_tables(field, r, DEFAULT_QUADRATURE) for r in radii]
+    want = [_per_radius_tables(field, r, DEFAULT_QUADRATURE)[0] for r in radii]
     for r, tabs in zip(radii, want):
         one = block_table(field, r)
         assert all(np.array_equal(getattr(one, name), tab)
@@ -265,6 +270,33 @@ def test_moment_vectors_name_the_bad_radius():
             moment_vectors(CHIRP, bad)
     got, capped = moment_vectors(CHIRP, [])
     assert got.shape == (0, 6) and capped.shape == (0,)
+
+
+# CHIRP radii that stop at 256, 128 and 64 nodes, and their neighbours
+CHIRP_RADII = (1.0, 0.7, 0.5, 0.3, 0.2, 0.1, 0.01, 1e-4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(radii=st.lists(st.sampled_from(CHIRP_RADII) | st.floats(1e-6, 1.0),
+                      min_size=1, max_size=8),
+       chunk_points=st.sampled_from([64, 100, 256, moments._CHUNK_POINTS]),
+       max_nodes=st.sampled_from([64, 2**14]))
+def test_nested_levels_equal_fresh_sampling_per_radius(radii, chunk_points, max_nodes):
+    # the batched paths interleave the odd nodes of each level with the kept
+    # samples and split their radius groups; the oracles sample each level
+    # afresh on one circle and sum the 16-entry block array
+    quad = QuadratureSettings(base_nodes=32, max_nodes=max_nodes, rel_tol=1e-13)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(moments, "_CHUNK_POINTS", chunk_points)
+        m6, m6_capped = moment_vectors(CHIRP, radii, quad)
+        tabs, tabs_capped = block_tables(CHIRP, radii, quad)
+    for k, r in enumerate(radii):
+        want, want_cap = _per_radius_moments(CHIRP, r, quad)
+        assert np.array_equal(m6[k], want) and m6_capped[k] == want_cap
+        want, want_cap = _per_radius_tables(CHIRP, r, quad)
+        assert all(np.array_equal(getattr(tabs, name)[k], tab)
+                   for name, tab in zip(TABLE_NAMES, want))
+        assert tabs_capped[k] == want_cap
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +351,29 @@ def test_block_table_cos_mode_frozen():
     assert np.allclose(bt.plain, np.eye(4), atol=1e-13)
 
 
-def test_block_table_samples_coefficients_once_per_level(monkeypatch):
+def _final_nodes(level, quad):
+    """The node count at which the one-circle doubling loop over level stops."""
+    seen = []
+
+    def counted(n):
+        seen.append(n)
+        return level(n)
+
+    _doubling(counted, quad)
+    return seen[-1]
+
+
+@pytest.mark.parametrize("field, r, nodes", [
+    (make_harmonic_family("a", profile_power(0.3, 0.5), 2), 0.5, 64),
+    (CHIRP, 0.5, 128), (CHIRP, 1.0, 256)], ids=["harmonic", "chirp-128", "chirp-256"])
+@pytest.mark.parametrize("name", ["moment_vector", "block_table"])
+def test_each_node_is_sampled_once(name, field, r, nodes, monkeypatch):
+    # level 2n evaluates only the n nodes that level n lacks, so the calls
+    # run 32, 32, 64, ... and add up to the node count the radius stops at:
+    # a radius that converges at 64 nodes costs 64 coefficient points
+    level = {"moment_vector": lambda n: _six_moments(*_one_circle(field, r, n)),
+             "block_table": lambda n: _one_circle_tables(field, r, n)}[name]
+    assert _final_nodes(level, DEFAULT_QUADRATURE) == nodes
     sizes = []
     original = CoefficientField.coefficients
 
@@ -328,9 +382,10 @@ def test_block_table_samples_coefficients_once_per_level(monkeypatch):
         return original(self, x, y)
 
     monkeypatch.setattr(CoefficientField, "coefficients", counting)
-    block_table(make_harmonic_family("a", profile_power(0.3, 0.5), 2), 0.5)
-    assert len(sizes) >= 2
-    assert sizes == [DEFAULT_QUADRATURE.base_nodes * 2**k for k in range(len(sizes))]
+    getattr(moments, name)(field, r)
+    base = DEFAULT_QUADRATURE.base_nodes
+    assert sizes == [base] + [base * 2**k for k in range(int(math.log2(nodes // base)))]
+    assert sum(sizes) == nodes
 
 
 def test_block_table_matches_fourier_oracle():
@@ -381,6 +436,13 @@ def test_identity_residual_random_fields():
         for r in radii:
             worst = max(worst, moment_matrix_residual(field, float(r)))
     assert worst <= 1e-10
+
+
+def test_identity_residual_checks_the_radius():
+    field = make_harmonic_family("a", const_profile(0.3), 2)
+    for bad in (1.5, 0.0, -0.5, math.nan):
+        with pytest.raises(ValueError, match=r"radius must lie in \(0, 1\]"):
+            moment_matrix_residual(field, bad)
 
 
 def test_moment_csv_format(tmp_path):
