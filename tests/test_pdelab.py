@@ -181,11 +181,11 @@ ORACLE_FIELDS = ([family_from_descriptor(d) for _, d in sorted(builtin_families(
 
 
 def gmres_system(monkeypatch, field, h, boundary):
-    """The operator and right-hand side that `solve_dirichlet` hands GMRES."""
-    seen, gmres = [], spla.gmres
+    """The matvec, preconditioner and right-hand side that `solve_dirichlet`
+    hands `_gmres`."""
+    seen, gmres = [], pdelab._gmres
     with monkeypatch.context() as m:
-        m.setattr(spla, "gmres",
-                  lambda A, b, **kw: seen.append((A, b)) or gmres(A, b, **kw))
+        m.setattr(pdelab, "_gmres", lambda *args: seen.append(args) or gmres(*args))
         solve_dirichlet(field, h, boundary)
     return seen[0]
 
@@ -198,12 +198,79 @@ def test_slice_operator_matches_the_sparse_oracle(monkeypatch, field, k):
     weights, _ = pdelab._assemble(field, h, -L + h * np.arange(N + 1))
     assert [w[N // 2 - 1, N // 2 - 1] for w in weights] == [1, 0, 1, -4]
     for boundary in sorted(BOUNDARY_LIBRARY):
-        A, rhs = gmres_system(monkeypatch, field, h, boundary)
+        matvec, _, rhs = gmres_system(monkeypatch, field, h, boundary)
         A_ref, rhs_ref = assembled(field, h, boundary)
         assert np.max(np.abs(rhs - rhs_ref)) <= 1e-14 * np.max(np.abs(rhs_ref))
     for v in np.random.default_rng(k).standard_normal((3, (N - 1) ** 2)):
         want = A_ref @ v
-        assert np.max(np.abs(A.matvec(v) - want)) <= 1e-14 * np.max(np.abs(want))
+        assert np.max(np.abs(matvec(v) - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def scipy_gmres(matvec, psolve, b):
+    """scipy's GMRES with the settings `_gmres` reproduces: x and the
+    history of the preconditioned relative residuals."""
+    shape, history = (b.size, b.size), []
+    x, _ = spla.gmres(
+        spla.LinearOperator(shape, matvec=matvec, dtype=float), b,
+        rtol=pdelab.GMRES_RTOL, atol=0.0, restart=pdelab.GMRES_MAX_ITER, maxiter=1,
+        M=spla.LinearOperator(shape, matvec=psolve, dtype=float),
+        callback=history.append, callback_type="pr_norm")
+    return x, history
+
+
+def assert_same_bits(got, want):
+    (x, history), (x_ref, history_ref) = got, want
+    assert np.array_equal(x, x_ref)
+    assert history == history_ref
+
+
+@pytest.mark.parametrize("boundary", ["harmonic_quartic", "v_rich_mix"])
+@pytest.mark.parametrize("k", [5, 6])
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=lambda f: f.label)
+def test_gmres_is_scipys_bit_for_bit(monkeypatch, field, k, boundary):
+    system = gmres_system(monkeypatch, field, 2.0**-k, boundary)
+    assert_same_bits(pdelab._gmres(*system), scipy_gmres(*system))
+
+
+def test_gmres_matches_scipy_through_a_stall_to_the_cap(monkeypatch):
+    matvec, _, rhs = gmres_system(monkeypatch, constant_laplacian(), H5, "v_rich_mix")
+    jacobi = lambda f: -0.25 * f
+    got = pdelab._gmres(matvec, jacobi, rhs)
+    assert len(got[1]) == pdelab.GMRES_MAX_ITER
+    assert_same_bits(got, scipy_gmres(matvec, jacobi, rhs))
+
+
+def test_gmres_matches_scipy_on_a_zero_right_hand_side(monkeypatch):
+    matvec, psolve, rhs = gmres_system(monkeypatch, WORST_FIELDS[0], H5, "v_rich_mix")
+    zero = np.zeros_like(rhs)
+    assert_same_bits(pdelab._gmres(matvec, psolve, zero), scipy_gmres(matvec, psolve, zero))
+
+
+@pytest.mark.parametrize("field", [constant_laplacian(), WORST_FIELDS[0], BUMP_FIELD],
+                         ids=lambda f: f.label)
+def test_a_solve_applies_each_operator_once_per_iteration(monkeypatch, field):
+    # besides one preconditioner and one stencil application per iteration,
+    # M rhs, the right-hand side and the residual check: the control, in one
+    # iteration, makes 2 and 3 applications
+    calls = {"preconditioner": 0, "stencil": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    assemble = pdelab._assemble
+
+    def assemble_counted(*args):
+        weights, apply = assemble(*args)
+        return weights, counted("stencil", apply)
+
+    monkeypatch.setattr(pdelab, "_assemble", assemble_counted)
+    monkeypatch.setattr(pdelab, "_laplacian_solve",
+                        counted("preconditioner", pdelab._laplacian_solve))
+    iterations = len(solve_dirichlet(field, H5, "v_rich_mix").residual_history)
+    assert calls == {"preconditioner": iterations + 1, "stencil": iterations + 2}
 
 
 def test_stalled_preconditioner_raises_with_its_history(monkeypatch):
