@@ -5,7 +5,9 @@ modulus of continuity bounding sup_{|x|=r} (|a-1| + |b| + |c-1|).  All
 evaluators are vectorized over numpy arrays and immutable after
 construction, so they are safe for concurrent read-only use.  Coefficients
 are extended by their unit-circle values for r > 1; only r <= 1 is ever
-analyzed.
+analyzed.  Every layer evaluates a field through
+`CoefficientField.coefficients`; a `trig_random` field answers it with one
+pass for a, b and c, which shares the angle and each mode's cos and sin.
 
 MAX_MODE bounds the mode n of a harmonic family and the degree of a
 `trig_random` field: the circle quadrature weighs the coefficients by theta
@@ -16,8 +18,8 @@ value (modes 60 to 68 do), and far past it a run chases the node cap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, field as dc_field
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -38,7 +40,16 @@ class ModulusOfContinuity:
 
 @dataclass(frozen=True)
 class CoefficientField:
-    """Evaluators for a, b, c on the punctured unit disk plus declared bounds."""
+    """Evaluators for a, b, c on the punctured unit disk plus declared bounds.
+
+    `coefficients(x, y)` is the one method through which every layer
+    evaluates a field.  A field whose three coefficients share their work
+    can also carry `_abc`, an evaluator of (a, b, c) in one pass, which
+    `coefficients` then calls in place of a, b and c; a, b and c stay its
+    one-name cases.  `_abc` is set after construction, not passed to it,
+    so a copy made by `dataclasses.replace` drops it and evaluates the a,
+    b and c it was given.
+    """
 
     a: Callable
     b: Callable
@@ -46,10 +57,14 @@ class CoefficientField:
     modulus: ModulusOfContinuity
     ellipticity_lower: float
     label: str = "field"
+    _abc: Optional[Callable] = dc_field(default=None, init=False, repr=False,
+                                        compare=False)
 
     def coefficients(self, x, y):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
+        if self._abc is not None:
+            return self._abc(x, y)
         return self.a(x, y), self.b(x, y), self.c(x, y)
 
 
@@ -261,6 +276,13 @@ def make_trig_field(seed: int, degree: int = 6, amplitude: float = 0.2) -> Coeff
     amplitude must lie in [0, 1/2], the bound on |g| of the profile
     families, so that a, c >= 1/2 and the declared ellipticity holds.  The
     degree must lie in [0, MAX_MODE].
+
+    `coefficients` evaluates the three sums in one pass: one arctan2, and
+    per mode n one cos(n phi) and one sin(n phi), which update each sum as
+    out + alpha_n cos + beta_n sin.  That is each sum's own expression in
+    its own order, so a, b and c are bit for bit what one pass per
+    coefficient gives; `field.a`, `field.b` and `field.c` are the one-sum
+    cases of the same pass.
     """
     if not 0 <= degree <= MAX_MODE:
         raise ValueError(f"degree must lie in [0, {MAX_MODE}]")
@@ -275,28 +297,32 @@ def make_trig_field(seed: int, degree: int = 6, amplitude: float = 0.2) -> Coeff
         total = np.sum(np.abs(alpha)) + np.sum(np.abs(beta))
         coeffs[name] = (alpha * amplitude / total, beta * amplitude / total)
 
-    def maker(name):
-        alpha, beta = coeffs[name]
-        base = 0.0 if name == "b" else 1.0
+    def evaluate(x, y, names=_TARGETS):
+        """The sums of `names` at (x, y), one array each, from one angle and
+        one cos, sin pair per mode."""
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        phi = np.arctan2(y, x)
+        outs = [np.full_like(phi, 0.0 if name == "b" else 1.0, dtype=float)
+                for name in names]
+        for n in range(degree + 1):
+            cos, sin = np.cos(n * phi), np.sin(n * phi)
+            outs = [out + coeffs[name][0][n] * cos + coeffs[name][1][n] * sin
+                    for out, name in zip(outs, names)]
+        return tuple(outs)
 
-        def evaluate(x, y):
-            x = np.asarray(x, dtype=float)
-            y = np.asarray(y, dtype=float)
-            phi = np.arctan2(y, x)
-            out = np.full_like(phi, base, dtype=float)
-            for n in range(degree + 1):
-                out = out + alpha[n] * np.cos(n * phi) + beta[n] * np.sin(n * phi)
-            return out
-
-        return evaluate
+    def one(name):
+        return lambda x, y: evaluate(x, y, (name,))[0]
 
     modulus = ModulusOfContinuity(
         lambda r: np.full_like(np.asarray(r, dtype=float), 3.0 * amplitude),
         label=f"const({3.0 * amplitude})",
     )
     lam = 4.0 * (1.0 - amplitude) ** 2 - amplitude**2
-    return CoefficientField(maker("a"), maker("b"), maker("c"), modulus,
-                            ellipticity_lower=lam, label=f"trig(seed={seed})")
+    field = CoefficientField(one("a"), one("b"), one("c"), modulus,
+                             ellipticity_lower=lam, label=f"trig(seed={seed})")
+    object.__setattr__(field, "_abc", evaluate)
+    return field
 
 
 # ---------------------------------------------------------------------------

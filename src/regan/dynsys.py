@@ -20,7 +20,9 @@ where an uncached radius read alone goes through `moment_vector`.
 read can have their radii evaluated in a few large batches.  The neutral
 4x4 block of the conjugated 8x8 system, on which the stability statements
 are made, is a view that reads the same memo
-(`FullSystem.reduced_block_system`).
+(`FullSystem.reduced_block_system`).  For a field that is the same at every
+point, whose M is the same at every t, `ConstantFieldSystem` evaluates one
+block table and hands its M to every radius.
 
 Fundamental matrices are propagated with an adaptive Dormand-Prince 5(4)
 pair in lanes (`propagate_lanes`): each lane is one (s, output times)
@@ -218,19 +220,21 @@ def _assemble(bt: BlockTable):
     shape (k, 4, 4).  np.linalg.LinAlgError when a block is singular.
     """
     A2 = bt.theta2_mean[:, None]
+    # A2^-1 theta3_mean[l] and A2^-1 theta1_col[l], each solved once
+    solved3 = np.linalg.solve(A2, bt.theta3_mean)
+    solved1 = np.linalg.solve(A2, bt.theta1_col)
 
-    def corr(left, right):  # block (k, l) is left[k] A2^-1 right[l]
-        cols = np.linalg.solve(A2, right)
+    def corr(left, cols):  # block (k, l) is left[k] cols[l]
         out = np.empty((len(left), 4, 4))
         for k in range(2):
             for l in range(2):
                 out[:, 2 * k:2 * k + 2, 2 * l:2 * l + 2] = left[:, k] @ cols[:, l]
         return out
 
-    a_eff = bt.theta4 - corr(bt.theta3_mean, bt.theta3_mean)
-    b_eff = bt.theta2_col - corr(bt.theta3_mean, bt.theta1_col)
-    bt_eff = bt.theta2_row - corr(bt.theta1_row, bt.theta3_mean)
-    c_eff = bt.plain - corr(bt.theta1_row, bt.theta1_col)
+    a_eff = bt.theta4 - corr(bt.theta3_mean, solved3)
+    b_eff = bt.theta2_col - corr(bt.theta3_mean, solved1)
+    bt_eff = bt.theta2_row - corr(bt.theta1_row, solved3)
+    c_eff = bt.plain - corr(bt.theta1_row, solved1)
     a_eff_inv = np.linalg.inv(a_eff)
     bt_a_inv = bt_eff @ a_eff_inv
     m = _join(-a_eff_inv @ b_eff, a_eff_inv, c_eff - bt_a_inv @ b_eff,
@@ -300,6 +304,29 @@ class FullSystem(_RadialSystem):
 
     def reduced_block_system(self) -> ReducedBlockSystem:
         return ReducedBlockSystem(self)
+
+
+class ConstantFieldSystem(FullSystem):
+    """The 8x8 system of a field that is the same at every point, such as the
+    constant Laplacian: one block table, one M for every t.
+
+    Where a, b and c do not depend on (x, y), every row of the (radii x
+    nodes) sample grid is the same, so every radius converges at the same
+    node level with the same tables, bit for bit, and `_assemble` maps
+    equal rows to equal M.  So the first `_batch` evaluates the block
+    table at its first radius alone and every batch hands that M to each
+    of its radii; the memo, `work` and `eff_blocks` are `FullSystem`'s.
+    This is the matrix `FullSystem` gives at every t, not `M_INF`, from
+    which it differs by rounding.
+    """
+
+    _first = None
+
+    def _batch(self, radii: list):
+        if self._first is None:
+            self._first = super()._batch(radii[:1])
+        (m,), (capped,) = self._first
+        return [m] * len(radii), [capped] * len(radii)
 
 
 class ReducedBlockSystem:

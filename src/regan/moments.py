@@ -35,6 +35,7 @@ evaluate concurrently over radius grids.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -283,6 +284,20 @@ def _slot_sums(V: np.ndarray, t: np.ndarray, slots: list) -> np.ndarray:
         np.mean(V, axis=-1))], axis=2)
 
 
+@functools.lru_cache(maxsize=None)
+def _one_slot_sums(n: int) -> np.ndarray:
+    """`_slot_sums` of the two constant-1 slots at the level of n nodes, on
+    one row.  They are the same at every radius, and every level of n nodes,
+    nested or sampled afresh, holds the angles `_nodes(n)` bit for bit (see
+    `_refine`), so they are computed once per node count; read-only, as
+    every caller shares the array."""
+    phi = _nodes(n)
+    sums = _slot_sums(np.ones((2, 1, n)), np.vstack([np.cos(phi), np.sin(phi)]),
+                      _ONE_SLOTS)
+    sums.setflags(write=False)
+    return sums
+
+
 def _tables_at(cos, sin, abc) -> np.ndarray:
     """The six moments and the eight block tables at each of k radii from one
     node level, abc of shape (3, k, n): a (k, width) array, each row raveled
@@ -300,7 +315,8 @@ def _tables_at(cos, sin, abc) -> np.ndarray:
     does; with three operands left, einsum's loop sums in sequence as its
     many-operand loop does, and runs several times faster.  The two
     constant-1 slots give the same sums at every radius, so they are summed
-    on one row.  `test_block_tables_bitwise_equal_per_radius` and
+    on one row, once per node count (`_one_slot_sums`).
+    `test_block_tables_bitwise_equal_per_radius` and
     `test_nested_levels_equal_fresh_sampling_per_radius` hold all this
     against the 16-entry einsum.
     """
@@ -308,7 +324,7 @@ def _tables_at(cos, sin, abc) -> np.ndarray:
     t = np.vstack([cos, sin])
     a, b, c = abc
     field = _slot_sums(np.stack([a, b, c - 1.0, a - 1.0, b, c]), t, _FIELD_SLOTS)
-    ones = _slot_sums(np.ones((2, 1, n)), t, _ONE_SLOTS)  # the same at every radius
+    ones = _one_slot_sums(n)
     sums = dict(zip(_FIELD_SLOTS + _ONE_SLOTS, [*field, *ones]))
     first, plain = _TABLE_SHAPES[0][0], math.prod(_TABLE_SHAPES[-1])
     out = np.zeros((k, sum(map(math.prod, _TABLE_SHAPES))))

@@ -202,6 +202,24 @@ def test_compare_reports_the_work_of_the_fields_8x8_system(tmp_path, monkeypatch
     assert seen["constant"] > 0
 
 
+def test_compare_control_evaluates_one_radius_and_its_lift(tmp_path, monkeypatch):
+    # the control's drift matrix is the same at every t: one block table
+    # gives it, and one more is the lift at the largest profile radius
+    radii = {"block_tables": [], "block_table": []}
+    for name in radii:
+        def counted(field, r, quad, _fn=getattr(dynsys, name), _seen=radii[name]):
+            if field.label == "constant":
+                _seen.append(np.size(r))
+            return _fn(field, r, quad)
+        monkeypatch.setattr(dynsys, name, counted)
+    config = validate_config({
+        "schema": 1, "family": builtin_families()["dini_power"],
+        "analyses": ["pde", "compare"]})
+    _, code = run_pipeline(config, tmp_path)
+    assert code == 0
+    assert radii == {"block_tables": [1], "block_table": [1]}
+
+
 SECOND_ORDER_BY = ["dini_R", "iterated_L1", "special_a1_converges",
                    "special_a2_extended"]
 

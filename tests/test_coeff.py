@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -218,3 +219,79 @@ def test_modulus_eps_matches_analytic_tail():
     field = make_harmonic_family("a", prof, 2)
     ts = np.linspace(0.0, 30.0, 7)
     assert np.allclose(field.modulus(np.exp(-ts)), 0.4 / (1.0 + ts), rtol=1e-12)
+
+
+def trig_oracle(seed, degree, amplitude=0.2):
+    """a, b and c of `make_trig_field` by the per-coefficient formula: each
+    evaluator takes its own angle and its own cos, sin pair per mode."""
+    rng = np.random.default_rng(seed)
+    evaluators = []
+    for base in (1.0, 0.0, 1.0):
+        alpha = rng.uniform(-1.0, 1.0, degree + 1)
+        beta = rng.uniform(-1.0, 1.0, degree + 1)
+        beta[0] = 0.0
+        total = np.sum(np.abs(alpha)) + np.sum(np.abs(beta))
+        alpha, beta = alpha * amplitude / total, beta * amplitude / total
+
+        def evaluate(x, y, alpha=alpha, beta=beta, base=base):
+            phi = np.arctan2(np.asarray(y, dtype=float), np.asarray(x, dtype=float))
+            out = np.full_like(phi, base, dtype=float)
+            for n in range(degree + 1):
+                out = out + alpha[n] * np.cos(n * phi) + beta[n] * np.sin(n * phi)
+            return out
+
+        evaluators.append(evaluate)
+    return evaluators
+
+
+def _trig_points():
+    signed = [0.0, -0.0, 0.5, -0.5, 1.5, -2.0]
+    x, y = np.meshgrid(signed, signed, indexing="ij")
+    phi = 2.0 * math.pi * np.arange(64) / 64
+    r = np.array([1e-300, 1e-8, 0.3, 1.0, 3.0])[:, None]
+    return (np.concatenate([x.ravel(), np.ravel(r * np.cos(phi))]),
+            np.concatenate([y.ravel(), np.ravel(r * np.sin(phi))]))
+
+
+def _same_bits(got, want):
+    return np.array_equal(got, want) and np.array_equal(np.signbit(got),
+                                                        np.signbit(want))
+
+
+@pytest.mark.parametrize("degree", [0, 6, 59])
+@pytest.mark.parametrize("seed", range(8))
+def test_trig_field_evaluates_a_b_c_as_the_per_coefficient_formula(seed, degree):
+    field = make_trig_field(seed, degree)
+    x, y = _trig_points()
+    want = [fn(x, y) for fn in trig_oracle(seed, degree)]
+    for got, one, expected in zip(field.coefficients(x, y),
+                                  (field.a, field.b, field.c), want):
+        assert _same_bits(got, expected)
+        assert _same_bits(one(x, y), expected)
+    # on a (radii x nodes) grid, as the circle quadrature asks
+    grid_x, grid_y = np.reshape(x[36:], (5, 64)), np.reshape(y[36:], (5, 64))
+    for got, expected in zip(field.coefficients(grid_x, grid_y), want):
+        assert got.shape == (5, 64) and _same_bits(got.ravel(), expected[36:])
+
+
+@pytest.mark.parametrize("degree", [0, 6, 59])
+def test_trig_field_takes_one_cos_and_one_sin_per_mode(monkeypatch, degree):
+    x, y = _trig_points()
+    field = make_trig_field(1, degree)
+    calls = {"cos": 0, "sin": 0}
+    for name in calls:
+        def counted(*args, _ufunc=getattr(np, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _ufunc(*args, **kwargs)
+        monkeypatch.setattr(np, name, counted)
+    field.coefficients(x, y)
+    assert calls == {"cos": degree + 1, "sin": degree + 1}
+
+
+def test_a_replaced_coefficient_of_a_trig_field_is_the_one_evaluated():
+    field = make_trig_field(2)
+    half = dataclasses.replace(field, a=lambda x, y: np.full_like(x, 0.5))
+    x, y = _trig_points()
+    a, b, c = half.coefficients(x, y)
+    assert np.array_equal(a, np.full_like(x, 0.5))
+    assert _same_bits(b, field.b(x, y)) and _same_bits(c, field.c(x, y))

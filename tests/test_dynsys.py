@@ -7,20 +7,22 @@ import pytest
 from scipy.integrate import quad
 from scipy.linalg import expm
 
-from regan.coeff import (CoefficientField, constant_laplacian, make_harmonic_family,
+from regan.coeff import (CoefficientField, builtin_families, constant_laplacian,
+                         family_from_descriptor, make_harmonic_family,
                          make_radial_family, make_trig_field,
                          profile_log_inverse, profile_log_oscillatory,
                          profile_power)
 from regan import dynsys
 from regan.dynsys import (CONSTANT, DIVERGENT, J_BASIS, J_BASIS_INV, M_INF,
-                          STABLE, UNSTABLE, FullSystem, MatrixSystem,
+                          STABLE, UNSTABLE, ConstantFieldSystem, FullSystem,
+                          MatrixSystem,
                           ReducedSystem, SingularSystemError, StepUnderflowError,
                           asymptotic_constancy_probe, classify_stability,
                           constancy_lanes, propagate_dense,
                           propagate_lanes, reduction_deviation,
                           second_harmonic_system, stability_lanes,
                           uniform_stability_probe)
-from regan.moments import QuadratureSettings, moment_vectors
+from regan.moments import QuadratureSettings, block_tables, moment_vectors
 
 
 def harmonic_decay(gamma):
@@ -158,6 +160,70 @@ def test_full_system_constant_field_matches_limit():
         assert np.allclose(sys.matrix(t), M_INF, atol=1e-13)
         assert np.max(np.abs(dynsys._conjugate(sys.matrix(t)))) <= 1e-13
         assert np.max(np.abs(view.matrix(t))) <= 1e-13
+
+
+def test_constant_field_gives_one_drift_matrix_at_every_t():
+    ts = np.linspace(-1.0, 40.0, 4001)
+    stack = FullSystem(constant_laplacian()).matrices(ts)
+    one = np.broadcast_to(stack[0], stack.shape)
+    # the control system meets its radii in another order: its first radius
+    # is another one
+    control = ConstantFieldSystem(constant_laplacian())
+    for got in (stack, control.matrices(ts[::-1])[::-1]):
+        assert np.array_equal(got, one)
+        assert np.array_equal(np.signbit(got), np.signbit(one))
+    # rounding apart from M_INF: the matrix is FullSystem's, not the limit
+    assert not np.array_equal(stack[0], M_INF)
+    assert control.work == {"radii": len({dynsys._radius(t) for t in ts}),
+                            "cap_hits": 0}
+
+
+def test_constant_field_system_evaluates_tables_at_one_radius(monkeypatch):
+    seen = []
+    tables = dynsys.block_tables
+    monkeypatch.setattr(dynsys, "block_tables", lambda field, radii, quad: (
+        seen.append(len(radii)) or tables(field, radii, quad)))
+    control = ConstantFieldSystem(constant_laplacian())
+    control.prefetch(np.linspace(0.0, 30.0, 3 * dynsys.FILL_BATCH))
+    control.matrices([0.125, 31.0])
+    assert seen == [1]
+    assert control.work["radii"] == 3 * dynsys.FILL_BATCH + 2
+
+
+def _assemble_four_solves(bt):
+    """M and the effective blocks of `dynsys._assemble` with each correction
+    solving A2 against its own right-hand side: four solves, two of them
+    repeats."""
+    A2 = bt.theta2_mean[:, None]
+
+    def corr(left, right):  # block (k, l) is left[k] A2^-1 right[l]
+        cols = np.linalg.solve(A2, right)
+        out = np.empty((len(left), 4, 4))
+        for k in range(2):
+            for l in range(2):
+                out[:, 2 * k:2 * k + 2, 2 * l:2 * l + 2] = left[:, k] @ cols[:, l]
+        return out
+
+    a_eff = bt.theta4 - corr(bt.theta3_mean, bt.theta3_mean)
+    b_eff = bt.theta2_col - corr(bt.theta3_mean, bt.theta1_col)
+    bt_eff = bt.theta2_row - corr(bt.theta1_row, bt.theta3_mean)
+    c_eff = bt.plain - corr(bt.theta1_row, bt.theta1_col)
+    a_eff_inv = np.linalg.inv(a_eff)
+    bt_a_inv = bt_eff @ a_eff_inv
+    m = dynsys._join(-a_eff_inv @ b_eff, a_eff_inv, c_eff - bt_a_inv @ b_eff,
+                     bt_a_inv - 2.0 * dynsys._I4)
+    return m, (a_eff, b_eff, bt_eff, c_eff)
+
+
+@pytest.mark.parametrize("field", [
+    *(family_from_descriptor(d) for d in builtin_families().values()),
+    *(make_trig_field(seed) for seed in range(8))], ids=lambda f: f.label)
+def test_assembly_solves_each_right_hand_side_once_with_the_same_bits(field):
+    bt, _ = block_tables(field, np.exp(-np.linspace(0.0, 30.0, 64)))
+    m, eff = dynsys._assemble(bt)
+    want_m, want_eff = _assemble_four_solves(bt)
+    assert np.array_equal(m, want_m)
+    assert all(np.array_equal(got, want) for got, want in zip(eff, want_eff))
 
 
 def test_basis_change_is_exact():

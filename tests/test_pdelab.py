@@ -11,7 +11,7 @@ from regan.coeff import (CoefficientField, ModulusOfContinuity, builtin_families
                          make_harmonic_family, make_trig_field,
                          profile_log_inverse, profile_log_oscillatory,
                          profile_power)
-from regan.dynsys import FullSystem
+from regan.dynsys import ConstantFieldSystem, FullSystem
 from regan.pdelab import (BOUNDARY_LIBRARY, EllipticityError, bilinear_sample,
                           compare_with_dynamics, decompose, profile_radii,
                           gradient_field, hessian_quotients,
@@ -508,6 +508,14 @@ def test_compare_with_dynamics_control_floor():
     table = compare_with_dynamics(prof, FullSystem(constant_laplacian()))
     assert max(table["relative_deviation"]) <= 2e-2
     assert table["relative_deviation"][-1] <= 1e-3  # largest radius: near-exact
+
+
+@pytest.mark.parametrize("h", [H6, 2.0**-7])
+def test_control_system_compares_as_the_plain_full_system(h):
+    prof = control_profile(h)
+    want = compare_with_dynamics(prof, FullSystem(constant_laplacian()))
+    got = compare_with_dynamics(prof, ConstantFieldSystem(constant_laplacian()))
+    assert got == want
 
 
 def test_compare_with_dynamics_oscillatory_family():
