@@ -369,6 +369,15 @@ _DP_A = (
 )
 _DP_ERR = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
            22 / 525, -1 / 40)
+# the rows of _DP_A and _DP_ERR as arrays, for `_combine`
+_DP_A_ROWS = tuple(np.array(row) for row in _DP_A)
+_DP_ERR_ROW = np.array(_DP_ERR)
+
+
+def _combine(coeffs: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """sum_j coeffs[j] ks[j] in one einsum, which sums in j order from 0 as
+    `sum(c * k for c, k in zip(coeffs, ks))` does, bit for bit."""
+    return np.einsum("j,j...->...", coeffs, ks)
 
 
 class _Lane:
@@ -504,13 +513,14 @@ def propagate_lanes(system, lanes, rtol: float = 1e-10):
         Ks = system.matrices([lane.t + _DP_C[i] * h for lane, h in zip(active, hs)
                               for i in range(1, 7)]).reshape(len(active), 6, d, d)
         work["rounds"] += 1
-        ks = [k1]
+        ks = np.empty((7,) + Y.shape)
+        ks[0] = k1
         for i in range(1, 7):
-            Yi = Y + H * sum(a * ks[j] for j, a in enumerate(_DP_A[i]))
-            ks.append(-Ks[:, i - 1] @ Yi)
-        Y_new = Y + H * sum(a * ks[j] for j, a in enumerate(_DP_A[6]))
+            Yi = Y + H * _combine(_DP_A_ROWS[i], ks[:i])
+            ks[i] = -Ks[:, i - 1] @ Yi
+        Y_new = Y + H * _combine(_DP_A_ROWS[6], ks[:6])
         # the last stage was evaluated at (t + h, Y_new): FSAL
-        err_mat = H * sum(e * ks[j] for j, e in enumerate(_DP_ERR))
+        err_mat = H * _combine(_DP_ERR_ROW, ks)
         scale = atol + rtol * np.maximum(np.abs(Y), np.abs(Y_new))
         err_norms = np.sqrt(np.mean((err_mat / scale) ** 2, axis=(1, 2))).tolist()
         err_maxes = np.max(np.abs(err_mat), axis=(1, 2)).tolist()

@@ -474,6 +474,19 @@ def test_lanes_bitwise_equal_to_serial_propagation(make_system, span):
                           oracle[1][0])
 
 
+@pytest.mark.parametrize("field", [
+    *(family_from_descriptor(d) for d in builtin_families().values()),
+    *(make_trig_field(seed) for seed in range(8))], ids=lambda f: f.label)
+def test_stage_combinations_equal_the_generator_sums(field):
+    # `_combine` forms each stage input, Y_new and the error estimate with
+    # one einsum; the serial oracle keeps the generator `sum` of each
+    lanes = _probes_stage_lanes(np.linspace(0.0, 2.0, 5), 4.0, thin=4)
+    results, _ = propagate_lanes(ReducedSystem(field), lanes, 1e-10)
+    for (s, ts), (phis, err) in zip(lanes, results):
+        want, want_err, _, _ = _serial_propagation(ReducedSystem(field), s, ts, 1e-10)
+        assert np.array_equal(phis, want) and err == want_err
+
+
 def test_lanes_of_nothing_do_no_work():
     sys = MatrixSystem(4, lambda t: pytest.fail("matrix was read"))
     results, work = propagate_lanes(sys, [(0.0, []), (2.0, [])])
