@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -51,3 +52,29 @@ def test_summary_refuses_unpaired_runs_and_unknown_directions():
         bench_pairs.summarize([1.0, 2.0], [1.0], "lower")
     with pytest.raises(ValueError, match="better"):
         bench_pairs.summarize([1.0], [1.0], "smaller")
+
+
+def test_a_set_records_each_sides_quartiles_wins_and_meta(tmp_path):
+    change = [2.2, 2.1, 2.4, 2.0, 2.3, 2.2, 2.8, 2.5, 2.1, 2.2]
+    metrics = [{"name": "wall_s", "unit": "s", "better": "lower"},
+               {"name": "ok_ratio", "unit": "ratio", "better": "higher"}]
+    runs = {"parent": [{"wall_s": v, "ok_ratio": 1.0} for v in PARENT],
+            "change": [{"wall_s": v, "ok_ratio": 1.0} for v in change]}
+    metas = {"parent": {"src_sha256": "aa"}, "change": {"src_sha256": "bb"}}
+    entry = bench_pairs.record("full_compare", 1, metrics, runs, metas)
+    assert (entry["workload"], entry["seed"], entry["pairs"]) == ("full_compare", 1, 10)
+    assert entry["meta"] == metas
+    wall = entry["metrics"]["wall_s"]
+    assert wall["parent"]["runs"] == PARENT and wall["change"]["runs"] == change
+    assert (wall["parent"]["q1"], wall["parent"]["median"],
+            wall["parent"]["q3"]) == pytest.approx((2.9, 3.0, 3.075))
+    assert wall["change"]["median"] == pytest.approx(2.2)
+    assert (wall["wins"], wall["losses"], wall["gain"]) == (9, 1, True)
+    ok = entry["metrics"]["ok_ratio"]
+    assert (ok["wins"], ok["losses"], ok["gain"]) == (0, 0, False)
+    assert (ok["unit"], ok["better"]) == ("ratio", "higher")
+    # sets are appended to the file, never replaced
+    path = tmp_path / "BENCH.json"
+    bench_pairs.append_set(path, entry)
+    bench_pairs.append_set(path, entry)
+    assert json.loads(path.read_text()) == {"sets": [entry, entry]}
