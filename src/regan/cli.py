@@ -34,22 +34,28 @@ library's, and no config bends them: each is a module constant next to the
 code that reads it, in `dynsys`, `criteria`, `tails`, `moments` and
 `pdelab`.
 
+A run builds one `dynsys.DriftTable` per system kind, the reduced 4x4
+system and the exact 8x8 one, and its stages share them: the probes read
+the table of `probes.system` (the 8x8 one through its block view), the
+criteria the reduced table and compare the 8x8 table.  A window that one
+stage filled is not evaluated again by a later one.
+
 The probes stage propagates the stability lanes, one per s_grid entry,
 and the constancy lane together; `trajectory.csv` holds t and Phi(t, s)
 row-major at each sample time of the lane from the smallest s.  The work
 is in `results.probes.integrator` (see `dynsys.propagate_lanes`):
-`rounds`, `accepted` and `rejected` steps, the stage times its plan
-prefetched (`planned`), the trial steps off that plan (`off_plan`) and
-`est_error`, the largest of these lanes' sums of per-step max-abs local
-error estimates.  That sum is a rough size of the integration error, not
-a bound on it.
+`rounds`, `accepted` and `rejected` steps and `est_error`, the largest of
+these lanes' sums of per-step max-abs local error estimates.  That sum is
+a rough size of the integration error, not a bound on it.
 
-`moments_work` counts the radii a radial system evaluated (`radii`) and
-those whose quadrature stopped at the node cap (`cap_hits`): in
-`results.probes` for the system the probes propagated (the reduced system,
-or the 8x8 system under the block view, reduction check included), in
-`results.criteria` for the criteria's reduced system and in
-`results.compare` for the field's 8x8 system.
+`moments_work` counts the work a stage added to the table it read: the
+radii evaluated (`radii`), those whose quadrature stopped at the node cap
+(`cap_hits`), the windows filled (`windows`) and those among them whose
+interpolant missed the exact matrix at the midpoint, so that they are read
+exactly (`unresolved_windows`).  It is in `results.probes` for the table of
+the probed system (the exact reduction check of that kind included), in
+`results.criteria` for the reduced table and in `results.compare` for the
+8x8 table.
 
 `results.pde.solves` holds, for the `field` and the `control` solve, the
 GMRES `iterations` and its `residual_history` (see
@@ -307,14 +313,24 @@ def _stage_moments(config, field, out_dir):
     }
 
 
-def _stage_probes(config, field, out_dir):
+def _drift_tables(field) -> dict:
+    """The run's drift tables, one per system kind."""
+    return {"reduced": dynsys.DriftTable(dynsys.ReducedSystem(field)),
+            "full": dynsys.DriftTable(dynsys.FullSystem(field))}
+
+
+def _work_since(table, before: dict) -> dict:
+    """The `work` a table added since it read `before`."""
+    return {key: value - before[key] for key, value in table.work.items()}
+
+
+def _stage_probes(config, tables, out_dir):
     pc = config.probes
-    reduced = dynsys.ReducedSystem(field)
-    full = dynsys.FullSystem(field)
+    table = tables[pc.system]
+    before = table.work
     # the raw 8x8 system carries a genuine exp(+2t) branch; its stability
-    # semantics live on the conjugated neutral block, which reads `full`
-    radial = full if pc.system == "full" else reduced
-    system = full.reduced_block_system() if radial is full else reduced
+    # semantics live on the conjugated neutral block, which reads the table
+    system = dynsys.ReducedBlockSystem(table) if pc.system == "full" else table
     # the stability lanes and the constancy lane run in lockstep, and each
     # probe reads its own slice of the results
     stab_lanes = dynsys.stability_lanes(pc.s_grid, pc.t_max)
@@ -333,7 +349,9 @@ def _stage_probes(config, field, out_dir):
         fh.write("t," + ",".join(f"phi_{i}{j}" for i in range(d) for j in range(d)) + "\n")
         fh.write(("%.17g," * d * d + "%.17g\n") * len(ts) % tuple(values))
 
-    reduction = dynsys.reduction_deviation(full, reduced,
+    # on the exact systems: the ratio divides by eps(t)^2
+    reduction = dynsys.reduction_deviation(tables["full"].system,
+                                           tables["reduced"].system,
                                            np.linspace(1.0, pc.t_max, 30))
     return {
         "system": pc.system,
@@ -348,13 +366,13 @@ def _stage_probes(config, field, out_dir):
                               for row in constancy.constancy_samples],
         "trajectory_csv": traj_path.name,
         "reduction_check": reduction,
-        "moments_work": dict(radial.work),
+        "moments_work": _work_since(table, before),
         "integrator": integrator,
     }
 
 
-def _stage_criteria(config, field, out_dir):
-    system = dynsys.ReducedSystem(field)
+def _stage_criteria(config, system, out_dir):
+    before = system.work
     results = criteria.run_all_criteria(system, config.criteria.n_windows,
                                         config.criteria.prefix_windows)
     payload = []
@@ -370,7 +388,7 @@ def _stage_criteria(config, field, out_dir):
         })
     return {"criteria": payload,
             "conclusion": criteria.criteria_conclusion(results),
-            "moments_work": dict(system.work)}
+            "moments_work": _work_since(system, before)}
 
 
 def _write_witness_csv(path, witness: dict):
@@ -426,8 +444,8 @@ def _stage_pde(config, field, out_dir):
     }, (prof, prof_control)
 
 
-def _stage_compare(config, field, prof, prof_control):
-    system = dynsys.FullSystem(field)
+def _stage_compare(config, system, prof, prof_control):
+    before = system.work
     # the control's M is the same at every t, bit for bit: one block table
     # gives it (see ConstantFieldSystem), where a FullSystem would evaluate
     # each of the propagation's radii to the same matrix
@@ -442,7 +460,7 @@ def _stage_compare(config, field, prof, prof_control):
         "control_floor": floor,
         "max_relative_deviation": max(table["relative_deviation"]),
         "within_10x_floor": bool(max(table["relative_deviation"]) <= 10.0 * floor),
-        "moments_work": dict(system.work),
+        "moments_work": _work_since(system, before),
     }
 
 
@@ -470,8 +488,6 @@ def _verdict_block(results: dict) -> dict:
 STAGES = {
     "validate": _stage_validate,
     "moments": _stage_moments,
-    "probes": _stage_probes,
-    "criteria": _stage_criteria,
 }
 
 
@@ -480,6 +496,7 @@ def run_pipeline(config: AnalysisConfig, out_dir) -> tuple[dict, int]:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     field = coeff.family_from_descriptor(config.family)
+    tables = _drift_tables(field)
     results: dict = {}
     timings: dict = {}
     exit_code = 0
@@ -491,7 +508,11 @@ def run_pipeline(config: AnalysisConfig, out_dir) -> tuple[dict, int]:
             if name == "pde":
                 results[name], profiles = _stage_pde(config, field, out_dir)
             elif name == "compare":
-                results[name] = _stage_compare(config, field, *profiles)
+                results[name] = _stage_compare(config, tables["full"], *profiles)
+            elif name == "probes":
+                results[name] = _stage_probes(config, tables, out_dir)
+            elif name == "criteria":
+                results[name] = _stage_criteria(config, tables["reduced"], out_dir)
             else:
                 results[name] = STAGES[name](config, field, out_dir)
         except Exception as exc:  # noqa: BLE001 - report and stop

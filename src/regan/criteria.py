@@ -15,11 +15,11 @@ Each series reads the drift matrix R(t) from a system with one
 `matrices(ts)` call on all of its nodes: the (windows x 32) Gauss-Legendre
 grid of dini_R, of eigenvalue_bound and of each a-moment series of the
 decoupled case, and the trapezoid grid of iterated_L1.  A
-`dynsys.ReducedSystem` evaluates the new radii of such a call in a few
-large batches.  The decoupled case also reads the b- and c-moments off R
-through `matrix(t)` at its applicability samples.
-`run_all_criteria` passes one reduced system to all four checks, so every
-radius is evaluated once.
+`dynsys.DriftTable` reads the window grids at its own nodes, exactly, and
+the trapezoid grid by interpolation.  The decoupled case also reads the b-
+and c-moments off R through `matrix(t)` at its applicability samples.
+`run_all_criteria` passes one system to all four checks, so a table
+evaluates every window once.
 
 Criteria are sufficient, not necessary: a failed criterion never refutes
 stability, and the report notes when probes and criteria disagree.

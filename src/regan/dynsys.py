@@ -9,29 +9,30 @@ t = -log r:
   derivative from the radial balance equations, with constant part
   M_inf = [[-I, 2I], [I/2, -I]] and remainder split M = M_inf + S1 + S2.
 
-Both are radial systems: each radius r = min(1, e^-t) is evaluated once
-and memoised by r, uncached radii are evaluated in batches of at most
-FILL_BATCH radii, each one batched moments call and one stacked assembly,
-and `work` counts the radii evaluated and those that hit the node cap.  A
-system reads as `dim`, `matrix(t)`, `matrices(ts)` and `prefetch(ts)`;
+Both are radial systems, exact at every radius r = min(1, e^-t): a
+system reads as `dim`, `matrix(t)` and `matrices(ts)`, where `matrices` is
+one batched moments call and one stacked assembly on the radii of ts, and
+`work` counts the radii evaluated and those that hit the node cap.
 `matrix` is the one-row case of `matrices`, except on `ReducedSystem`,
-where an uncached radius read alone goes through `moment_vector`.
-`prefetch` only fills the memo, so a caller that knows which times it will
-read can have their radii evaluated in a few large batches.  The neutral
-4x4 block of the conjugated 8x8 system, on which the stability statements
-are made, is a view that reads the same memo
-(`FullSystem.reduced_block_system`).  For a field that is the same at every
-point, whose M is the same at every t, `ConstantFieldSystem` evaluates one
-block table and hands its M to every radius.
+where a radius read alone goes through `moment_vector`.  The neutral 4x4
+block of the conjugated 8x8 system, on which the stability statements are
+made, is a view (`ReducedBlockSystem`).  For a field that is the same at
+every point, whose M is the same at every t, `ConstantFieldSystem`
+evaluates one block table and hands its M to every radius.
+
+A `DriftTable` is the view of a radial system that the pipeline's stages
+read: it holds the exact matrix at the 32 Gauss-Legendre nodes of each
+dyadic window [k ln 2, (k + 1) ln 2] that a stage asked about, at the node
+times of `tails.dyadic_window_sums`, and reads any other time by
+barycentric interpolation in its window's nodes.  A window whose
+interpolant misses the exact matrix at its midpoint by more than
+TABLE_TOL is unresolved, and its times are read exactly.
 
 Fundamental matrices are propagated with an adaptive Dormand-Prince 5(4)
 pair in lanes (`propagate_lanes`): each lane is one (s, output times)
-integration with its own step control.  Before the first step the stage
-times of every lane's capped path (one step from each output time to the
-next) go into one `prefetch` call; then, in each round, the six stage
-times of every unfinished lane go into one `matrices` call, which finds
-the radii of on-plan steps in the memo.  `propagate_dense` is the
-one-lane case.
+integration with its own step control, and in each round the six stage
+times of every unfinished lane go into one `matrices` call.
+`propagate_dense` is the one-lane case.
 
 Uniform stability and asymptotic constancy are probed on a finite horizon
 with trend extrapolation: each probe is its lanes (`stability_lanes`,
@@ -53,7 +54,7 @@ from .coeff import CoefficientField
 from .moments import (DEFAULT_QUADRATURE, BlockTable, QuadratureSettings,
                       block_table, block_tables, moment_matrices, moment_matrix,
                       moment_vector, moment_vectors)
-from .tails import INCONCLUSIVE
+from .tails import _GL_NODES, _GL_WEIGHTS, INCONCLUSIVE, LN2
 
 STABLE = "stable"
 UNSTABLE = "unstable"
@@ -85,77 +86,49 @@ class MatrixSystem:
     def matrices(self, ts) -> np.ndarray:
         return np.array([self.matrix(t) for t in ts])
 
-    def prefetch(self, ts) -> None:
-        """Nothing to fill: every matrix is read from the callable."""
-
 
 def _radius(t: float) -> float:
     """r = min(1, e^-t); math.exp, as np.exp differs in the last bit for some t."""
     return min(1.0, math.exp(-t))
 
 
-# the most radii one evaluation batch of a radial system holds: past it the
-# batch's tables and moments would cost memory and save no time
-FILL_BATCH = 1024
-
-
 class _RadialSystem:
     """A system in t = -log r built from circle means of a field at r = min(1, e^-t).
 
-    Each radius is evaluated once and memoised, whatever t asked for it.  A
-    subclass says how to evaluate a batch of radii (`_batch`, which returns
-    one drift matrix per radius and the mask of radii that hit the node
-    cap) and defines `matrix(t)`.  `prefetch(ts)` evaluates the uncached
-    radii of ts in `_batch` calls of at most FILL_BATCH radii and builds no
-    stack; `matrices(ts)` does the same fill and then stacks the drift
-    matrices.  `work` counts, where the memo is filled, the radii evaluated
-    and those that hit the node cap.
+    A subclass says how to evaluate a batch of radii (`_batch`, which
+    returns one drift matrix per radius and the mask of radii that hit the
+    node cap) and defines `matrix(t)`.  `matrices(ts)` is one `_batch` on
+    the radii of ts.  `work` counts the radii evaluated and those that hit
+    the node cap.
     """
 
     def __init__(self, field: CoefficientField,
                  quad: QuadratureSettings = DEFAULT_QUADRATURE):
         self.field = field
         self.quad = quad
-        self._memo: dict = {}
         self.work = {"radii": 0, "cap_hits": 0}
 
-    def _store(self, radii: list, mats, capped) -> None:
-        self._memo.update(zip(radii, mats))
-        self.work["radii"] += len(radii)
+    def _count(self, capped) -> None:
+        """Count the radii of a cap mask and those that hit the cap."""
+        self.work["radii"] += int(np.size(capped))
         self.work["cap_hits"] += int(np.count_nonzero(capped))
-
-    def _fill(self, radii) -> None:
-        """Memoise the uncached radii of an iterable, in order of first
-        appearance, through `_batch` calls of at most FILL_BATCH radii."""
-        batch = {}
-        for r in radii:
-            if r not in self._memo:
-                batch[r] = None
-                if len(batch) == FILL_BATCH:
-                    self._store(list(batch), *self._batch(list(batch)))
-                    batch = {}
-        if batch:
-            self._store(list(batch), *self._batch(list(batch)))
-
-    def prefetch(self, ts) -> None:
-        """Evaluate and memoise the radii of the times ts (any iterable)."""
-        self._fill(map(_radius, ts))
 
     def matrices(self, ts) -> np.ndarray:
         """The stack of drift matrices over ts, shape (len(ts), dim, dim)."""
         radii = [_radius(t) for t in ts]
-        self._fill(radii)
-        return np.array([self._memo[r] for r in radii])
+        mats, capped = self._batch(radii)
+        self._count(capped)
+        return np.asarray(mats)
 
 
 class ReducedSystem(_RadialSystem):
     """t -> 4x4 drift matrix R(t) of the six second-harmonic moments at r = e^-t.
 
     This is the one path from a field to R(t): the probes and every
-    criterion read `matrix` and `matrices` of a shared instance.  A batch
-    of radii is one `moment_vectors` call (chunked there) and one stacked
-    `moment_matrices`; an uncached radius read alone through `matrix` is
-    one `moment_vector` call.
+    criterion read it through one shared `DriftTable`.  A batch of radii
+    is one `moment_vectors` call (chunked there) and one stacked
+    `moment_matrices`; a radius read alone through `matrix` is one
+    `moment_vector` call.
     """
 
     dim = 4
@@ -165,11 +138,9 @@ class ReducedSystem(_RadialSystem):
         return moment_matrices(m6), capped
 
     def matrix(self, t: float) -> np.ndarray:
-        r = _radius(t)
-        if r not in self._memo:
-            m = moment_vector(self.field, r, self.quad)
-            self._store([r], [moment_matrix(m)], [m.capped])
-        return self._memo[r]
+        m = moment_vector(self.field, _radius(t), self.quad)
+        self._count(m.capped)
+        return moment_matrix(m)
 
 
 def second_harmonic_system(g_tilde: Callable[[float], float]) -> MatrixSystem:
@@ -254,9 +225,9 @@ class FullSystem(_RadialSystem):
     S2 := M - M_inf - S1 is fully determined rather than an unspecified
     O(eps^2) term.  All forcing from the higher-harmonic remainder field is
     dropped: this is the homogeneous system the stability statements
-    condition on.  Each radius memoises M.  A batch of radii is one
-    `block_tables` call and one stacked `_assemble`.  The effective blocks,
-    S1 and S2 are recomputed from a fresh `block_table` when asked for.
+    condition on.  A batch of radii is one `block_tables` call and one
+    stacked `_assemble`.  The effective blocks, S1 and S2 are computed from
+    a fresh `block_table` when asked for.
     """
 
     dim = 8
@@ -315,9 +286,9 @@ class ConstantFieldSystem(FullSystem):
     node level with the same tables, bit for bit, and `_assemble` maps
     equal rows to equal M.  So the first `_batch` evaluates the block
     table at its first radius alone and every batch hands that M to each
-    of its radii; the memo, `work` and `eff_blocks` are `FullSystem`'s.
-    This is the matrix `FullSystem` gives at every t, not `M_INF`, from
-    which it differs by rounding.
+    of its radii; `work` and `eff_blocks` are `FullSystem`'s.  This is the
+    matrix `FullSystem` gives at every t, not `M_INF`, from which it
+    differs by rounding.
     """
 
     _first = None
@@ -330,17 +301,18 @@ class ConstantFieldSystem(FullSystem):
 
 
 class ReducedBlockSystem:
-    """The neutral 4x4 block of the conjugated remainder, read through a FullSystem.
+    """The neutral 4x4 block of the conjugated remainder, read through an
+    8x8 system: a FullSystem or its DriftTable.
 
-    A radial view with no memo of its own: `matrices(ts)` conjugates the
-    stack `full.matrices(ts)`, so the view and the 8x8 system share one
-    memo, one batch per call and one `work` ledger; `prefetch(ts)` fills
-    that memo and `matrix(t)` is the one-row case of `matrices`.
+    A view with nothing of its own: `matrices(ts)` conjugates the stack
+    `full.matrices(ts)`, so the view and the 8x8 system share one batch per
+    call and one `work` ledger; `matrix(t)` is the one-row case of
+    `matrices`.
     """
 
     dim = 4
 
-    def __init__(self, full: FullSystem):
+    def __init__(self, full):
         self.full = full
 
     def matrix(self, t: float) -> np.ndarray:
@@ -349,8 +321,168 @@ class ReducedBlockSystem:
     def matrices(self, ts) -> np.ndarray:
         return _conjugate(self.full.matrices(ts))[:, :4, :4]
 
-    def prefetch(self, ts) -> None:
-        self.full.prefetch(ts)
+
+# the barycentric weights of the Gauss-Legendre nodes of a window, in the
+# order of tails' nodes (Wang-Xiang, SIAM J. Sci. Comput. 34(3), 2012)
+_BARY_WEIGHTS = (-1.0) ** np.arange(_GL_NODES.size) * np.sqrt(
+    (1.0 - _GL_NODES**2) * _GL_WEIGHTS)
+
+# a window whose interpolant misses the exact matrix at the window's
+# midpoint by more than this, relative to max(1, max|M|), is unresolved
+TABLE_TOL = 1e-12
+
+# the most times one interpolation step reads: each gathers its window's
+# (32, dim**2) differences, 2 MB for 128 times of the 8x8 system
+READ_BLOCK = 128
+
+
+class DriftTable(MatrixSystem):
+    """A radial system's drift matrix, held at the Gauss-Legendre nodes of
+    each dyadic window it was asked about and interpolated in between.
+
+    The node times of window k are those of `tails.dyadic_window_sums`:
+    mid + half x_j with mid = (a + b) / 2, half = (b - a) / 2, a = k ln 2
+    and b = (k + 1) ln 2.  So a window sum reads the exact matrices bit for
+    bit.  `matrices(ts)` first fills, in one `matrices` call of the exact
+    system, every window that ts touch and the table lacks: 32 node radii
+    and one check radius at the midpoint per window, and r = 1 if a t <= 0
+    is asked for.  Then it reads
+    * a time t <= 0 as the exact r = 1 matrix, the clamp of `_radius`;
+    * a node or midpoint time, found by bitwise equality with a held time,
+      as its exact matrix;
+    * any other time t of window k by the barycentric formula
+      (Berrut-Trefethen, SIAM Rev. 46(3), 2004) in the form
+      M_0 - sum_j c_j(t) (M_0 - M_j), with the differences held since the
+      fill: it reads a matrix that is the same at every node as that
+      matrix, sign bits included.
+    The guard: where the interpolant at a window's midpoint misses the
+    exact matrix there by more than TABLE_TOL max(1, max|M|), the window
+    is unresolved and its off-node times are read by the exact system.
+
+    `matrix(t)` and `eff_blocks(t)` are exact: a held r = 1, node or
+    midpoint matrix, or else the exact system's own.  `matrix` is
+    MatrixSystem's, reading `_fn`, so that the benchmark's tracer, which
+    wraps the `matrix` of MatrixSystem, ReducedSystem and FullSystem,
+    counts the table's single reads too.
+    `work` is the exact system's ledger with the windows filled and the
+    unresolved ones among them.
+    """
+
+    def __init__(self, system):
+        self.dim = system.dim
+        self.system = system
+        n, dd = _GL_NODES.size, system.dim**2
+        self._slot = np.full(0, -1)           # window -> its slot, -1 if not held
+        self._times = np.empty((0, n))        # per slot: the node times
+        self._base = np.empty((0, dd))        # per slot: M_0
+        self._drops = np.empty((0, n, dd))    # per slot: M_0 - M_j
+        self._unresolved = np.zeros(0, dtype=bool)
+        self._sorted = np.empty(0)            # every node and midpoint time, ascending
+        self._held = np.empty((0, dd))        # ... and its exact matrix
+        self._origin = None                   # the r = 1 matrix
+        self._windows = 0
+
+    @property
+    def work(self) -> dict:
+        return {**self.system.work, "windows": self._windows,
+                "unresolved_windows": int(np.count_nonzero(self._unresolved))}
+
+    def _fill(self, windows: np.ndarray, origin: bool) -> None:
+        """Evaluate the given windows, and r = 1 if origin, in one exact
+        `matrices` call."""
+        n, dd = _GL_NODES.size, self.dim**2
+        bounds = [(k * LN2, (k + 1) * LN2) for k in windows.tolist()]
+        mids = [0.5 * (a + b) for a, b in bounds]
+        times = np.array([mid + 0.5 * (b - a) * _GL_NODES
+                          for mid, (a, b) in zip(mids, bounds)]).reshape(-1, n)
+        mats = self.system.matrices(times.ravel().tolist() + mids
+                                    + ([0.0] if origin else []))
+        if origin:
+            self._origin = mats[-1].copy()
+        w = len(bounds)
+        flat = mats.reshape(len(mats), dd)
+        nodes = flat[:times.size].reshape(w, n, dd)
+        slots = np.arange(len(self._times), len(self._times) + w)
+        self._slot[windows] = slots
+        self._times = np.concatenate([self._times, times])
+        self._base = np.concatenate([self._base, nodes[:, 0]])
+        self._drops = np.concatenate([self._drops, nodes[:, :1] - nodes])
+        held = np.concatenate([self._sorted, times.ravel(), mids])
+        order = np.argsort(held)
+        self._sorted = held[order]
+        self._held = np.concatenate([self._held, flat[:times.size + w]])[order]
+        exact = flat[times.size:times.size + w]
+        miss = np.max(np.abs(self._interpolate(np.array(mids), slots) - exact), axis=1)
+        self._unresolved = np.concatenate([
+            self._unresolved,
+            miss > TABLE_TOL * np.maximum(1.0, np.max(np.abs(exact), axis=1))])
+        self._windows += w
+
+    def _interpolate(self, ts: np.ndarray, slots: np.ndarray) -> np.ndarray:
+        """The barycentric reading at off-node times ts in the windows of
+        slots, flattened to shape (len(ts), dim**2), READ_BLOCK times at a
+        time."""
+        out = np.empty((ts.size, self.dim**2))
+        for lo in range(0, ts.size, READ_BLOCK):
+            t, s = ts[lo:lo + READ_BLOCK], slots[lo:lo + READ_BLOCK]
+            c = _BARY_WEIGHTS / (t[:, None] - self._times[s])
+            c /= c.sum(axis=1, keepdims=True)
+            out[lo:lo + READ_BLOCK] = (self._base[s]
+                                       - np.matmul(c[:, None, :], self._drops[s])[:, 0])
+        return out
+
+    def matrices(self, ts) -> np.ndarray:
+        ts = np.asarray(ts, dtype=float)
+        origin = ts <= 0.0
+        some_origin = bool(origin.any())
+        inner = ts[~origin] if some_origin else ts
+        windows = (inner // LN2).astype(np.intp)
+        top = int(windows.max()) + 1 if windows.size else 0
+        if top > self._slot.size:
+            self._slot = np.concatenate([self._slot, np.full(top - self._slot.size, -1)])
+        slots = self._slot[windows]
+        lacking = slots < 0
+        if lacking.any() or (some_origin and self._origin is None):
+            self._fill(np.unique(windows[lacking]), some_origin and self._origin is None)
+            slots = self._slot[windows]
+        if not some_origin:
+            return self._read(inner, slots)
+        out = np.empty((ts.size, self.dim, self.dim))
+        out[origin] = self._origin
+        out[~origin] = self._read(inner, slots)
+        return out
+
+    def _read(self, ts: np.ndarray, slots: np.ndarray) -> np.ndarray:
+        """The matrices at times ts > 0 of held windows (their slots)."""
+        at = np.minimum(np.searchsorted(self._sorted, ts), self._sorted.size - 1)
+        hit = self._sorted[at] == ts
+        if hit.any():
+            read = self._held[at]
+            off = np.flatnonzero(~hit)
+            if off.size:
+                read[off] = self._interpolate(ts[off], slots[off])
+        else:
+            read, off = self._interpolate(ts, slots), slice(None)
+        if self._unresolved.any():
+            exact = np.arange(ts.size)[off][self._unresolved[slots[off]]]
+            if exact.size:
+                read[exact] = self.system.matrices(ts[exact]).reshape(exact.size, -1)
+        return read.reshape(-1, self.dim, self.dim)
+
+    def _fn(self, t: float) -> np.ndarray:
+        """The exact matrix at t, which `matrix` reads.  A method, not an
+        attribute as on a MatrixSystem: a bound method held by the table
+        would make a reference cycle, which keeps a finished run's table
+        alive until the cyclic collector runs."""
+        if t <= 0.0 and self._origin is not None:
+            return self._origin.copy()
+        at = min(int(np.searchsorted(self._sorted, t)), self._sorted.size - 1)
+        if at >= 0 and self._sorted[at] == t:
+            return self._held[at].reshape(self.dim, self.dim).copy()
+        return self.system.matrix(t)
+
+    def eff_blocks(self, t: float):
+        return self.system.eff_blocks(t)
 
 
 # ---------------------------------------------------------------------------
@@ -383,10 +515,9 @@ def _combine(coeffs: np.ndarray, ks: np.ndarray) -> np.ndarray:
 class _Lane:
     """One lane of `propagate_lanes`: its output times and samples, and its
     own step control in Python scalars (time t, step h, the index of the
-    next output time and the error tally).  `plan` maps each point of the
-    lane's capped path to the step it takes from there."""
+    next output time and the error tally)."""
 
-    __slots__ = ("ts", "direction", "t", "h", "idx", "err", "out", "plan")
+    __slots__ = ("ts", "direction", "t", "h", "idx", "err", "out")
 
     def __init__(self, s: float, t_eval, d: int):
         self.ts = [float(v) for v in t_eval]
@@ -402,7 +533,6 @@ class _Lane:
         self.idx = 0
         self.err = 0.0
         self.out = np.empty((len(self.ts), d, d))
-        self.plan = self._capped_path()
 
     def _reached(self, t: float, idx: int) -> int:
         """The index of the first output time not yet reached at t."""
@@ -410,22 +540,6 @@ class _Lane:
                and self.direction * (self.ts[idx] - t) <= 1e-14):
             idx += 1
         return idx
-
-    def _capped_path(self) -> dict:
-        """{t: h} along the path on which every trial step ends at the next
-        output time, chained in the lane's own arithmetic, so that a step
-        taken on it reads exactly the stage times t + c_i h; it ends where
-        such a step would underflow."""
-        path = {}
-        t, idx = self.t, self._reached(self.t, 0)
-        while idx < len(self.ts):
-            h = self.direction * abs(self.ts[idx] - t)
-            if abs(h) < 1e-14 * max(1.0, abs(t)):
-                break
-            path[t] = h
-            t = t + h
-            idx = self._reached(t, idx)
-        return path
 
     def advance(self, Y: np.ndarray) -> bool:
         """Record Y at every output time already reached; True while a time
@@ -455,19 +569,11 @@ def propagate_lanes(system, lanes, rtol: float = 1e-10):
     are capped at the next output time, so samples are exact integration
     endpoints, not interpolants.
 
-    The plan: nearly every step is capped, so before the first round each
-    lane lists its capped path, one step from s to the first output time
-    and from each output time to the next, chained in the lane's own
-    arithmetic, and the six stage times t + c_i h of every planned step go
-    into one `system.prefetch` call.  A radial system evaluates their radii
-    there in a few large batches.  The plan changes no step: it only
-    decides when radii are evaluated.  Only off-plan trial steps need radii
-    that are not yet memoised: a first step (it starts at h = 0.05) that
-    falls short of the first output time, and rejected or shortened ones.
-
-    The rounds: in each round every unfinished lane takes one trial step.
-    The six stage times of all of them go into one `system.matrices` call,
-    and the stage arithmetic runs on the lane states stacked as (L, d, d).
+    In each round every unfinished lane takes one trial step.  The six
+    stage times of all of them go into one `system.matrices` call, which a
+    `DriftTable` reads from its window nodes, and the stage arithmetic runs
+    on the lane states stacked as (L, d, d), each stage input, the new
+    state and the error estimate one `_combine` over the stacked stages.
     Each lane keeps its own step control (capping, accept/reject, the h
     update, the underflow check and the error tally) in Python scalars,
     and stacked products and means are taken per lane, so a lane's samples
@@ -479,21 +585,14 @@ def propagate_lanes(system, lanes, rtol: float = 1e-10):
     rough size, not a bound on the global error, which it can overstate
     or understate by two orders of magnitude.  work holds the `matrices`
     calls ("rounds"), the accepted and rejected steps summed over the
-    lanes, the largest lane tally ("est_error"), the stage times
-    prefetched ("planned") and the trial steps whose stage times were not
-    all planned ("off_plan").
+    lanes and the largest lane tally ("est_error").
     """
     if not RTOL_RANGE[0] <= rtol <= RTOL_RANGE[1]:
         raise ValueError("rtol must lie in [%g, %g]" % RTOL_RANGE)
     atol = rtol * 1e-2
     d = system.dim
     lanes = [_Lane(float(s), t_eval, d) for s, t_eval in lanes]
-    planned = 6 * sum(len(lane.plan) for lane in lanes)
-    if planned:
-        system.prefetch(t + _DP_C[i] * h for lane in lanes
-                        for t, h in lane.plan.items() for i in range(1, 7))
-    work = {"rounds": 0, "accepted": 0, "rejected": 0, "planned": planned,
-            "off_plan": 0}
+    work = {"rounds": 0, "accepted": 0, "rejected": 0}
     active = [lane for lane in lanes if lane.ts]
     if active:
         Y = np.array([np.eye(d)] * len(active))
@@ -507,8 +606,6 @@ def propagate_lanes(system, lanes, rtol: float = 1e-10):
             if not active:
                 break
         hs = [lane.trial_step() for lane in active]
-        work["off_plan"] += sum(lane.plan.get(lane.t) != h
-                                for lane, h in zip(active, hs))
         H = np.array(hs)[:, None, None]
         Ks = system.matrices([lane.t + _DP_C[i] * h for lane, h in zip(active, hs)
                               for i in range(1, 7)]).reshape(len(active), 6, d, d)

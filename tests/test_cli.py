@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
@@ -197,9 +198,40 @@ def test_compare_reports_the_work_of_the_fields_8x8_system(tmp_path, monkeypatch
     report, code = run_pipeline(config, tmp_path)
     assert code == 0
     field = family_from_descriptor(builtin_families()["dini_power"])
-    assert report["results"]["compare"]["moments_work"] == {
-        "radii": seen[field.label], "cap_hits": 0}
+    # the field's table fills 32 nodes and a midpoint per window
+    work = report["results"]["compare"]["moments_work"]
+    assert work == {"radii": seen[field.label], "cap_hits": 0,
+                    "windows": work["windows"], "unresolved_windows": 0}
+    assert seen[field.label] == 33 * work["windows"] > 0
     assert seen["constant"] > 0
+
+
+def test_a_run_fills_each_window_once_across_its_stages(tmp_path, monkeypatch):
+    # every radius the exact systems evaluate in a batch, per system kind
+    seen = {"reduced": Counter(), "full": Counter()}
+    for kind, cls in (("reduced", dynsys.ReducedSystem), ("full", dynsys.FullSystem)):
+        def counted(self, radii, _batch=cls._batch, _seen=seen[kind]):
+            if self.field.label != "constant":
+                _seen.update(radii)
+            return _batch(self, radii)
+        monkeypatch.setattr(cls, "_batch", counted)
+    desc = builtin_families()["oscillatory_log"]
+    config = validate_config({
+        "schema": 1, "family": desc, "analyses": list(ANALYSES),
+        "probes": {"system": "full", "s_grid": [0.0, 1.0], "t_max": 4.0},
+        "criteria": {"n_windows": 8, "prefix_windows": 12}})
+    report, code = run_pipeline(config, tmp_path)
+    assert code == 0
+    work = {stage: report["results"][stage]["moments_work"]
+            for stage in ("probes", "criteria", "compare")}
+    # the probes fill windows 0-5 of the 8x8 table and compare reads inside
+    # them; the criteria fill windows 0-11 of the reduced table
+    assert [work[stage]["windows"] for stage in work] == [6, 12, 0]
+    assert max(seen["full"].values()) == max(seen["reduced"].values()) == 1
+    # 33 radii per window, r = 1 and the reduction check's 30
+    assert sum(seen["full"].values()) == 33 * 6 + 1 + 30 == work["probes"]["radii"]
+    assert sum(seen["reduced"].values()) == 33 * 12 + 1 + 30
+    assert work["compare"]["radii"] == 0
 
 
 def test_compare_control_evaluates_one_radius_and_its_lift(tmp_path, monkeypatch):
@@ -786,12 +818,41 @@ def test_probes_stage_matches_the_public_probes_in_sequence(tmp_path, system):
     desc = builtin_families()["oscillatory_log"]
     config = validate_config({"schema": 1, "family": desc, "probes": {
         "system": system, "s_grid": [0.0, 1.0], "t_max": 4.0}})
-    pc = config.probes
     field = family_from_descriptor(desc)
-    payload = cli._stage_probes(config, field, tmp_path)
+    payload = cli._stage_probes(config, cli._drift_tables(field), tmp_path)
+    probed = (dynsys.ReducedBlockSystem(dynsys.DriftTable(dynsys.FullSystem(field)))
+              if system == "full" else dynsys.DriftTable(dynsys.ReducedSystem(field)))
+    _assert_probes_payload_is_the_public_probes(payload, probed, config, tmp_path)
+    # the reduction check reads the exact systems, not the tables
+    assert payload["reduction_check"] == dynsys.reduction_deviation(
+        dynsys.FullSystem(field), dynsys.ReducedSystem(field),
+        np.linspace(1.0, config.probes.t_max, 30))
 
-    probed = (dynsys.FullSystem(field).reduced_block_system() if system == "full"
-              else dynsys.ReducedSystem(field))
+
+def test_probes_stage_reads_the_exact_system_where_the_table_is_unresolved(tmp_path):
+    # a = 1 + 0.2 cos(2 phi) sin(60 log r): 32 nodes per window do not resolve
+    # a drift that oscillates 60 times per unit of t, so every window the
+    # lanes meet is unresolved and the stage is the exact system's, bit for bit
+    base = coeff.constant_laplacian()
+    field = coeff.CoefficientField(
+        lambda x, y: 1.0 + 0.2 * (x * x - y * y) / (x * x + y * y)
+        * np.sin(30.0 * np.log(x * x + y * y)),
+        base.b, base.c, base.modulus, ellipticity_lower=2.0, label="fast")
+    config = validate_config({"schema": 1, "family": {"family": "constant"},
+                              "probes": {"s_grid": [0.0, 0.5], "t_max": 2.0}})
+    tables = cli._drift_tables(field)
+    payload = cli._stage_probes(config, tables, tmp_path)
+    _assert_probes_payload_is_the_public_probes(
+        payload, dynsys.ReducedSystem(field), config, tmp_path)
+    work = payload["moments_work"]
+    assert work["windows"] == work["unresolved_windows"] == 3
+    assert work["radii"] > 33 * 3 + 1 + 30
+
+
+def _assert_probes_payload_is_the_public_probes(payload, probed, config, tmp_path):
+    """The probes stage's payload and trajectory.csv are those of the
+    public probes on the system `probed`, bit for bit."""
+    pc = config.probes
     stab = dynsys.uniform_stability_probe(probed, pc.s_grid, pc.t_max, pc.rtol)
     const = dynsys.asymptotic_constancy_probe(probed, cli.CONSTANCY_T0, pc.t_max,
                                               pc.rtol)
@@ -820,20 +881,20 @@ def test_six_lane_probes_stage_batches_its_steps(tmp_path, monkeypatch):
     config = validate_config({"schema": 1, "family": desc, "analyses": ["probes"],
                               "probes": {"s_grid": [0.0, 0.5, 1.0, 1.5, 2.0],
                                          "t_max": 4.0}})
-    payload = cli._stage_probes(config, family_from_descriptor(desc), tmp_path)
+    payload = cli._stage_probes(config, cli._drift_tables(family_from_descriptor(desc)),
+                                tmp_path)
     work = payload["integrator"]
-    assert sorted(work) == ["accepted", "est_error", "off_plan", "planned",
-                            "rejected", "rounds"]
+    assert sorted(work) == ["accepted", "est_error", "rejected", "rounds"]
     steps = work["accepted"] + work["rejected"]
-    # one batch per round for all six lanes, not one per step
-    assert len(calls) < steps / 3
+    # one `matrices` call per round for all six lanes, not one per step
     assert work["rounds"] < steps / 3
-    # nearly every step is capped at the next sample, so its stage times
-    # were planned
-    assert work["off_plan"] < steps / 10
-    assert work["planned"] >= 6 * (steps - work["off_plan"])
     assert 0.0 < work["est_error"] < 1e-6
+    # the lanes read windows 0-5 of the table, each filled once with 32
+    # nodes and a midpoint, and r = 1; the reduction check is one batch of 30
+    assert payload["moments_work"] == {"radii": 33 * 6 + 1 + 30, "cap_hits": 0,
+                                       "windows": 6, "unresolved_windows": 0}
     assert sum(calls) == payload["moments_work"]["radii"]
+    assert len(calls) <= 6 + 1 and 30 in calls
 
 
 def test_full_mode_probes_report_the_work_of_the_8x8_system(tmp_path, monkeypatch):
@@ -847,16 +908,20 @@ def test_full_mode_probes_report_the_work_of_the_8x8_system(tmp_path, monkeypatc
     config = validate_config({"schema": 1, "family": desc, "analyses": ["probes"],
                               "probes": {"system": "full", "s_grid": [0.0, 1.0],
                                          "t_max": 4.0}})
-    payload = cli._stage_probes(config, family_from_descriptor(desc), tmp_path)
-    assert payload["moments_work"] == {"radii": sum(calls), "cap_hits": 0}
-    assert sum(calls) > 30
+    payload = cli._stage_probes(config, cli._drift_tables(family_from_descriptor(desc)),
+                                tmp_path)
+    assert payload["moments_work"] == {"radii": sum(calls), "cap_hits": 0,
+                                       "windows": 6, "unresolved_windows": 0}
+    assert sum(calls) == 33 * 6 + 1 + 30
 
 
-@pytest.mark.parametrize("stage, most", [("probes", 120), ("criteria", 10)])
+@pytest.mark.parametrize("stage, windows, most", [("probes", 44, 40),
+                                                   ("criteria", 120, 4)])
 def test_default_stages_evaluate_their_radii_in_few_batches(tmp_path, monkeypatch,
-                                                            stage, most):
+                                                            stage, windows, most):
     # one batch per round (611 calls) and one per criteria window (121) before
-    # the probes planned their lanes and each window series became one call
+    # the stages read a table that fills all the windows a call touches in
+    # one batch: the probes' lanes meet a window or two per round
     calls = []
     vectors = dynsys.moment_vectors
     monkeypatch.setattr(dynsys, "moment_vectors",
@@ -866,12 +931,17 @@ def test_default_stages_evaluate_their_radii_in_few_batches(tmp_path, monkeypatc
     report, code = run_pipeline(config, tmp_path)
     assert code == 0
     assert len(calls) <= most
-    assert max(calls) <= dynsys.FILL_BATCH
-    # besides the batches, the decoupled criterion reads its applicability
-    # samples one radius at a time through `matrix`
-    singles = report["results"][stage]["moments_work"]["radii"] - sum(calls)
-    assert 0 <= singles <= (criteria.APPLICABILITY_SAMPLES if stage == "criteria"
-                            else 0)
+    work = report["results"][stage]["moments_work"]
+    assert work["windows"] == windows and work["unresolved_windows"] == 0
+    # 32 nodes and a midpoint per window and r = 1, the probes' 30 radii of
+    # the reduction check, and the decoupled criterion's applicability
+    # samples read one radius at a time through `matrix`, but for the two
+    # the table holds: t = 0 at r = 1 and sample 16 at the midpoint of
+    # window 59
+    singles = work["radii"] - sum(calls)
+    assert sum(calls) == 33 * windows + 1 + (30 if stage == "probes" else 0)
+    assert singles == (criteria.APPLICABILITY_SAMPLES - 2 if stage == "criteria"
+                       else 0)
 
 
 @pytest.mark.parametrize("system", ["reduced", "full"])

@@ -174,7 +174,7 @@ def test_conclusion_precedence():
     assert criteria_conclusion(results) == SECOND_ORDER
 
 
-def test_run_all_criteria_evaluates_each_radius_once(monkeypatch):
+def test_run_all_criteria_on_a_table_evaluates_each_radius_once(monkeypatch):
     calls = Counter()
     single, batched = dynsys.moment_vector, dynsys.moment_vectors
 
@@ -190,10 +190,28 @@ def test_run_all_criteria_evaluates_each_radius_once(monkeypatch):
     monkeypatch.setattr(dynsys, "moment_vectors", counting_batch)
     # a radial family on b keeps the decoupled case (and its a-moments) active
     results = run_all_criteria(
-        ReducedSystem(make_radial_family("b", profile_power(0.2, 0.5))),
+        dynsys.DriftTable(ReducedSystem(make_radial_family("b", profile_power(0.2, 0.5)))),
         n_windows=16, prefix_windows=24)
     assert "special_a1_bounded" in by_id(results)
     assert calls and max(calls.values()) == 1
+
+
+@pytest.mark.parametrize("field", [
+    *(family_from_descriptor(d) for d in builtin_families().values()),
+    make_radial_family("b", profile_power(0.2, 0.5))], ids=lambda f: f.label)
+def test_window_criteria_on_a_table_equal_the_exact_system(field):
+    # the table holds the exact matrix at the window nodes, so every window
+    # sum is the exact system's, bit for bit; the b- and c-moments of these
+    # fields vanish, so the decoupled case sums its a-moment series too
+    table = dynsys.DriftTable(ReducedSystem(field))
+    got = by_id(run_all_criteria(table, n_windows=40, prefix_windows=60))
+    want = by_id(run_all_criteria(ReducedSystem(field), n_windows=40,
+                                  prefix_windows=60))
+    assert got.keys() == want.keys()
+    for key in got:
+        if key != "iterated_L1":      # its trapezoid grid is interpolated
+            assert got[key] == want[key]
+    assert "special_a1_bounded" in got
 
 
 def test_monotone_in_amplitude():

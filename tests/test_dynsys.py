@@ -12,10 +12,10 @@ from regan.coeff import (CoefficientField, builtin_families, constant_laplacian,
                          make_radial_family, make_trig_field,
                          profile_log_inverse, profile_log_oscillatory,
                          profile_power)
-from regan import dynsys
+from regan import dynsys, tails
 from regan.dynsys import (CONSTANT, DIVERGENT, J_BASIS, J_BASIS_INV, M_INF,
-                          STABLE, UNSTABLE, ConstantFieldSystem, FullSystem,
-                          MatrixSystem,
+                          STABLE, UNSTABLE, ConstantFieldSystem, DriftTable,
+                          FullSystem, MatrixSystem,
                           ReducedSystem, SingularSystemError, StepUnderflowError,
                           asymptotic_constancy_probe, classify_stability,
                           constancy_lanes, propagate_dense,
@@ -75,7 +75,7 @@ def _count_radius_evaluations(monkeypatch) -> list:
 
 
 @pytest.mark.parametrize("system_cls", [ReducedSystem, FullSystem])
-def test_reduced_matrices_batch_the_uncached_radii(monkeypatch, system_cls):
+def test_exact_matrices_are_one_batch_on_the_radii_of_ts(monkeypatch, system_cls):
     field = make_harmonic_family("a", profile_log_oscillatory(0.4, 1.0), 2)
     seen = _count_radius_evaluations(monkeypatch)
     sys = system_cls(field)
@@ -83,11 +83,9 @@ def test_reduced_matrices_batch_the_uncached_radii(monkeypatch, system_cls):
     ts = np.concatenate([[-1.0, 0.0], grid, grid[:3]])
     stack = sys.matrices(ts)
     assert stack.shape == (len(ts), sys.dim, sys.dim)
-    # t = -1 and t = 0 share r = 1, and three times come twice
-    assert len(seen) == 51 and len(set(seen)) == 51
-    sys.matrices(ts[::-1])
-    assert len(seen) == 51
-    assert sys.work == {"radii": 51, "cap_hits": 0}
+    # one batch in the order of ts; t = -1 and t = 0 both read r = 1
+    assert seen == [dynsys._radius(t) for t in ts] and seen[0] == seen[1] == 1.0
+    assert sys.work == {"radii": len(ts), "cap_hits": 0}
     fresh = system_cls(field)
     assert all(np.array_equal(M, fresh.matrix(t)) for M, t in zip(stack, ts))
 
@@ -112,8 +110,8 @@ def test_block_view_matrices_bitwise_equal_per_t(field):
     for t in ts[::12]:
         for got, want in zip(full.eff_blocks(t), pointwise.eff_blocks(t)):
             assert np.array_equal(got, want)
-    # the view reads the 8x8 memo and keeps none of its own
-    assert len(full._memo) == 98 and not hasattr(view, "_memo")
+    # the view evaluates through the 8x8 system and keeps no ledger of its own
+    assert full.work["radii"] == 3 * len(ts) and not hasattr(view, "work")
     assert view.dim == 4
 
 
@@ -132,7 +130,7 @@ def test_singular_batch_names_its_first_singular_radius(monkeypatch):
     ts = [0.5, 1.0, 2.0, 3.0, 4.0]
     with pytest.raises(SingularSystemError, match=rf"r={math.exp(-2.0):.6g}$"):
         sys.matrices(ts)
-    assert not sys._memo
+    assert sys.work["radii"] == 0               # a failed batch counts nothing
     assert np.isfinite(sys.matrix(2.0)).all()   # alone, as a batch of one
 
 
@@ -153,6 +151,55 @@ def test_reduced_system_counts_cap_hits():
     assert full.work == {"radii": 4, "cap_hits": 3}
 
 
+# ---------------------------------------------------------------------------
+# drift table
+# ---------------------------------------------------------------------------
+
+TABLE_FIELDS = [*(family_from_descriptor(d) for d in builtin_families().values()),
+                *(make_trig_field(seed) for seed in range(8))]
+
+
+@pytest.mark.parametrize("system_cls", [ReducedSystem, FullSystem])
+@pytest.mark.parametrize("field", TABLE_FIELDS, ids=lambda f: f.label)
+def test_table_reads_nodes_exactly_and_interpolates_to_rounding(field, system_cls):
+    windows = 44
+    table, exact = DriftTable(system_cls(field)), system_cls(field)
+    # the node times of `tails.dyadic_window_sums`, in one call
+    nodes = []
+    tails.dyadic_window_sums(lambda ts: nodes.append(ts) or np.zeros(ts.size), windows)
+    assert np.array_equal(table.matrices(nodes[0]), exact.matrices(nodes[0]))
+    off = np.random.default_rng(7).uniform(0.0, windows * math.log(2.0), 300)
+    got, want = table.matrices(off), exact.matrices(off)
+    scale = np.maximum(1.0, np.max(np.abs(want), axis=(1, 2)))
+    # measured at most 1.5e-15
+    assert np.all(np.max(np.abs(got - want), axis=(1, 2)) <= 1e-14 * scale)
+    assert table.work["windows"] == windows
+    assert table.work["unresolved_windows"] == 0
+    # matrix(t) is exact: held at a node, else the system's own
+    assert np.array_equal(table.matrix(off[0]), exact.matrix(off[0]))
+    assert np.array_equal(table.matrix(nodes[0][40]), exact.matrix(nodes[0][40]))
+
+
+def test_unresolved_windows_are_read_by_the_exact_system():
+    # a drift that oscillates 60 times per unit of t: no window resolves it
+    base = constant_laplacian()
+    fast = CoefficientField(
+        lambda x, y: 1.0 + 0.2 * (x * x - y * y) / (x * x + y * y)
+        * np.sin(30.0 * np.log(x * x + y * y)),
+        base.b, base.c, base.modulus, ellipticity_lower=2.0, label="fast")
+    table = DriftTable(ReducedSystem(fast))
+    ts = np.linspace(-0.5, 3.0, 200)
+    assert np.array_equal(table.matrices(ts), ReducedSystem(fast).matrices(ts))
+    assert table.work["windows"] == table.work["unresolved_windows"] == 5
+    # the chirp of the moment tests needs more nodes per circle, not per
+    # window: its table is resolved
+    chirp = CoefficientField(lambda x, y: 1.0 + 0.2 * np.cos(40.0 * x), base.b,
+                             base.c, base.modulus, ellipticity_lower=2.0)
+    table = DriftTable(ReducedSystem(chirp))
+    table.matrices(ts)
+    assert table.work["unresolved_windows"] == 0
+
+
 def test_full_system_constant_field_matches_limit():
     sys = FullSystem(constant_laplacian())
     view = sys.reduced_block_system()
@@ -167,15 +214,18 @@ def test_constant_field_gives_one_drift_matrix_at_every_t():
     stack = FullSystem(constant_laplacian()).matrices(ts)
     one = np.broadcast_to(stack[0], stack.shape)
     # the control system meets its radii in another order: its first radius
-    # is another one
+    # is another one; the drift table reads t <= 0 as r = 1, its nodes
+    # exactly and every other t as M_0 - sum_j c_j (M_0 - M_j), which is M_0
+    # with its sign bits where every node holds M_0
     control = ConstantFieldSystem(constant_laplacian())
-    for got in (stack, control.matrices(ts[::-1])[::-1]):
+    table = DriftTable(FullSystem(constant_laplacian()))
+    for got in (stack, control.matrices(ts[::-1])[::-1], table.matrices(ts)):
         assert np.array_equal(got, one)
         assert np.array_equal(np.signbit(got), np.signbit(one))
     # rounding apart from M_INF: the matrix is FullSystem's, not the limit
     assert not np.array_equal(stack[0], M_INF)
-    assert control.work == {"radii": len({dynsys._radius(t) for t in ts}),
-                            "cap_hits": 0}
+    assert control.work == {"radii": len(ts), "cap_hits": 0}
+    assert table.work["windows"] == math.ceil(40.0 / math.log(2.0))
 
 
 def test_constant_field_system_evaluates_tables_at_one_radius(monkeypatch):
@@ -184,10 +234,10 @@ def test_constant_field_system_evaluates_tables_at_one_radius(monkeypatch):
     monkeypatch.setattr(dynsys, "block_tables", lambda field, radii, quad: (
         seen.append(len(radii)) or tables(field, radii, quad)))
     control = ConstantFieldSystem(constant_laplacian())
-    control.prefetch(np.linspace(0.0, 30.0, 3 * dynsys.FILL_BATCH))
+    control.matrices(np.linspace(0.0, 30.0, 3000))
     control.matrices([0.125, 31.0])
     assert seen == [1]
-    assert control.work["radii"] == 3 * dynsys.FILL_BATCH + 2
+    assert control.work["radii"] == 3002
 
 
 def _assemble_four_solves(bt):
@@ -341,52 +391,44 @@ def test_stage_batches_leave_propagation_bitwise_unchanged(field, make_system, t
         assert batched.work["radii"] > 0
 
 
-def test_plan_prefetches_the_capped_path_once(monkeypatch):
+def test_lanes_through_a_table_evaluate_each_window_once(monkeypatch):
     field = make_harmonic_family("a", profile_log_oscillatory(0.4, 1.0), 2)
-    sys = ReducedSystem(field)
-    fills, after_fill = [], []
-
-    def prefetch(ts):
-        fills.append(list(ts))
-        ReducedSystem.prefetch(sys, fills[-1])
-        after_fill.append(sys.work["radii"])
-
-    monkeypatch.setattr(sys, "prefetch", prefetch)
-    # samples 0.04 apart: the first step (h = 0.05) is capped too, so every
-    # step is on the plan
+    seen = _count_radius_evaluations(monkeypatch)
+    table = DriftTable(ReducedSystem(field))
     ts = np.linspace(0.0, 3.0, 76)
-    _, work = propagate_lanes(sys, [(0.0, ts)])
-    assert len(fills) == 1
-    assert work["planned"] == len(fills[0]) == 6 * 75
-    assert (work["accepted"], work["rejected"], work["off_plan"]) == (75, 0, 0)
-    # the stage times of the step from the first sample to the second
-    assert fills[0][:6] == [c * ts[1] for c in dynsys._DP_C[1:]]
-    # past the plan, the rounds evaluate only the start radius r = 1
-    assert after_fill == [len(set(fills[0]))]
-    assert sys.work["radii"] == len(sys._memo) == after_fill[0] + 1
-    # samples 0.25 apart: error control shortens steps, and those are off
-    # the plan
-    _, work = propagate_lanes(ReducedSystem(field), [(0.0, ts[::6])])
-    assert 0 < work["off_plan"] <= work["accepted"] + work["rejected"]
+    _, work = propagate_lanes(table, [(0.0, ts), (1.0, ts[25:])])
+    # windows 0-4 hold t <= 3: 32 nodes and the midpoint each, and r = 1
+    # for the start of the lane from 0
+    windows = math.ceil(3.0 / math.log(2.0))
+    assert table.work == {"radii": 33 * windows + 1, "cap_hits": 0,
+                          "windows": windows, "unresolved_windows": 0}
+    assert len(seen) == len(set(seen)) == 33 * windows + 1
+    assert work["accepted"] >= 75 and work["rounds"] > 10 * windows
+    # a second propagation over the same windows evaluates nothing
+    propagate_lanes(table, [(0.5, ts[20:])])
+    assert len(seen) == 33 * windows + 1
 
 
-def test_prefetch_fills_in_bounded_batches(monkeypatch):
+def test_a_table_fills_the_windows_of_a_call_in_one_batch(monkeypatch):
     batches = []
-    vectors = dynsys.moment_vectors
+    vectors, tables = dynsys.moment_vectors, dynsys.block_tables
     monkeypatch.setattr(dynsys, "moment_vectors",
                         lambda field, radii, quad: batches.append(len(radii))
                         or vectors(field, radii, quad))
-    sys = ReducedSystem(make_radial_family("b", profile_power(0.2, 0.5)))
-    ts = np.linspace(0.0, 30.0, 2 * dynsys.FILL_BATCH + 100)
-    assert sys.prefetch(ts) is None
-    assert batches == [dynsys.FILL_BATCH, dynsys.FILL_BATCH, 100]
-    sys.matrices(ts)
-    assert len(batches) == 3 and sys.work["radii"] == len(ts)
-    # the block view fills the memo of its 8x8 system
-    full = FullSystem(make_trig_field(1))
-    full.reduced_block_system().prefetch([0.5, 1.0, 1.0])
-    assert sorted(full._memo) == [math.exp(-1.0), math.exp(-0.5)]
-    assert MatrixSystem(4, lambda t: pytest.fail("read")).prefetch([1.0]) is None
+    monkeypatch.setattr(dynsys, "block_tables",
+                        lambda field, radii, quad: batches.append(len(radii))
+                        or tables(field, radii, quad))
+    table = DriftTable(ReducedSystem(make_radial_family("b", profile_power(0.2, 0.5))))
+    ts = np.linspace(0.0, 30.0, 2148)
+    table.matrices(ts)
+    # windows 0-43 and r = 1, in one batch; the second read evaluates nothing
+    assert batches == [33 * 44 + 1]
+    table.matrices(ts[::-1])
+    assert batches == [33 * 44 + 1]
+    # the block view fills its 8x8 table: windows 0 and 1, no r = 1
+    view = dynsys.ReducedBlockSystem(DriftTable(FullSystem(make_trig_field(1))))
+    assert view.matrices([0.5, 1.0, 1.0]).shape == (3, 4, 4)
+    assert batches[1:] == [66] and view.full.work["windows"] == 2
 
 
 def _serial_propagation(system, s, t_eval, rtol):
@@ -491,8 +533,7 @@ def test_lanes_of_nothing_do_no_work():
     sys = MatrixSystem(4, lambda t: pytest.fail("matrix was read"))
     results, work = propagate_lanes(sys, [(0.0, []), (2.0, [])])
     assert [phis.shape for phis, _ in results] == [(0, 4, 4)] * 2
-    assert work == {"rounds": 0, "accepted": 0, "rejected": 0, "est_error": 0.0,
-                    "planned": 0, "off_plan": 0}
+    assert work == {"rounds": 0, "accepted": 0, "rejected": 0, "est_error": 0.0}
 
 
 def test_underflowing_lane_raises_naming_its_t():
