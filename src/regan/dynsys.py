@@ -348,8 +348,8 @@ class DriftTable(MatrixSystem):
     and one check radius at the midpoint per window, and r = 1 if a t <= 0
     is asked for.  Then it reads
     * a time t <= 0 as the exact r = 1 matrix, the clamp of `_radius`;
-    * a node or midpoint time, found by bitwise equality with a held time,
-      as its exact matrix;
+    * a node time, found where t - t_j is 0, that is where t equals a node
+      time bit for bit, as its exact matrix;
     * any other time t of window k by the barycentric formula
       (Berrut-Trefethen, SIAM Rev. 46(3), 2004) in the form
       M_0 - sum_j c_j(t) (M_0 - M_j), with the differences held since the
@@ -374,11 +374,12 @@ class DriftTable(MatrixSystem):
         n, dd = _GL_NODES.size, system.dim**2
         self._slot = np.full(0, -1)           # window -> its slot, -1 if not held
         self._times = np.empty((0, n))        # per slot: the node times
-        self._base = np.empty((0, dd))        # per slot: M_0
+        self._nodes = np.empty((0, n, dd))    # per slot: M_j
         self._drops = np.empty((0, n, dd))    # per slot: M_0 - M_j
+        self._mid_times = np.empty(0)         # per slot: the midpoint
+        self._mids = np.empty((0, dd))        # per slot: M at the midpoint
         self._unresolved = np.zeros(0, dtype=bool)
-        self._sorted = np.empty(0)            # every node and midpoint time, ascending
-        self._held = np.empty((0, dd))        # ... and its exact matrix
+        self._some_unresolved = False
         self._origin = None                   # the r = 1 matrix
         self._windows = 0
 
@@ -387,11 +388,11 @@ class DriftTable(MatrixSystem):
         return {**self.system.work, "windows": self._windows,
                 "unresolved_windows": int(np.count_nonzero(self._unresolved))}
 
-    def _fill(self, windows: np.ndarray, origin: bool) -> None:
+    def _fill(self, windows: list, origin: bool) -> None:
         """Evaluate the given windows, and r = 1 if origin, in one exact
         `matrices` call."""
         n, dd = _GL_NODES.size, self.dim**2
-        bounds = [(k * LN2, (k + 1) * LN2) for k in windows.tolist()]
+        bounds = [(k * LN2, (k + 1) * LN2) for k in windows]
         mids = [0.5 * (a + b) for a, b in bounds]
         times = np.array([mid + 0.5 * (b - a) * _GL_NODES
                           for mid, (a, b) in zip(mids, bounds)]).reshape(-1, n)
@@ -402,34 +403,20 @@ class DriftTable(MatrixSystem):
         w = len(bounds)
         flat = mats.reshape(len(mats), dd)
         nodes = flat[:times.size].reshape(w, n, dd)
+        exact = flat[times.size:times.size + w]
         slots = np.arange(len(self._times), len(self._times) + w)
         self._slot[windows] = slots
         self._times = np.concatenate([self._times, times])
-        self._base = np.concatenate([self._base, nodes[:, 0]])
+        self._nodes = np.concatenate([self._nodes, nodes])
         self._drops = np.concatenate([self._drops, nodes[:, :1] - nodes])
-        held = np.concatenate([self._sorted, times.ravel(), mids])
-        order = np.argsort(held)
-        self._sorted = held[order]
-        self._held = np.concatenate([self._held, flat[:times.size + w]])[order]
-        exact = flat[times.size:times.size + w]
+        self._mid_times = np.concatenate([self._mid_times, mids])
+        self._mids = np.concatenate([self._mids, exact])
+        self._unresolved = np.concatenate([self._unresolved, np.zeros(w, dtype=bool)])
         miss = np.max(np.abs(self._interpolate(np.array(mids), slots) - exact), axis=1)
-        self._unresolved = np.concatenate([
-            self._unresolved,
-            miss > TABLE_TOL * np.maximum(1.0, np.max(np.abs(exact), axis=1))])
+        self._unresolved[slots] = miss > TABLE_TOL * np.maximum(
+            1.0, np.max(np.abs(exact), axis=1))
+        self._some_unresolved = bool(self._unresolved.any())
         self._windows += w
-
-    def _interpolate(self, ts: np.ndarray, slots: np.ndarray) -> np.ndarray:
-        """The barycentric reading at off-node times ts in the windows of
-        slots, flattened to shape (len(ts), dim**2), READ_BLOCK times at a
-        time."""
-        out = np.empty((ts.size, self.dim**2))
-        for lo in range(0, ts.size, READ_BLOCK):
-            t, s = ts[lo:lo + READ_BLOCK], slots[lo:lo + READ_BLOCK]
-            c = _BARY_WEIGHTS / (t[:, None] - self._times[s])
-            c /= c.sum(axis=1, keepdims=True)
-            out[lo:lo + READ_BLOCK] = (self._base[s]
-                                       - np.matmul(c[:, None, :], self._drops[s])[:, 0])
-        return out
 
     def matrices(self, ts) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
@@ -443,31 +430,46 @@ class DriftTable(MatrixSystem):
         slots = self._slot[windows]
         lacking = slots < 0
         if lacking.any() or (some_origin and self._origin is None):
-            self._fill(np.unique(windows[lacking]), some_origin and self._origin is None)
+            self._fill(sorted(set(windows[lacking].tolist())),
+                       some_origin and self._origin is None)
             slots = self._slot[windows]
+        read = self._interpolate(inner, slots).reshape(-1, self.dim, self.dim)
         if not some_origin:
-            return self._read(inner, slots)
+            return read
         out = np.empty((ts.size, self.dim, self.dim))
         out[origin] = self._origin
-        out[~origin] = self._read(inner, slots)
+        out[~origin] = read
         return out
 
-    def _read(self, ts: np.ndarray, slots: np.ndarray) -> np.ndarray:
-        """The matrices at times ts > 0 of held windows (their slots)."""
-        at = np.minimum(np.searchsorted(self._sorted, ts), self._sorted.size - 1)
-        hit = self._sorted[at] == ts
-        if hit.any():
-            read = self._held[at]
-            off = np.flatnonzero(~hit)
-            if off.size:
-                read[off] = self._interpolate(ts[off], slots[off])
-        else:
-            read, off = self._interpolate(ts, slots), slice(None)
-        if self._unresolved.any():
-            exact = np.arange(ts.size)[off][self._unresolved[slots[off]]]
-            if exact.size:
-                read[exact] = self.system.matrices(ts[exact]).reshape(exact.size, -1)
-        return read.reshape(-1, self.dim, self.dim)
+    def _interpolate(self, ts: np.ndarray, slots: np.ndarray) -> np.ndarray:
+        """The matrices at times ts > 0 of held windows (their slots),
+        flattened to shape (len(ts), dim**2), READ_BLOCK times at a time: a
+        node time by its node matrix, another time in an unresolved window
+        by the exact system, any other time by the barycentric formula."""
+        out = np.empty((ts.size, self.dim**2))
+        for lo in range(0, ts.size, READ_BLOCK):
+            t, s = ts[lo:lo + READ_BLOCK], slots[lo:lo + READ_BLOCK]
+            diff = t[:, None] - self._times[s]
+            # t - t_j is 0 exactly where t equals t_j bit for bit
+            at_node = diff == 0.0
+            node = at_node.any(axis=1)
+            some = node.any()
+            if some and node.all():
+                out[lo:lo + READ_BLOCK] = self._nodes[s, at_node.argmax(axis=1)]
+                continue
+            if some:
+                diff[node] = 1.0
+            c = _BARY_WEIGHTS / diff
+            c /= c.sum(axis=1, keepdims=True)
+            block = self._nodes[s, 0] - np.matmul(c[:, None, :], self._drops[s])[:, 0]
+            if some:
+                block[node] = self._nodes[s[node], at_node[node].argmax(axis=1)]
+            if self._some_unresolved:
+                exact = self._unresolved[s] & ~node
+                if exact.any():
+                    block[exact] = self.system.matrices(t[exact]).reshape(-1, self.dim**2)
+            out[lo:lo + READ_BLOCK] = block
+        return out
 
     def _fn(self, t: float) -> np.ndarray:
         """The exact matrix at t, which `matrix` reads.  A method, not an
@@ -476,9 +478,14 @@ class DriftTable(MatrixSystem):
         alive until the cyclic collector runs."""
         if t <= 0.0 and self._origin is not None:
             return self._origin.copy()
-        at = min(int(np.searchsorted(self._sorted, t)), self._sorted.size - 1)
-        if at >= 0 and self._sorted[at] == t:
-            return self._held[at].reshape(self.dim, self.dim).copy()
+        k = int(t // LN2)
+        slot = self._slot[k] if 0 <= k < self._slot.size else -1
+        if slot >= 0:
+            if t == self._mid_times[slot]:
+                return self._mids[slot].reshape(self.dim, self.dim).copy()
+            at_node = self._times[slot] == t
+            if at_node.any():
+                return self._nodes[slot, at_node.argmax()].reshape(self.dim, self.dim).copy()
         return self.system.matrix(t)
 
     def eff_blocks(self, t: float):
