@@ -30,9 +30,14 @@ TABLE_TOL is unresolved, and its times are read exactly.
 
 Fundamental matrices are propagated with an adaptive Dormand-Prince 5(4)
 pair in lanes (`propagate_lanes`): each lane is one (s, output times)
-integration with its own step control, and in each round the six stage
-times of every unfinished lane go into one `matrices` call.
-`propagate_dense` is the one-lane case.
+integration with its own step control.  On a linear system a step is a
+matrix P(t, h) applied to the state, so in each round every unfinished
+lane plans a block of the steps its controller would cap at its next
+output times, the six stage times of all of them go into one `matrices`
+call and their propagators are formed together; each lane then scans its
+block, Y <- P Y, with its own step control, and discards the rest of the
+block where the control departs from the plan.  `propagate_dense` is the
+one-lane case.
 
 Uniform stability and asymptotic constancy are probed on a finite horizon
 with trend extrapolation: each probe is its lanes (`stability_lanes`,
@@ -331,8 +336,9 @@ _BARY_WEIGHTS = (-1.0) ** np.arange(_GL_NODES.size) * np.sqrt(
 # midpoint by more than this, relative to max(1, max|M|), is unresolved
 TABLE_TOL = 1e-12
 
-# the most times one interpolation step reads: each gathers its window's
-# (32, dim**2) differences, 2 MB for 128 times of the 8x8 system
+# the most 4x4 matrices one interpolation step reads: each gathers its
+# window's (32, dim**2) differences, 512 KB for 128 of them; a table of
+# larger matrices reads proportionally fewer per step (32 of the 8x8 system)
 READ_BLOCK = 128
 
 
@@ -443,19 +449,21 @@ class DriftTable(MatrixSystem):
 
     def _interpolate(self, ts: np.ndarray, slots: np.ndarray) -> np.ndarray:
         """The matrices at times ts > 0 of held windows (their slots),
-        flattened to shape (len(ts), dim**2), READ_BLOCK times at a time: a
-        node time by its node matrix, another time in an unresolved window
-        by the exact system, any other time by the barycentric formula."""
+        flattened to shape (len(ts), dim**2), a READ_BLOCK gather at a
+        time: a node time by its node matrix, another time in an unresolved
+        window by the exact system, any other time by the barycentric
+        formula."""
         out = np.empty((ts.size, self.dim**2))
-        for lo in range(0, ts.size, READ_BLOCK):
-            t, s = ts[lo:lo + READ_BLOCK], slots[lo:lo + READ_BLOCK]
+        step = max(1, READ_BLOCK * 16 // self.dim**2)
+        for lo in range(0, ts.size, step):
+            t, s = ts[lo:lo + step], slots[lo:lo + step]
             diff = t[:, None] - self._times[s]
             # t - t_j is 0 exactly where t equals t_j bit for bit
             at_node = diff == 0.0
             node = at_node.any(axis=1)
             some = node.any()
             if some and node.all():
-                out[lo:lo + READ_BLOCK] = self._nodes[s, at_node.argmax(axis=1)]
+                out[lo:lo + step] = self._nodes[s, at_node.argmax(axis=1)]
                 continue
             if some:
                 diff[node] = 1.0
@@ -468,7 +476,7 @@ class DriftTable(MatrixSystem):
                 exact = self._unresolved[s] & ~node
                 if exact.any():
                     block[exact] = self.system.matrices(t[exact]).reshape(-1, self.dim**2)
-            out[lo:lo + READ_BLOCK] = block
+            out[lo:lo + step] = block
         return out
 
     def _fn(self, t: float) -> np.ndarray:
@@ -511,6 +519,8 @@ _DP_ERR = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
 # the rows of _DP_A and _DP_ERR as arrays, for `_combine`
 _DP_A_ROWS = tuple(np.array(row) for row in _DP_A)
 _DP_ERR_ROW = np.array(_DP_ERR)
+# the stage times' c_1 .. c_6, as a column
+_DP_C_STAGES = np.array(_DP_C[1:])[:, None]
 
 
 def _combine(coeffs: np.ndarray, ks: np.ndarray) -> np.ndarray:
@@ -519,12 +529,20 @@ def _combine(coeffs: np.ndarray, ks: np.ndarray) -> np.ndarray:
     return np.einsum("j,j...->...", coeffs, ks)
 
 
+# the most steps one lane plans for a round, and the most all lanes plan
+# together: a round reads six stage times per planned step, so 128 steps
+# read 768 stage times, six READ_BLOCK gathers of a 4x4 table
+BLOCK_CAP = 64
+ROUND_CAP = 128
+
+
 class _Lane:
     """One lane of `propagate_lanes`: its output times and samples, and its
     own step control in Python scalars (time t, step h, the index of the
-    next output time and the error tally)."""
+    next output time, the error tally, the factor by which its last
+    accepted step grew h and the length of its next block)."""
 
-    __slots__ = ("ts", "direction", "t", "h", "idx", "err", "out")
+    __slots__ = ("ts", "direction", "t", "h", "idx", "err", "out", "growth", "block")
 
     def __init__(self, s: float, t_eval, d: int):
         self.ts = [float(v) for v in t_eval]
@@ -540,6 +558,8 @@ class _Lane:
         self.idx = 0
         self.err = 0.0
         self.out = np.empty((len(self.ts), d, d))
+        self.growth = 5.0
+        self.block = 1
 
     def _reached(self, t: float, idx: int) -> int:
         """The index of the first output time not yet reached at t."""
@@ -565,6 +585,30 @@ class _Lane:
                                      f"(h={self.h:.3g}, target={target:.6g})")
         return self.h
 
+    def plan(self, n: int) -> list:
+        """At most n steps (t, h) from the lane's t: the trial step, then
+        the steps that the controller would cap at the next output time,
+        each computed as `trial_step` computes it.  The plan stops at the
+        last output time, before a step that `trial_step` would call an
+        underflow, and before a step longer than the one before times the
+        lane's last growth factor, which the controller would likely not
+        cap: a guess that saves planned steps and changes no step taken."""
+        t, h = self.t, self.trial_step()
+        steps = [(t, h)]
+        idx = self.idx
+        while len(steps) < n:
+            t = t + h
+            idx = self._reached(t, idx)
+            if idx == len(self.ts):
+                break
+            capped = self.direction * abs(self.ts[idx] - t)
+            if (abs(capped) > abs(h * self.growth)
+                    or abs(capped) < 1e-14 * max(1.0, abs(t))):
+                break
+            h = capped
+            steps.append((t, h))
+        return steps
+
 
 def propagate_lanes(system, lanes, rtol: float = 1e-10):
     """Propagate the fundamental matrix along several lanes in lockstep.
@@ -576,73 +620,125 @@ def propagate_lanes(system, lanes, rtol: float = 1e-10):
     are capped at the next output time, so samples are exact integration
     endpoints, not interpolants.
 
-    In each round every unfinished lane takes one trial step.  The six
-    stage times of all of them go into one `system.matrices` call, which a
-    `DriftTable` reads from its window nodes, and the stage arithmetic runs
-    on the lane states stacked as (L, d, d), each stage input, the new
-    state and the error estimate one `_combine` over the stacked stages.
-    Each lane keeps its own step control (capping, accept/reject, the h
-    update, the underflow check and the error tally) in Python scalars,
-    and stacked products and means are taken per lane, so a lane's samples
-    and error are bit for bit those of integrating it alone.
+    A step is a linear map Y -> P Y, with P a function of t, h and the
+    drift alone.  So each round, every unfinished lane plans a block of
+    steps (`_Lane.plan`); the six stage times of all of them go into one
+    `system.matrices` call, which a `DriftTable` reads from its window
+    nodes; and the stage arithmetic runs on the steps stacked as (S, d, d)
+    with Y = I: G_1 = -K(t), G_i = -K_i (I + h sum_j a_ij G_j),
+    P = I + h sum_j b_j G_j, G_7 = -K(t + h) P and E = h sum_j e_j G_j,
+    each sum one `_combine`.  Then each lane scans its block: Y <- P Y, one
+    matmul per step, the error estimates E Y, and its own step control in
+    Python scalars (accept/reject, the h update and the error tally).  The
+    block ends at its first rejected step, at the lane's last output time,
+    or after a step whose proposed |h| is shorter than the next planned
+    step, which the controller would not cap; the rest is discarded.  A
+    block is one step at first and after such a departure, and twice the
+    last one after a block that ran to its end, up to BLOCK_CAP, and a
+    round's lanes share ROUND_CAP planned steps.  A lane takes the steps it
+    would take alone and its samples and error are bit for bit those of
+    integrating it alone, whatever its blocks; they differ from stage-form
+    steps (Y_i = Y + h sum_j a_ij k_j) only by rounding.
 
     Returns (results, work): results holds, per lane, the array of Phi of
     shape (len(t_eval), d, d) and its error tally.  The tally is the sum
     of the max-abs local error estimates of the lane's accepted steps: a
     rough size, not a bound on the global error, which it can overstate
     or understate by two orders of magnitude.  work holds the `matrices`
-    calls ("rounds"), the accepted and rejected steps summed over the
-    lanes and the largest lane tally ("est_error").
+    calls ("rounds"), the accepted and rejected steps and the planned steps
+    that were not taken ("discarded"), each summed over the lanes, and the
+    largest lane tally ("est_error").
     """
     if not RTOL_RANGE[0] <= rtol <= RTOL_RANGE[1]:
         raise ValueError("rtol must lie in [%g, %g]" % RTOL_RANGE)
     atol = rtol * 1e-2
     d = system.dim
+    eye = np.eye(d)
     lanes = [_Lane(float(s), t_eval, d) for s, t_eval in lanes]
-    work = {"rounds": 0, "accepted": 0, "rejected": 0}
+    work = {"rounds": 0, "accepted": 0, "rejected": 0, "discarded": 0}
     active = [lane for lane in lanes if lane.ts]
     if active:
-        Y = np.array([np.eye(d)] * len(active))
-        k1 = -system.matrices([lane.t for lane in active]) @ Y
+        # per lane: its state Y and the drift -K(t) at its t
+        held = np.empty((len(active), 2, d, d))
+        held[:, 0] = eye
+        held[:, 1] = -system.matrices([lane.t for lane in active])
         work["rounds"] += 1
+        rows = [r for r, lane in enumerate(active) if lane.advance(eye)]
+        active = [active[r] for r in rows]
     while active:
-        going = [lane.advance(y) for lane, y in zip(active, Y)]
-        if not all(going):
-            active = [lane for lane, on in zip(active, going) if on]
-            Y, k1 = Y[going], k1[going]
-            if not active:
-                break
-        hs = [lane.trial_step() for lane in active]
-        H = np.array(hs)[:, None, None]
-        Ks = system.matrices([lane.t + _DP_C[i] * h for lane, h in zip(active, hs)
-                              for i in range(1, 7)]).reshape(len(active), 6, d, d)
+        share = max(1, ROUND_CAP // len(active))
+        plans = [lane.plan(min(lane.block, share)) for lane in active]
+        # the steps stacked step-major, lanes by falling block length: the
+        # k-th steps of the counts[k] lanes that plan one from row starts[k]
+        lens = [len(p) for p in plans]
+        order = sorted(range(len(active)), key=lens.__getitem__, reverse=True)
+        active, plans = [active[i] for i in order], [plans[i] for i in order]
+        L, B = len(active), lens[order[0]]
+        counts = [sum(n > k for n in lens) for k in range(B)]
+        starts = [sum(counts[:k]) for k in range(B)]
+        steps = np.array([p[k] for k in range(B) for p in plans[:counts[k]]])
+        S = len(steps)
+        H = steps[:, 1, None, None]
+        # stage-major: neg_ks[i - 1] is -K at t + c_i h of every step
+        neg_ks = -system.matrices((steps[:, 0] + _DP_C_STAGES * steps[:, 1]).ravel()
+                                  ).reshape(6, S, d, d)
         work["rounds"] += 1
-        ks = np.empty((7,) + Y.shape)
-        ks[0] = k1
-        for i in range(1, 7):
-            Yi = Y + H * _combine(_DP_A_ROWS[i], ks[:i])
-            ks[i] = -Ks[:, i - 1] @ Yi
-        Y_new = Y + H * _combine(_DP_A_ROWS[6], ks[:6])
-        # the last stage was evaluated at (t + h, Y_new): FSAL
-        err_mat = H * _combine(_DP_ERR_ROW, ks)
-        scale = atol + rtol * np.maximum(np.abs(Y), np.abs(Y_new))
-        err_norms = np.sqrt(np.mean((err_mat / scale) ** 2, axis=(1, 2))).tolist()
-        err_maxes = np.max(np.abs(err_mat), axis=(1, 2)).tolist()
-        accepted = [err_norm <= 1.0 for err_norm in err_norms]
-        for lane, h, err_norm, err_max, ok in zip(active, hs, err_norms,
-                                                   err_maxes, accepted):
-            if ok:
+        # Y and -K per lane (rows 0 .. L - 1) and after each step j (row
+        # L + j), and the row before each step
+        X = np.empty((L + S, 2, d, d))
+        X[:L] = held[[rows[i] for i in order]]
+        X[L:, 1] = neg_ks[5]
+        before = [L + starts[k - 1] + r if k else r for k in range(B)
+                  for r in range(counts[k])]
+        G = np.empty((7, S, d, d))
+        G[0] = X[before, 1]
+        for i in range(1, 6):
+            np.matmul(neg_ks[i - 1], eye + H * _combine(_DP_A_ROWS[i], G[:i]),
+                      out=G[i])
+        P = eye + H * _combine(_DP_A_ROWS[6], G[:6])
+        np.matmul(neg_ks[5], P, out=G[6])
+        E = H * _combine(_DP_ERR_ROW, G)
+        for k in range(B):
+            lo, n = starts[k], counts[k]
+            src = L + starts[k - 1] if k else 0
+            np.matmul(P[lo:lo + n], X[src:src + n, 0], out=X[L + lo:L + lo + n, 0])
+        Y_in, Y_out = X[before, 0], X[L:, 0]
+        err_mat = E @ Y_in
+        scale = atol + rtol * np.maximum(np.abs(Y_in), np.abs(Y_out))
+        # the mean over each step's d x d entries, as np.mean sums and divides
+        err_norms = np.sqrt(((err_mat / scale) ** 2).sum(axis=(1, 2)) / d**2).tolist()
+        err_maxes = np.abs(err_mat).max(axis=(1, 2)).tolist()
+        # each lane's own control, step by step, and the row of X that holds
+        # each unfinished lane's state
+        kept, rows = [], []
+        for r, (lane, plan) in enumerate(zip(active, plans)):
+            row, taken, on = r, 0, True
+            for k, (_, h) in enumerate(plan):
+                if k and abs(lane.h) < abs(h):
+                    break          # the controller would not cap this step
+                lane.h = h
+                taken += 1
+                j = starts[k] + r
+                err_norm = err_norms[j]
+                if not err_norm <= 1.0:    # a NaN estimate rejects
+                    lane.h = h * max(0.2, 0.9 * err_norm ** -0.2)
+                    work["rejected"] += 1
+                    break
                 lane.t = lane.t + h
-                lane.err += err_max
+                lane.err += err_maxes[j]
                 grow = 0.9 * err_norm ** -0.2 if err_norm > 0 else 5.0
-                lane.h = h * min(5.0, max(0.2, grow))
-            else:
-                lane.h = h * max(0.2, 0.9 * err_norm ** -0.2)
-        work["accepted"] += sum(accepted)
-        work["rejected"] += len(accepted) - sum(accepted)
-        if any(accepted):
-            Y[accepted] = Y_new[accepted]
-            k1[accepted] = ks[6][accepted]
+                lane.growth = min(5.0, max(0.2, grow))
+                lane.h = h * lane.growth
+                work["accepted"] += 1
+                row = L + j
+                on = lane.advance(Y_out[j])
+            work["discarded"] += len(plan) - taken
+            ran = row == L + starts[len(plan) - 1] + r
+            lane.block = min(2 * lane.block, BLOCK_CAP) if ran else 1
+            if on:
+                kept.append(lane)
+                rows.append(row)
+        active, held = kept, X
     work["est_error"] = max((lane.err for lane in lanes), default=0.0)
     return [(lane.out, lane.err) for lane in lanes], work
 

@@ -884,10 +884,11 @@ def test_six_lane_probes_stage_batches_its_steps(tmp_path, monkeypatch):
     payload = cli._stage_probes(config, cli._drift_tables(family_from_descriptor(desc)),
                                 tmp_path)
     work = payload["integrator"]
-    assert sorted(work) == ["accepted", "est_error", "rejected", "rounds"]
+    assert sorted(work) == ["accepted", "discarded", "est_error", "rejected", "rounds"]
     steps = work["accepted"] + work["rejected"]
-    # one `matrices` call per round for all six lanes, not one per step
-    assert work["rounds"] < steps / 3
+    # one `matrices` call per round for a block of steps of all six lanes,
+    # not one per step
+    assert work["rounds"] < steps / 20
     assert 0.0 < work["est_error"] < 1e-6
     # the lanes read windows 0-5 of the table, each filled once with 32
     # nodes and a midpoint, and r = 1; the reduction check is one batch of 30

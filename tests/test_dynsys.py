@@ -403,7 +403,11 @@ def test_lanes_through_a_table_evaluate_each_window_once(monkeypatch):
     assert table.work == {"radii": 33 * windows + 1, "cap_hits": 0,
                           "windows": windows, "unresolved_windows": 0}
     assert len(seen) == len(set(seen)) == 33 * windows + 1
-    assert work["accepted"] >= 75 and work["rounds"] > 10 * windows
+    # each step is capped at the next of the 75 output times of the lane
+    # from 0, and its blocks of 1, 2, 4, ..., 32 steps and the last 12 are
+    # 7 rounds after the read of the lanes' starts
+    assert work["accepted"] == 75 + 50 and work["rejected"] == work["discarded"] == 0
+    assert work["rounds"] == 1 + 7
     # a second propagation over the same windows evaluates nothing
     propagate_lanes(table, [(0.5, ts[20:])])
     assert len(seen) == 33 * windows + 1
@@ -490,7 +494,59 @@ def _mixed_lanes(span):
             (0.9 * span, [0.95 * span])]
 
 
-@pytest.mark.parametrize("make_system, span", [
+def _propagator_propagation(system, s, t_eval, rtol):
+    """The one-lane loop of `_serial_propagation` with each step formed as
+    `propagate_lanes` forms it, a propagator Y -> P Y built with Y = I, and
+    each sum a generator `sum`: (Phi samples, error, accepted, rejected)."""
+    atol = rtol * 1e-2
+    ts = [float(v) for v in t_eval]
+    d = system.dim
+    if not ts:
+        return np.zeros((0, d, d)), 0.0, 0, 0
+    direction = 1.0 if ts[-1] >= s else -1.0
+    eye = np.eye(d)
+    Y = np.eye(d)
+    t = s
+    g1 = -system.matrices([t])[0]
+    span = max(abs(ts[-1] - s), 1e-6)
+    h = min(0.05, span) * direction
+    err_total = 0.0
+    accepted = rejected = 0
+    out = np.empty((len(ts), d, d))
+    G = [None] * 7
+    for idx, target in enumerate(ts):
+        while direction * (target - t) > 1e-14:
+            h = direction * min(abs(h), abs(target - t))
+            if abs(h) < 1e-14 * max(1.0, abs(t)):
+                raise StepUnderflowError(f"step underflow at t={t:.6g}")
+            G[0] = g1
+            Ks = system.matrices([t + dynsys._DP_C[i] * h for i in range(1, 7)])
+            for i in range(1, 6):
+                G[i] = -Ks[i - 1] @ (eye + h * sum(a * G[j] for j, a
+                                                   in enumerate(dynsys._DP_A[i])))
+            P = eye + h * sum(b * G[j] for j, b in enumerate(dynsys._DP_A[6]))
+            G[6] = -Ks[5] @ P
+            E = h * sum(e * G[j] for j, e in enumerate(dynsys._DP_ERR))
+            Y_new = P @ Y
+            err_mat = E @ Y
+            scale = atol + rtol * np.maximum(np.abs(Y), np.abs(Y_new))
+            err_norm = float(np.sqrt(np.mean((err_mat / scale) ** 2)))
+            if err_norm <= 1.0:
+                t = t + h
+                Y = Y_new
+                g1 = -Ks[5]
+                err_total += float(np.max(np.abs(err_mat)))
+                grow = 0.9 * err_norm ** -0.2 if err_norm > 0 else 5.0
+                h *= min(5.0, max(0.2, grow))
+                accepted += 1
+            else:
+                h *= max(0.2, 0.9 * err_norm ** -0.2)
+                rejected += 1
+        out[idx] = Y
+    return out, err_total, accepted, rejected
+
+
+_MIXED_SYSTEMS = pytest.mark.parametrize("make_system, span", [
     (lambda: second_harmonic_system(harmonic_decay(1.0)), 12.0),
     (lambda: ReducedSystem(make_harmonic_family(
         "a", profile_log_oscillatory(0.4, 1.0), 2)), 12.0),
@@ -498,10 +554,13 @@ def _mixed_lanes(span):
     (lambda: FullSystem(make_trig_field(2)), 2.0),
 ], ids=["second_harmonic", "oscillatory_log", "trig_random-2_block",
         "trig_random-2_8x8"])
-def test_lanes_bitwise_equal_to_serial_propagation(make_system, span):
+
+
+@_MIXED_SYSTEMS
+def test_lanes_bitwise_equal_to_propagator_propagation(make_system, span):
     lanes = _mixed_lanes(span)
     results, work = propagate_lanes(make_system(), lanes, 1e-10)
-    oracle = [_serial_propagation(make_system(), s, ts, 1e-10) for s, ts in lanes]
+    oracle = [_propagator_propagation(make_system(), s, ts, 1e-10) for s, ts in lanes]
     assert len(results) == len(lanes)
     for (phis, err), (want, want_err, _, _) in zip(results, oracle):
         assert phis.shape == want.shape
@@ -509,31 +568,87 @@ def test_lanes_bitwise_equal_to_serial_propagation(make_system, span):
     assert work["accepted"] == sum(o[2] for o in oracle)
     assert work["rejected"] == sum(o[3] for o in oracle)
     assert work["est_error"] == max(o[1] for o in oracle)
-    # one `matrices` call for the initial stages, one per round of the
-    # longest lane
-    assert work["rounds"] == 1 + max(o[2] + o[3] for o in oracle)
+    # blocks of planned steps take fewer rounds than one step per round
+    assert work["rounds"] < 1 + max(o[2] + o[3] for o in oracle)
     assert np.array_equal(propagate_dense(make_system(), *lanes[1], 1e-10)[0],
                           oracle[1][0])
+
+
+def _assert_near_the_stage_form(system, lanes, results, work):
+    """Each sample within 1e-13 of `_serial_propagation`'s, relative to the
+    sample's largest entry, with the same accepted and rejected steps."""
+    oracle = [_serial_propagation(system, s, ts, 1e-10) for s, ts in lanes]
+    for (phis, _), (want, _, _, _) in zip(results, oracle):
+        gap = np.max(np.abs(phis - want), axis=(1, 2), initial=0.0)
+        assert np.all(gap <= 1e-13 * np.max(np.abs(want), axis=(1, 2), initial=0.0))
+    assert work["accepted"] == sum(o[2] for o in oracle)
+    assert work["rejected"] == sum(o[3] for o in oracle)
+
+
+@_MIXED_SYSTEMS
+def test_mixed_lanes_move_from_the_stage_form_only_by_rounding(make_system, span):
+    lanes = _mixed_lanes(span)
+    results, work = propagate_lanes(make_system(), lanes, 1e-10)
+    _assert_near_the_stage_form(make_system(), lanes, results, work)
 
 
 @pytest.mark.parametrize("field", [
     *(family_from_descriptor(d) for d in builtin_families().values()),
     *(make_trig_field(seed) for seed in range(8))], ids=lambda f: f.label)
-def test_stage_combinations_equal_the_generator_sums(field):
-    # `_combine` forms each stage input, Y_new and the error estimate with
-    # one einsum; the serial oracle keeps the generator `sum` of each
+def test_probes_lanes_move_from_the_stage_form_only_by_rounding(field):
+    # the propagator form P = I + h sum b_j G_j against the stage form
+    # Y + h sum b_j k_j of the serial oracle, which `propagate_lanes` used
+    # before it planned blocks: the same steps, samples within rounding
     lanes = _probes_stage_lanes(np.linspace(0.0, 2.0, 5), 4.0, thin=4)
-    results, _ = propagate_lanes(ReducedSystem(field), lanes, 1e-10)
-    for (s, ts), (phis, err) in zip(lanes, results):
-        want, want_err, _, _ = _serial_propagation(ReducedSystem(field), s, ts, 1e-10)
+    results, work = propagate_lanes(ReducedSystem(field), lanes, 1e-10)
+    _assert_near_the_stage_form(ReducedSystem(field), lanes, results, work)
+
+
+class _CountingSystem(MatrixSystem):
+    """A system that records the number of times of each `matrices` call."""
+
+    def __init__(self, system):
+        super().__init__(system.dim, system.matrix)
+        self.system = system
+        self.calls = []
+
+    def matrices(self, ts):
+        self.calls.append(len(ts))
+        return self.system.matrices(ts)
+
+
+@pytest.mark.parametrize("field", [
+    make_harmonic_family("a", profile_log_oscillatory(0.4, 1.0), 2),
+    make_trig_field(3)], ids=["oscillatory_log", "trig_random-3"])
+def test_lanes_are_the_same_bits_whatever_the_block_length(monkeypatch, field):
+    lanes = (_probes_stage_lanes(np.linspace(0.0, 2.0, 5), 6.0, thin=3)
+             + _mixed_lanes(6.0))
+    table = DriftTable(ReducedSystem(field))
+    system = _CountingSystem(table)
+    results, work = propagate_lanes(system, lanes, 1e-10)
+    # every planned step is accepted, rejected or discarded; a round reads
+    # six stage times per planned step, after one read of the lanes' starts
+    planned = sum(system.calls[1:]) // 6
+    assert work["accepted"] + work["rejected"] + work["discarded"] == planned
+    assert work["rounds"] == len(system.calls)
+    monkeypatch.setattr(dynsys, "BLOCK_CAP", 1)
+    system.calls.clear()
+    one, one_work = propagate_lanes(system, lanes, 1e-10)
+    for (phis, err), (want, want_err) in zip(one, results):
         assert np.array_equal(phis, want) and err == want_err
+    assert one_work == {**work, "rounds": one_work["rounds"], "discarded": 0}
+    # blocks of one step: a round per step of the longest lane, each round
+    # reading one step of each unfinished lane
+    assert one_work["rounds"] == len(system.calls) > work["rounds"]
+    assert sum(system.calls[1:]) == 6 * (work["accepted"] + work["rejected"])
 
 
 def test_lanes_of_nothing_do_no_work():
     sys = MatrixSystem(4, lambda t: pytest.fail("matrix was read"))
     results, work = propagate_lanes(sys, [(0.0, []), (2.0, [])])
     assert [phis.shape for phis, _ in results] == [(0, 4, 4)] * 2
-    assert work == {"rounds": 0, "accepted": 0, "rejected": 0, "est_error": 0.0}
+    assert work == {"rounds": 0, "accepted": 0, "rejected": 0, "discarded": 0,
+                    "est_error": 0.0}
 
 
 def test_underflowing_lane_raises_naming_its_t():

@@ -88,3 +88,20 @@ def test_drift_is_the_gate_measure(tmp_path, capsys, before, after, drift):
     assert _diff(a, b) == 1
     assert (f"largest drift {drift} at pde_fine__constant__pde/profile.csv: 1.1"
             in capsys.readouterr().out)
+
+
+def test_string_fields_that_differ_are_counted_apart(tmp_path, parent, capsys):
+    # a rounding-level move of a number and a new numeric field: 0 string
+    # fields differ
+    moved = json.loads(json.dumps(REPORT))
+    moved["results"]["probes"]["kappa_max"] = 1.5000000000000002
+    moved["results"]["probes"]["discarded"] = 3
+    assert _diff(parent, _tree(tmp_path / "b", report=moved)) == 1
+    assert "\n0 string fields differ" in capsys.readouterr().out
+    # a verdict, a flag, a null and a CSV text cell each count once
+    changed = json.loads(json.dumps(moved))
+    changed["results"]["pde"]["verdicts"] = ["growing"]
+    changed["results"]["flags"] = {"eps_zero": True, "tail_slope": None}
+    other = _tree(tmp_path / "c", report=changed, csv="r,w\n0.5,1.25\n")
+    assert _diff(parent, other) == 1
+    assert "\n4 string fields differ" in capsys.readouterr().out

@@ -18,7 +18,12 @@ report, the paths of the differing fields), prints the largest drift
 |b - a| / max(1, |a|) over the numeric fields of the reports and of the CSV
 tables, and exits 1 on any difference.  The drift is the measure of
 `bench/gate.py`, with A as the reference, so a value near zero reads its
-absolute change and the tool and the benchmark read the same number.
+absolute change and the tool and the benchmark read the same number.  A
+last line counts the string fields that differ apart: the leaves of the
+reports and the cells of the CSV tables that are not finite numbers on a
+side that has them (verdicts, flags, `decided_by` entries, nulls), so
+that a change that should move numbers only by rounding shows "0 string
+fields differ" next to its drift.
 """
 from __future__ import annotations
 
@@ -69,6 +74,13 @@ def _numbers(leaves: dict) -> dict:
             and math.isfinite(v)}
 
 
+def _strings_differing(a: dict, b: dict) -> int:
+    """The keys whose value is not a finite number on a side that has them,
+    and that differ between the sides (or lie on one side only)."""
+    texts = (a.keys() - _numbers(a).keys()) | (b.keys() - _numbers(b).keys())
+    return sum(a.get(k, _MISSING) != b.get(k, _MISSING) for k in texts)
+
+
 def _drop(tree: dict, key: str) -> None:
     *parents, last = key.split(".")
     for part in parents:
@@ -86,16 +98,17 @@ def _report(path: Path, ignore) -> dict:
     return report
 
 
-def _csv_numbers(path: Path) -> dict:
+def _csv_cells(path: Path) -> dict:
+    """Every cell of a CSV table, keyed "row.column": a float where it
+    parses as a finite number, else its text."""
     out = {}
     for i, line in enumerate(path.read_text(encoding="utf-8").splitlines()):
         for j, cell in enumerate(line.split(",")):
             try:
                 value = float(cell)
             except ValueError:
-                continue
-            if math.isfinite(value):
-                out[f"{i}.{j}"] = value
+                value = math.nan
+            out[f"{i}.{j}"] = value if math.isfinite(value) else cell
     return out
 
 
@@ -112,7 +125,7 @@ def _drift(a: dict, b: dict):
 def diff(a: Path, b: Path, ignore) -> int:
     names = sorted({p.relative_to(a) for p in a.rglob("*") if p.is_file()}
                    | {p.relative_to(b) for p in b.rglob("*") if p.is_file()})
-    differing, worst, where = 0, 0.0, None
+    differing, strings, worst, where = 0, 0, 0.0, None
     for name in names:
         pa, pb = a / name, b / name
         if not (pa.is_file() and pb.is_file()):
@@ -128,16 +141,21 @@ def diff(a: Path, b: Path, ignore) -> int:
                 print(f"differs: {name}: {', '.join(keys)}")
                 differing += 1
             drift, key = _drift(_numbers(la), _numbers(lb))
+            strings += _strings_differing(la, lb)
         else:
             if pa.read_bytes() != pb.read_bytes():
                 print(f"differs: {name}")
                 differing += 1
-            drift, key = ((0.0, None) if name.suffix != ".csv"
-                          else _drift(_csv_numbers(pa), _csv_numbers(pb)))
+            drift, key = 0.0, None
+            if name.suffix == ".csv":
+                ca, cb = _csv_cells(pa), _csv_cells(pb)
+                drift, key = _drift(_numbers(ca), _numbers(cb))
+                strings += _strings_differing(ca, cb)
         if drift > worst:
             worst, where = drift, f"{name}: {key}"
     print(f"{len(names)} files, {differing} differ; largest drift "
           f"{worst:.3g}" + (f" at {where}" if where else ""))
+    print(f"{strings} string fields differ")
     return 1 if differing else 0
 
 
