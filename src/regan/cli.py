@@ -44,10 +44,11 @@ The probes stage propagates the stability lanes, one per s_grid entry,
 and the constancy lane together; `trajectory.csv` holds t and Phi(t, s)
 row-major at each sample time of the lane from the smallest s.  The work
 is in `results.probes.integrator` (see `dynsys.propagate_lanes`):
-`rounds`, the `matrices` calls, one per block of planned steps of all the
-lanes and one for their starts; the `accepted` and `rejected` steps; the
-planned steps that were `discarded` because the step control departed
-from the plan; and `est_error`, the largest of these lanes' sums of
+`rounds`, the `matrices` calls, one per round in which each unfinished
+lane plans its share of steps; the `accepted` and `rejected` steps; the
+planned steps that were `discarded`: those after a lane's first rejected
+step, or after a step whose proposed next step is shorter than the
+planned one; and `est_error`, the largest of these lanes' sums of
 per-step max-abs local error estimates.  That sum is a rough size of the
 integration error, not a bound on it.
 

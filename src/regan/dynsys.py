@@ -32,12 +32,12 @@ Fundamental matrices are propagated with an adaptive Dormand-Prince 5(4)
 pair in lanes (`propagate_lanes`): each lane is one (s, output times)
 integration with its own step control.  On a linear system a step is a
 matrix P(t, h) applied to the state, so in each round every unfinished
-lane plans a block of the steps its controller would cap at its next
-output times, the six stage times of all of them go into one `matrices`
-call and their propagators are formed together; each lane then scans its
-block, Y <- P Y, with its own step control, and discards the rest of the
-block where the control departs from the plan.  `propagate_dense` is the
-one-lane case.
+lane plans its share of ROUND_CAP steps that its controller would cap at
+its next output times; one `matrices` call reads -K at each lane's t and
+at five stage times per planned step, and the propagators are formed
+together; each lane then scans its plan, Y <- P Y, with its own step
+control, and discards the rest of the plan where the control departs from
+it.  `propagate_dense` is the one-lane case.
 
 Uniform stability and asymptotic constancy are probed on a finite horizon
 with trend extrapolation: each probe is its lanes (`stability_lanes`,
@@ -59,7 +59,7 @@ from .coeff import CoefficientField
 from .moments import (DEFAULT_QUADRATURE, BlockTable, QuadratureSettings,
                       block_table, block_tables, moment_matrices, moment_matrix,
                       moment_vector, moment_vectors)
-from .tails import _GL_NODES, _GL_WEIGHTS, INCONCLUSIVE, LN2
+from .tails import _GL_NODES, _GL_WEIGHTS, INCONCLUSIVE, LN2, window_nodes
 
 STABLE = "stable"
 UNSTABLE = "unstable"
@@ -346,13 +346,12 @@ class DriftTable(MatrixSystem):
     """A radial system's drift matrix, held at the Gauss-Legendre nodes of
     each dyadic window it was asked about and interpolated in between.
 
-    The node times of window k are those of `tails.dyadic_window_sums`:
-    mid + half x_j with mid = (a + b) / 2, half = (b - a) / 2, a = k ln 2
-    and b = (k + 1) ln 2.  So a window sum reads the exact matrices bit for
-    bit.  `matrices(ts)` first fills, in one `matrices` call of the exact
-    system, every window that ts touch and the table lacks: 32 node radii
-    and one check radius at the midpoint per window, and r = 1 if a t <= 0
-    is asked for.  Then it reads
+    The node times of window k = [k ln 2, (k + 1) ln 2] are its
+    `tails.window_nodes`, those of `tails.dyadic_window_sums`, so a window
+    sum reads the exact matrices bit for bit.  `matrices(ts)` first fills,
+    in one `matrices` call of the exact system, every window that ts touch
+    and the table lacks: 32 node radii and one check radius at the midpoint
+    per window, and r = 1 if a t <= 0 is asked for.  Then it reads
     * a time t <= 0 as the exact r = 1 matrix, the clamp of `_radius`;
     * a node time, found where t - t_j is 0, that is where t equals a node
       time bit for bit, as its exact matrix;
@@ -397,16 +396,13 @@ class DriftTable(MatrixSystem):
     def _fill(self, windows: list, origin: bool) -> None:
         """Evaluate the given windows, and r = 1 if origin, in one exact
         `matrices` call."""
-        n, dd = _GL_NODES.size, self.dim**2
-        bounds = [(k * LN2, (k + 1) * LN2) for k in windows]
-        mids = [0.5 * (a + b) for a, b in bounds]
-        times = np.array([mid + 0.5 * (b - a) * _GL_NODES
-                          for mid, (a, b) in zip(mids, bounds)]).reshape(-1, n)
-        mats = self.system.matrices(times.ravel().tolist() + mids
+        dd = self.dim**2
+        mids, _, times = window_nodes([(k * LN2, (k + 1) * LN2) for k in windows])
+        mats = self.system.matrices(times.ravel().tolist() + mids.tolist()
                                     + ([0.0] if origin else []))
         if origin:
             self._origin = mats[-1].copy()
-        w = len(bounds)
+        w, n = times.shape
         flat = mats.reshape(len(mats), dd)
         nodes = flat[:times.size].reshape(w, n, dd)
         exact = flat[times.size:times.size + w]
@@ -418,7 +414,7 @@ class DriftTable(MatrixSystem):
         self._mid_times = np.concatenate([self._mid_times, mids])
         self._mids = np.concatenate([self._mids, exact])
         self._unresolved = np.concatenate([self._unresolved, np.zeros(w, dtype=bool)])
-        miss = np.max(np.abs(self._interpolate(np.array(mids), slots) - exact), axis=1)
+        miss = np.max(np.abs(self._interpolate(mids, slots) - exact), axis=1)
         self._unresolved[slots] = miss > TABLE_TOL * np.maximum(
             1.0, np.max(np.abs(exact), axis=1))
         self._some_unresolved = bool(self._unresolved.any())
@@ -519,8 +515,10 @@ _DP_ERR = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
 # the rows of _DP_A and _DP_ERR as arrays, for `_combine`
 _DP_A_ROWS = tuple(np.array(row) for row in _DP_A)
 _DP_ERR_ROW = np.array(_DP_ERR)
-# the stage times' c_1 .. c_6, as a column
-_DP_C_STAGES = np.array(_DP_C[1:])[:, None]
+# the stage times a step reads, c = 1 first and then c_1 .. c_4: c_5 = c_6
+# = 1, so one read serves the last stage and the first-same-as-last stage,
+# which is the next step's first
+_DP_C_READS = np.array(_DP_C[5:6] + _DP_C[1:5])[:, None]
 
 
 def _combine(coeffs: np.ndarray, ks: np.ndarray) -> np.ndarray:
@@ -529,20 +527,20 @@ def _combine(coeffs: np.ndarray, ks: np.ndarray) -> np.ndarray:
     return np.einsum("j,j...->...", coeffs, ks)
 
 
-# the most steps one lane plans for a round, and the most all lanes plan
-# together: a round reads six stage times per planned step, so 128 steps
-# read 768 stage times, six READ_BLOCK gathers of a 4x4 table
-BLOCK_CAP = 64
+# the most steps all lanes plan for a round, each lane its share: a round
+# reads five stage times per planned step and one per lane, so 128 steps
+# read about 640 times, five READ_BLOCK gathers of a 4x4 table
 ROUND_CAP = 128
 
 
 class _Lane:
     """One lane of `propagate_lanes`: its output times and samples, and its
     own step control in Python scalars (time t, step h, the index of the
-    next output time, the error tally, the factor by which its last
-    accepted step grew h and the length of its next block)."""
+    next output time, the error tally and the factor by which its last
+    accepted step grew h).  The samples at output times that s reaches are
+    I, recorded here."""
 
-    __slots__ = ("ts", "direction", "t", "h", "idx", "err", "out", "growth", "block")
+    __slots__ = ("ts", "direction", "t", "h", "idx", "err", "out", "growth")
 
     def __init__(self, s: float, t_eval, d: int):
         self.ts = [float(v) for v in t_eval]
@@ -555,11 +553,11 @@ class _Lane:
         self.t = s
         span = max(abs(self.ts[-1] - s), 1e-6) if self.ts else 0.0
         self.h = min(0.05, span) * self.direction
-        self.idx = 0
+        self.idx = self._reached(s, 0)
         self.err = 0.0
         self.out = np.empty((len(self.ts), d, d))
+        self.out[:self.idx] = np.eye(d)
         self.growth = 5.0
-        self.block = 1
 
     def _reached(self, t: float, idx: int) -> int:
         """The index of the first output time not yet reached at t."""
@@ -568,46 +566,38 @@ class _Lane:
             idx += 1
         return idx
 
-    def advance(self, Y: np.ndarray) -> bool:
-        """Record Y at every output time already reached; True while a time
-        is left to reach."""
-        reached = self._reached(self.t, self.idx)
+    def advance(self, Y: np.ndarray, reached: int) -> bool:
+        """Record Y at the output times before index `reached`, which the
+        lane's t has reached; True while a time is left to reach."""
         self.out[self.idx:reached] = Y
         self.idx = reached
-        return self.idx < len(self.ts)
-
-    def trial_step(self) -> float:
-        """The next trial step, capped at the next output time."""
-        target = self.ts[self.idx]
-        self.h = self.direction * min(abs(self.h), abs(target - self.t))
-        if abs(self.h) < 1e-14 * max(1.0, abs(self.t)):
-            raise StepUnderflowError(f"step underflow at t={self.t:.6g} "
-                                     f"(h={self.h:.3g}, target={target:.6g})")
-        return self.h
+        return reached < len(self.ts)
 
     def plan(self, n: int) -> list:
-        """At most n steps (t, h) from the lane's t: the trial step, then
-        the steps that the controller would cap at the next output time,
-        each computed as `trial_step` computes it.  The plan stops at the
-        last output time, before a step that `trial_step` would call an
-        underflow, and before a step longer than the one before times the
-        lane's last growth factor, which the controller would likely not
-        cap: a guess that saves planned steps and changes no step taken."""
-        t, h = self.t, self.trial_step()
-        steps = [(t, h)]
-        idx = self.idx
-        while len(steps) < n:
-            t = t + h
-            idx = self._reached(t, idx)
-            if idx == len(self.ts):
-                break
-            capped = self.direction * abs(self.ts[idx] - t)
-            if (abs(capped) > abs(h * self.growth)
-                    or abs(capped) < 1e-14 * max(1.0, abs(t))):
-                break
-            h = capped
-            steps.append((t, h))
-        return steps
+        """At most n steps (t, h, reached) from the lane's t, each with the
+        `_reached` index at its end: the trial step, capped at the next
+        output time, and then the steps that the controller would cap at
+        the next output time.  The plan stops at the last output time,
+        before a step that would underflow (the trial step raises
+        StepUnderflowError), and before a step longer than the one before
+        times the lane's last growth factor, which the controller would
+        likely not cap: a guess that saves planned steps and changes no
+        step taken."""
+        t, idx = self.t, self.idx
+        h = self.direction * min(abs(self.h), abs(self.ts[idx] - t))
+        if abs(h) < 1e-14 * max(1.0, abs(t)):
+            raise StepUnderflowError(f"step underflow at t={t:.6g} "
+                                     f"(h={h:.3g}, target={self.ts[idx]:.6g})")
+        steps = []
+        while True:
+            idx = self._reached(t + h, idx)
+            steps.append((t, h, idx))
+            if len(steps) == n or idx == len(self.ts):
+                return steps
+            t, prev = t + h, h
+            h = self.direction * abs(self.ts[idx] - t)
+            if abs(h) > abs(prev * self.growth) or abs(h) < 1e-14 * max(1.0, abs(t)):
+                return steps
 
 
 def propagate_lanes(system, lanes, rtol: float = 1e-10):
@@ -621,24 +611,23 @@ def propagate_lanes(system, lanes, rtol: float = 1e-10):
     endpoints, not interpolants.
 
     A step is a linear map Y -> P Y, with P a function of t, h and the
-    drift alone.  So each round, every unfinished lane plans a block of
-    steps (`_Lane.plan`); the six stage times of all of them go into one
-    `system.matrices` call, which a `DriftTable` reads from its window
-    nodes; and the stage arithmetic runs on the steps stacked as (S, d, d)
-    with Y = I: G_1 = -K(t), G_i = -K_i (I + h sum_j a_ij G_j),
-    P = I + h sum_j b_j G_j, G_7 = -K(t + h) P and E = h sum_j e_j G_j,
-    each sum one `_combine`.  Then each lane scans its block: Y <- P Y, one
-    matmul per step, the error estimates E Y, and its own step control in
-    Python scalars (accept/reject, the h update and the error tally).  The
-    block ends at its first rejected step, at the lane's last output time,
-    or after a step whose proposed |h| is shorter than the next planned
-    step, which the controller would not cap; the rest is discarded.  A
-    block is one step at first and after such a departure, and twice the
-    last one after a block that ran to its end, up to BLOCK_CAP, and a
-    round's lanes share ROUND_CAP planned steps.  A lane takes the steps it
-    would take alone and its samples and error are bit for bit those of
-    integrating it alone, whatever its blocks; they differ from stage-form
-    steps (Y_i = Y + h sum_j a_ij k_j) only by rounding.
+    drift alone.  So each round, every unfinished lane plans its share of
+    ROUND_CAP steps (`_Lane.plan`), and one `system.matrices` call, which a
+    `DriftTable` reads from its window nodes, reads -K at each lane's t and
+    at five stage times per planned step: c = 1 serves the step's last
+    stage and the next step's first.  The stage arithmetic runs on the
+    steps stacked as (S, d, d) with Y = I: G_1 = -K(t),
+    G_i = -K_i (I + h sum_j a_ij G_j), P = I + h sum_j b_j G_j,
+    G_7 = -K(t + h) P and E = h sum_j e_j G_j, each sum one `_combine`.
+    Then each lane scans its plan: Y <- P Y, one matmul per step, the error
+    estimates E Y, and its own step control in Python scalars
+    (accept/reject, the h update and the error tally).  The scan ends at
+    its first rejected step, at the lane's last output time, or after a
+    step whose proposed |h| is shorter than the next planned step, which
+    the controller would not cap; the rest is discarded.  A lane takes the
+    steps it would take alone and its samples and error are bit for bit
+    those of integrating it alone, whatever its plans; they differ from
+    stage-form steps (Y_i = Y + h sum_j a_ij k_j) only by rounding.
 
     Returns (results, work): results holds, per lane, the array of Phi of
     shape (len(t_eval), d, d) and its error tally.  The tally is the sum
@@ -656,19 +645,13 @@ def propagate_lanes(system, lanes, rtol: float = 1e-10):
     eye = np.eye(d)
     lanes = [_Lane(float(s), t_eval, d) for s, t_eval in lanes]
     work = {"rounds": 0, "accepted": 0, "rejected": 0, "discarded": 0}
-    active = [lane for lane in lanes if lane.ts]
-    if active:
-        # per lane: its state Y and the drift -K(t) at its t
-        held = np.empty((len(active), 2, d, d))
-        held[:, 0] = eye
-        held[:, 1] = -system.matrices([lane.t for lane in active])
-        work["rounds"] += 1
-        rows = [r for r, lane in enumerate(active) if lane.advance(eye)]
-        active = [active[r] for r in rows]
+    active = [lane for lane in lanes if lane.idx < len(lane.ts)]
+    # each unfinished lane's state Y is row rows[i] of held
+    held, rows = eye[None], [0] * len(active)
     while active:
         share = max(1, ROUND_CAP // len(active))
-        plans = [lane.plan(min(lane.block, share)) for lane in active]
-        # the steps stacked step-major, lanes by falling block length: the
+        plans = [lane.plan(share) for lane in active]
+        # the steps stacked step-major, lanes by falling plan length: the
         # k-th steps of the counts[k] lanes that plan one from row starts[k]
         lens = [len(p) for p in plans]
         order = sorted(range(len(active)), key=lens.__getitem__, reverse=True)
@@ -676,33 +659,35 @@ def propagate_lanes(system, lanes, rtol: float = 1e-10):
         L, B = len(active), lens[order[0]]
         counts = [sum(n > k for n in lens) for k in range(B)]
         starts = [sum(counts[:k]) for k in range(B)]
-        steps = np.array([p[k] for k in range(B) for p in plans[:counts[k]]])
+        steps = np.array([p[k][:2] for k in range(B) for p in plans[:counts[k]]])
         S = len(steps)
         H = steps[:, 1, None, None]
-        # stage-major: neg_ks[i - 1] is -K at t + c_i h of every step
-        neg_ks = -system.matrices((steps[:, 0] + _DP_C_STAGES * steps[:, 1]).ravel()
-                                  ).reshape(6, S, d, d)
-        work["rounds"] += 1
-        # Y and -K per lane (rows 0 .. L - 1) and after each step j (row
-        # L + j), and the row before each step
-        X = np.empty((L + S, 2, d, d))
+        # Y per lane (rows 0 .. L - 1 of X) and after each step j (row
+        # L + j), the row before each step, and -K in the same rows of
+        # drift, followed by -K at t + c_i h, i = 1 .. 4, of every step
+        X = np.empty((L + S, d, d))
         X[:L] = held[[rows[i] for i in order]]
-        X[L:, 1] = neg_ks[5]
         before = [L + starts[k - 1] + r if k else r for k in range(B)
                   for r in range(counts[k])]
+        drift = -system.matrices(np.concatenate(
+            [[lane.t for lane in active],
+             (steps[:, 0] + _DP_C_READS * steps[:, 1]).ravel()]))
+        work["rounds"] += 1
+        end = drift[L:L + S]
+        neg_ks = (*drift[L + S:].reshape(4, S, d, d), end)
         G = np.empty((7, S, d, d))
-        G[0] = X[before, 1]
+        G[0] = drift[before]
         for i in range(1, 6):
             np.matmul(neg_ks[i - 1], eye + H * _combine(_DP_A_ROWS[i], G[:i]),
                       out=G[i])
         P = eye + H * _combine(_DP_A_ROWS[6], G[:6])
-        np.matmul(neg_ks[5], P, out=G[6])
+        np.matmul(end, P, out=G[6])
         E = H * _combine(_DP_ERR_ROW, G)
         for k in range(B):
             lo, n = starts[k], counts[k]
             src = L + starts[k - 1] if k else 0
-            np.matmul(P[lo:lo + n], X[src:src + n, 0], out=X[L + lo:L + lo + n, 0])
-        Y_in, Y_out = X[before, 0], X[L:, 0]
+            np.matmul(P[lo:lo + n], X[src:src + n], out=X[L + lo:L + lo + n])
+        Y_in, Y_out = X[before], X[L:]
         err_mat = E @ Y_in
         scale = atol + rtol * np.maximum(np.abs(Y_in), np.abs(Y_out))
         # the mean over each step's d x d entries, as np.mean sums and divides
@@ -713,7 +698,7 @@ def propagate_lanes(system, lanes, rtol: float = 1e-10):
         kept, rows = [], []
         for r, (lane, plan) in enumerate(zip(active, plans)):
             row, taken, on = r, 0, True
-            for k, (_, h) in enumerate(plan):
+            for k, (_, h, reached) in enumerate(plan):
                 if k and abs(lane.h) < abs(h):
                     break          # the controller would not cap this step
                 lane.h = h
@@ -731,10 +716,8 @@ def propagate_lanes(system, lanes, rtol: float = 1e-10):
                 lane.h = h * lane.growth
                 work["accepted"] += 1
                 row = L + j
-                on = lane.advance(Y_out[j])
+                on = lane.advance(Y_out[j], reached)
             work["discarded"] += len(plan) - taken
-            ran = row == L + starts[len(plan) - 1] + r
-            lane.block = min(2 * lane.block, BLOCK_CAP) if ran else 1
             if on:
                 kept.append(lane)
                 rows.append(row)

@@ -48,19 +48,26 @@ class EvaluationError(RuntimeError):
     """An integrand could not be evaluated (non-finite or raising)."""
 
 
+def window_nodes(bounds):
+    """(mids, halves, ts) of the windows [a, b] of bounds: the midpoints,
+    the half widths and the Gauss-Legendre node times mid + half * _GL_NODES,
+    one row of ts per window."""
+    mids = np.array([0.5 * (a + b) for a, b in bounds])
+    halves = np.array([0.5 * (b - a) for a, b in bounds])
+    return mids, halves, mids[:, None] + halves[:, None] * _GL_NODES
+
+
 def _gauss_legendre_sums(f, bounds) -> np.ndarray:
     """Gauss-Legendre integrals of a vectorized f over the windows [a, b] of
     bounds, from one call of f on all their nodes.
 
-    The nodes of a window are mid + half * _GL_NODES, as they are for the
+    The nodes of a window are its `window_nodes`, as they are for the
     window alone, and each window is summed by its own np.dot over its row
     of values, so every integral is bit for bit that of its window alone.
     EvaluationError names the first node, window by window, whose value is
     not finite.
     """
-    mids = np.array([0.5 * (a + b) for a, b in bounds])
-    halves = np.array([0.5 * (b - a) for a, b in bounds])
-    ts = mids[:, None] + halves[:, None] * _GL_NODES
+    _, halves, ts = window_nodes(bounds)
     vals = np.asarray(f(ts.ravel()), dtype=float)
     if vals.shape != (ts.size,):
         vals = np.broadcast_to(vals, (ts.size,))

@@ -404,10 +404,11 @@ def test_lanes_through_a_table_evaluate_each_window_once(monkeypatch):
                           "windows": windows, "unresolved_windows": 0}
     assert len(seen) == len(set(seen)) == 33 * windows + 1
     # each step is capped at the next of the 75 output times of the lane
-    # from 0, and its blocks of 1, 2, 4, ..., 32 steps and the last 12 are
-    # 7 rounds after the read of the lanes' starts
+    # from 0: its share of ROUND_CAP, 64 steps, next to the 50 of the lane
+    # from 1, and then its last 11 steps are 2 rounds
     assert work["accepted"] == 75 + 50 and work["rejected"] == work["discarded"] == 0
-    assert work["rounds"] == 1 + 7
+    assert dynsys.ROUND_CAP // 2 == 64
+    assert work["rounds"] == 2
     # a second propagation over the same windows evaluates nothing
     propagate_lanes(table, [(0.5, ts[20:])])
     assert len(seen) == 33 * windows + 1
@@ -568,8 +569,8 @@ def test_lanes_bitwise_equal_to_propagator_propagation(make_system, span):
     assert work["accepted"] == sum(o[2] for o in oracle)
     assert work["rejected"] == sum(o[3] for o in oracle)
     assert work["est_error"] == max(o[1] for o in oracle)
-    # blocks of planned steps take fewer rounds than one step per round
-    assert work["rounds"] < 1 + max(o[2] + o[3] for o in oracle)
+    # plans of several steps take fewer rounds than one step per round
+    assert work["rounds"] < max(o[2] + o[3] for o in oracle)
     assert np.array_equal(propagate_dense(make_system(), *lanes[1], 1e-10)[0],
                           oracle[1][0])
 
@@ -617,30 +618,64 @@ class _CountingSystem(MatrixSystem):
         return self.system.matrices(ts)
 
 
+def _record_plans(monkeypatch) -> list:
+    """Record every plan that a lane makes, one list of steps per lane and
+    round."""
+    plans, plan = [], dynsys._Lane.plan
+    monkeypatch.setattr(dynsys._Lane, "plan",
+                        lambda lane, n: plans.append(plan(lane, n)) or plans[-1])
+    return plans
+
+
+def _table_lanes(field):
+    """A drift table of field, and probes-stage and mixed lanes over t <= 6."""
+    lanes = (_probes_stage_lanes(np.linspace(0.0, 2.0, 5), 6.0, thin=3)
+             + _mixed_lanes(6.0))
+    return DriftTable(ReducedSystem(field)), lanes
+
+
 @pytest.mark.parametrize("field", [
     make_harmonic_family("a", profile_log_oscillatory(0.4, 1.0), 2),
     make_trig_field(3)], ids=["oscillatory_log", "trig_random-3"])
 def test_lanes_are_the_same_bits_whatever_the_block_length(monkeypatch, field):
-    lanes = (_probes_stage_lanes(np.linspace(0.0, 2.0, 5), 6.0, thin=3)
-             + _mixed_lanes(6.0))
-    table = DriftTable(ReducedSystem(field))
+    table, lanes = _table_lanes(field)
     system = _CountingSystem(table)
+    plans = _record_plans(monkeypatch)
     results, work = propagate_lanes(system, lanes, 1e-10)
     # every planned step is accepted, rejected or discarded; a round reads
-    # six stage times per planned step, after one read of the lanes' starts
-    planned = sum(system.calls[1:]) // 6
+    # -K at the t of each lane that plans and five stage times per planned
+    # step
+    planned = sum(len(p) for p in plans)
     assert work["accepted"] + work["rejected"] + work["discarded"] == planned
+    assert sum(system.calls) == 5 * planned + len(plans)
     assert work["rounds"] == len(system.calls)
-    monkeypatch.setattr(dynsys, "BLOCK_CAP", 1)
+    monkeypatch.setattr(dynsys, "ROUND_CAP", 1)
     system.calls.clear()
     one, one_work = propagate_lanes(system, lanes, 1e-10)
     for (phis, err), (want, want_err) in zip(one, results):
         assert np.array_equal(phis, want) and err == want_err
     assert one_work == {**work, "rounds": one_work["rounds"], "discarded": 0}
-    # blocks of one step: a round per step of the longest lane, each round
-    # reading one step of each unfinished lane
+    # plans of one step: a round per step of the longest lane, each round
+    # reading one step of each unfinished lane, six times per step
     assert one_work["rounds"] == len(system.calls) > work["rounds"]
-    assert sum(system.calls[1:]) == 6 * (work["accepted"] + work["rejected"])
+    assert sum(system.calls) == 6 * (work["accepted"] + work["rejected"])
+
+
+def test_each_planned_step_scans_the_output_times_once(monkeypatch):
+    # `_Lane._reached` finds the outputs at a lane's start once, and then
+    # the outputs at the end of each planned step once, the step taken or
+    # not; these lanes reject and discard steps
+    scans, reached = [], dynsys._Lane._reached
+    monkeypatch.setattr(dynsys._Lane, "_reached",
+                        lambda lane, t, idx: scans.append(t) or reached(lane, t, idx))
+    plans = _record_plans(monkeypatch)
+    table, lanes = _table_lanes(
+        make_harmonic_family("a", profile_log_oscillatory(0.4, 1.0), 2))
+    _, work = propagate_lanes(table, lanes, 1e-10)
+    planned = sum(len(p) for p in plans)
+    assert work["rejected"] > 0 and work["discarded"] > 0
+    assert work["accepted"] + work["rejected"] + work["discarded"] == planned
+    assert len(scans) == len(lanes) + planned
 
 
 def test_lanes_of_nothing_do_no_work():
@@ -649,6 +684,15 @@ def test_lanes_of_nothing_do_no_work():
     assert [phis.shape for phis, _ in results] == [(0, 4, 4)] * 2
     assert work == {"rounds": 0, "accepted": 0, "rejected": 0, "discarded": 0,
                     "est_error": 0.0}
+    # lanes whose every output time is s: Phi(s, s) = I, read from no drift
+    results, same = propagate_lanes(sys, [(1.0, [1.0]), (2.0, [2.0, 2.0]),
+                                          (-1.0, [-1.0]), (0.0, [])])
+    assert [phis.shape for phis, _ in results] == [(1, 4, 4), (2, 4, 4),
+                                                   (1, 4, 4), (0, 4, 4)]
+    for phis, err in results:
+        assert np.array_equal(phis, np.broadcast_to(np.eye(4), phis.shape))
+        assert err == 0.0
+    assert same == work
 
 
 def test_underflowing_lane_raises_naming_its_t():

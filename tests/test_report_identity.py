@@ -105,3 +105,25 @@ def test_string_fields_that_differ_are_counted_apart(tmp_path, parent, capsys):
     other = _tree(tmp_path / "c", report=changed, csv="r,w\n0.5,1.25\n")
     assert _diff(parent, other) == 1
     assert "\n4 string fields differ" in capsys.readouterr().out
+
+
+def test_each_side_sums_its_probes_integrator_counters(tmp_path, parent, capsys):
+    # summed over the reports that have them, also where the counters are
+    # ignored in the comparison
+    counted = json.loads(json.dumps(REPORT))
+    counted["results"]["probes"]["integrator"] = {
+        "rounds": 29, "accepted": 2858, "rejected": 1, "discarded": 2, "est_error": 1e-9}
+    a = _tree(tmp_path / "a2", report=counted)
+    second = a / "full_compare__constant__full"
+    shutil.copytree(a / "pde_fine__constant__pde", second)
+    moved = json.loads(json.dumps(counted))
+    moved["results"]["probes"]["integrator"].update(rounds=27, discarded=20)
+    b = _tree(tmp_path / "b", report=moved)
+    shutil.copytree(second, b / "full_compare__constant__full")
+    assert _diff(a, b, "results.probes.integrator") == 0
+    assert ("probes integrator, A -> B: rounds 58 -> 56, accepted 5716 -> 5716, "
+            "rejected 2 -> 2, discarded 4 -> 22" in capsys.readouterr().out)
+    # a report without a probes stage adds nothing
+    assert _diff(parent, _tree(tmp_path / "c")) == 0
+    assert ("probes integrator, A -> B: rounds 0 -> 0, accepted 0 -> 0, "
+            "rejected 0 -> 0, discarded 0 -> 0" in capsys.readouterr().out)

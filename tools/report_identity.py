@@ -23,7 +23,10 @@ last line counts the string fields that differ apart: the leaves of the
 reports and the cells of the CSV tables that are not finite numbers on a
 side that has them (verdicts, flags, `decided_by` entries, nulls), so
 that a change that should move numbers only by rounding shows "0 string
-fields differ" next to its drift.
+fields differ" next to its drift.  The line before it sums the probes
+stage's integrator counters (`results.probes.integrator`: rounds,
+accepted, rejected, discarded) over each side's reports, ignored or not,
+so that a change that must keep every step shows it on one line.
 """
 from __future__ import annotations
 
@@ -36,6 +39,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 _MISSING = object()
+COUNTERS = ("rounds", "accepted", "rejected", "discarded")
 PINNED_THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                   "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 
@@ -90,8 +94,15 @@ def _drop(tree: dict, key: str) -> None:
     tree.pop(last, None)
 
 
-def _report(path: Path, ignore) -> dict:
+def _report(path: Path, ignore, totals: dict) -> dict:
+    """The report at path without its timings and the ignored keys, after
+    adding its probes integrator counters to totals."""
     report = json.loads(path.read_text(encoding="utf-8"))
+    integrator = report
+    for part in ("results", "probes", "integrator"):
+        integrator = integrator.get(part) if isinstance(integrator, dict) else None
+    for name in COUNTERS:
+        totals[name] += (integrator or {}).get(name, 0)
     report.pop("timings", None)
     for key in ignore:
         _drop(report, key)
@@ -126,6 +137,7 @@ def diff(a: Path, b: Path, ignore) -> int:
     names = sorted({p.relative_to(a) for p in a.rglob("*") if p.is_file()}
                    | {p.relative_to(b) for p in b.rglob("*") if p.is_file()})
     differing, strings, worst, where = 0, 0, 0.0, None
+    totals_a, totals_b = dict.fromkeys(COUNTERS, 0), dict.fromkeys(COUNTERS, 0)
     for name in names:
         pa, pb = a / name, b / name
         if not (pa.is_file() and pb.is_file()):
@@ -133,7 +145,7 @@ def diff(a: Path, b: Path, ignore) -> int:
             differing += 1
             continue
         if name.name == "report.json":
-            ra, rb = _report(pa, ignore), _report(pb, ignore)
+            ra, rb = _report(pa, ignore, totals_a), _report(pb, ignore, totals_b)
             la, lb = _leaves(ra), _leaves(rb)
             if la != lb:
                 keys = sorted(k for k in la.keys() | lb.keys()
@@ -155,6 +167,8 @@ def diff(a: Path, b: Path, ignore) -> int:
             worst, where = drift, f"{name}: {key}"
     print(f"{len(names)} files, {differing} differ; largest drift "
           f"{worst:.3g}" + (f" at {where}" if where else ""))
+    print("probes integrator, A -> B: " + ", ".join(
+        f"{name} {totals_a[name]} -> {totals_b[name]}" for name in COUNTERS))
     print(f"{strings} string fields differ")
     return 1 if differing else 0
 
