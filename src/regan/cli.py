@@ -88,8 +88,8 @@ ANALYSES = ("validate", "moments", "probes", "criteria", "pde", "compare")
 
 NO_GUARANTEE = "no_guarantee"
 
-# size limits checked up front: past about 1075 dyadic windows e^-t
-# underflows to r = 0, the reduction check clamps t at 700, each halving
+# size limits checked up front: past t = 745 (about 1075 dyadic windows)
+# e^-t underflows to r = 0, so windows and t_max stay below it, each halving
 # of pde.h quadruples the unknowns (123,201 at h = 2^-8), and each s_grid
 # entry is one probes lane that holds all its samples (1.8 MB at t_max 700)
 MAX_WINDOWS = 1000
@@ -308,11 +308,9 @@ def _stage_moments(config, field, out_dir):
     radii = coeff.dyadic_radii(config.radius_count)
     path = out_dir / "moments.csv"
     moments.write_moment_csv(path, field, radii)
-    residuals = [moments.moment_matrix_residual(field, float(r))
-                 for r in radii[:10]]
     return {
         "csv": path.name,
-        "max_identity_residual": max(residuals),
+        "max_identity_residual": moments.moment_matrix_residual(field, radii[:10]),
         "identity_radii": [float(r) for r in radii[:10]],
     }
 
@@ -489,12 +487,6 @@ def _verdict_block(results: dict) -> dict:
             "probe_annotation": probe_note}
 
 
-STAGES = {
-    "validate": _stage_validate,
-    "moments": _stage_moments,
-}
-
-
 def run_pipeline(config: AnalysisConfig, out_dir) -> tuple[dict, int]:
     """Execute the configured analyses; write report.json and artifacts."""
     out_dir = Path(out_dir)
@@ -509,16 +501,18 @@ def run_pipeline(config: AnalysisConfig, out_dir) -> tuple[dict, int]:
     for name in ordered:
         start = time.perf_counter()
         try:
-            if name == "pde":
+            if name == "validate":
+                results[name] = _stage_validate(config, field, out_dir)
+            elif name == "moments":
+                results[name] = _stage_moments(config, field, out_dir)
+            elif name == "pde":
                 results[name], profiles = _stage_pde(config, field, out_dir)
             elif name == "compare":
                 results[name] = _stage_compare(config, tables["full"], *profiles)
             elif name == "probes":
                 results[name] = _stage_probes(config, tables, out_dir)
-            elif name == "criteria":
-                results[name] = _stage_criteria(config, tables["reduced"], out_dir)
             else:
-                results[name] = STAGES[name](config, field, out_dir)
+                results[name] = _stage_criteria(config, tables["reduced"], out_dir)
         except Exception as exc:  # noqa: BLE001 - report and stop
             results[name] = {"error": f"{type(exc).__name__}: {exc}"}
             timings[name] = time.perf_counter() - start

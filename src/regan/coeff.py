@@ -37,6 +37,23 @@ class ModulusOfContinuity:
     def __call__(self, r):
         return self.omega(np.minimum(np.asarray(r, dtype=float), 1.0))
 
+    def eps(self, ts) -> np.ndarray:
+        """eps(t) = omega(e^-t) at the times ts, one np.exp over them.
+
+        EvaluationError names the radius where omega raises or is not finite.
+        """
+        rs = np.exp(-np.asarray(ts, dtype=float))
+        try:
+            vals = np.asarray(self(rs), dtype=float)
+        except Exception as exc:  # noqa: BLE001 - rewrap with the radius
+            raise EvaluationError(f"modulus evaluation failed near r={rs.min():.6g}: {exc}") from exc
+        if vals.shape != rs.shape:
+            vals = np.broadcast_to(vals, rs.shape)
+        if not np.all(np.isfinite(vals)):
+            r_bad = float(rs[~np.isfinite(vals)][0])
+            raise EvaluationError(f"modulus not finite at r={r_bad:.6g}")
+        return vals
+
 
 @dataclass(frozen=True)
 class CoefficientField:
@@ -403,36 +420,18 @@ class ModulusClassification:
     square_dini: TailAnalysis
 
 
-def _guarded_eps(m: ModulusOfContinuity):
-    def f(ts):
-        rs = np.exp(-np.asarray(ts, dtype=float))
-        try:
-            vals = np.asarray(m(rs), dtype=float)
-        except Exception as exc:  # noqa: BLE001 - rewrap with the radius
-            raise EvaluationError(f"modulus evaluation failed near r={rs.min():.6g}: {exc}") from exc
-        if vals.shape != rs.shape:
-            vals = np.broadcast_to(vals, rs.shape)
-        if not np.all(np.isfinite(vals)):
-            r_bad = float(rs[~np.isfinite(vals)][0])
-            raise EvaluationError(f"modulus not finite at r={r_bad:.6g}")
-        return vals
-
-    return f
-
-
 def classify_modulus(m: ModulusOfContinuity, tol: float,
                      n_windows: int = 60) -> ModulusClassification:
     """Dyadic-window verdicts for integral(omega/r) and integral(omega^2/r).
 
     In t = -log r both integrals become plain integrals of eps(t) and
-    eps(t)^2 over uniform windows; tails are extrapolated per
-    `tails.analyze_sums` (heuristic, three-valued).
+    eps(t)^2 (`ModulusOfContinuity.eps`) over uniform windows; tails are
+    extrapolated per `tails.analyze_sums` (heuristic, three-valued).
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    eps = _guarded_eps(m)
-    s1 = tails.dyadic_window_sums(eps, n_windows)
-    s2 = tails.dyadic_window_sums(lambda t: eps(t) ** 2, n_windows)
+    s1 = tails.dyadic_window_sums(m.eps, n_windows)
+    s2 = tails.dyadic_window_sums(lambda t: m.eps(t) ** 2, n_windows)
     return ModulusClassification(tails.analyze_sums(s1, tol),
                                  tails.analyze_sums(s2, tol))
 

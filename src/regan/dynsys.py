@@ -16,9 +16,10 @@ one batched moments call and one stacked assembly on the radii of ts, and
 `matrix` is the one-row case of `matrices`, except on `ReducedSystem`,
 where a radius read alone goes through `moment_vector`.  The neutral 4x4
 block of the conjugated 8x8 system, on which the stability statements are
-made, is a view (`ReducedBlockSystem`).  For a field that is the same at
-every point, whose M is the same at every t, `ConstantFieldSystem`
-evaluates one block table and hands its M to every radius.
+made, is a view that reads `matrices` only (`ReducedBlockSystem(full)`).
+For a field that is the same at every point, whose M is the same at every
+t, `ConstantFieldSystem` evaluates one block table and hands its M to
+every radius.
 
 A `DriftTable` is the view of a radial system that the pipeline's stages
 read: it holds the exact matrix at the 32 Gauss-Legendre nodes of each
@@ -278,9 +279,6 @@ class FullSystem(_RadialSystem):
         _, eff = self._assembled(_map_tables(lambda v: np.asarray(v)[None], bt))
         return tuple(block[0] for block in eff)
 
-    def reduced_block_system(self) -> ReducedBlockSystem:
-        return ReducedBlockSystem(self)
-
 
 class ConstantFieldSystem(FullSystem):
     """The 8x8 system of a field that is the same at every point, such as the
@@ -311,17 +309,13 @@ class ReducedBlockSystem:
 
     A view with nothing of its own: `matrices(ts)` conjugates the stack
     `full.matrices(ts)`, so the view and the 8x8 system share one batch per
-    call and one `work` ledger; `matrix(t)` is the one-row case of
-    `matrices`.
+    call and one `work` ledger.  It reads `matrices` only.
     """
 
     dim = 4
 
     def __init__(self, full):
         self.full = full
-
-    def matrix(self, t: float) -> np.ndarray:
-        return self.matrices([t])[0]
 
     def matrices(self, ts) -> np.ndarray:
         return _conjugate(self.full.matrices(ts))[:, :4, :4]
@@ -887,18 +881,17 @@ def reduction_deviation(full: FullSystem, reduced: ReducedSystem,
 
     The gap between the conjugated top block of the exact system and the
     moment drift matrix should stay a bounded multiple of eps^2; the
-    measured bound is recorded, not asserted a priori.  Where eps(t)^2 is
-    0 (a constant field) the ratio is undefined: it is recorded as None,
-    `eps_zero` is set, and max_ratio and tail_slope use the defined ratios
-    (None when there are none, or fewer than three in the later half).
+    measured bound is recorded, not asserted a priori.  eps is
+    `ModulusOfContinuity.eps`, so a modulus that is not finite on ts raises
+    EvaluationError naming the radius.  Where eps(t)^2 is 0 (a constant
+    field) the ratio is undefined: it is recorded as None, `eps_zero` is
+    set, and max_ratio and tail_slope use the defined ratios (None when
+    there are none, or fewer than three in the later half).
     """
     ts = np.asarray(list(ts), dtype=float)
-    gaps = full.reduced_block_system().matrices(ts) - reduced.matrices(ts)
+    epss = full.field.modulus.eps(ts)
+    gaps = ReducedBlockSystem(full).matrices(ts) - reduced.matrices(ts)
     devs = np.max(np.abs(gaps), axis=(1, 2))
-    # the scalar exp of each t: np.exp differs from math.exp in the last bit
-    # for some t, and that would move the ratios
-    epss = np.array([float(full.field.modulus(math.exp(-min(t, 700.0))))
-                     for t in ts])
     defined = epss**2 > 0.0
     ratio = np.full(len(ts), math.nan)
     ratio[defined] = devs[defined] / epss[defined]**2

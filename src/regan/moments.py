@@ -28,7 +28,8 @@ moments and of the block tables: radii go through the node levels in
 groups of at most `_CHUNK_POINTS` points, and only the radii that have not
 converged go on to the next level.  Each radius gets the node count and,
 bit for bit, the values it gets when evaluated alone; `moment_vector` and
-`block_table` are the one-radius cases.
+`block_table` are the one-radius cases.  `moment_matrix_residual` checks
+the identity between the two reducers over a batch of radii.
 
 All operations here are pure functions of immutable inputs and safe to
 evaluate concurrently over radius grids.
@@ -54,9 +55,6 @@ class QuadratureSettings:
 
 
 DEFAULT_QUADRATURE = QuadratureSettings()
-
-# positions that are identically zero in the assembled 4x4 moment matrix
-MOMENT_MATRIX_ZEROS = ((0, 1), (1, 2), (2, 1), (3, 2))
 
 # coefficient points per group of radii at one node level: a group never
 # holds a larger grid than one radius at the default node cap
@@ -445,17 +443,19 @@ def block_tables(field: CoefficientField, radii,
     return BlockTable(radii, *tabs), capped
 
 
-def moment_matrix_residual(field: CoefficientField, r: float,
+def moment_matrix_residual(field: CoefficientField, radii,
                            quad: QuadratureSettings = DEFAULT_QUADRATURE) -> float:
-    """Max-entry residual between the assembled moment matrix and plain - 2*theta2_col.
+    """Max-entry residual between the assembled moment matrix and plain - 2*theta2_col,
+    the largest over radii (one radius or several), from one batch.
 
     The two sides are algebraically identical, so the residual is pure
     quadrature error; it cross-checks two independent computation paths.
+    Each radius's tables are, bit for bit, those it gets alone, so the
+    batch reads the largest of the one-radius residuals.
     """
-    m6, tabs = _converged_tables(field, _radius_array(r)[0], quad)
-    R = moment_matrices(m6)
+    (m6, *tabs), _ = _stacked_tables(field, _radius_array(radii), quad)
     theta2_col, plain = tabs[5], tabs[7]
-    return float(np.max(np.abs(R - (plain - 2.0 * theta2_col))))
+    return float(np.max(np.abs(moment_matrices(m6) - (plain - 2.0 * theta2_col))))
 
 
 def write_moment_csv(path, field: CoefficientField, radii,

@@ -81,16 +81,10 @@ def _gauss_legendre_sums(f, bounds) -> np.ndarray:
                      for half, row in zip(halves.tolist(), rows)])
 
 
-def window_integral(f, a: float, b: float) -> float:
-    """Gauss-Legendre integral of a vectorized integrand over [a, b]: the
-    one-window case of `dyadic_window_sums`."""
-    return float(_gauss_legendre_sums(f, [(a, b)])[0])
-
-
 def dyadic_window_sums(f, n_windows: int) -> np.ndarray:
     """Integrals of f(t) over the t-windows [k log2, (k+1) log2], k=0..n-1,
     from one call of f on the (n_windows x 32) Gauss-Legendre node grid;
-    each window's integral is bit for bit its `window_integral`."""
+    each window's integral is bit for bit that of the window alone."""
     return _gauss_legendre_sums(
         f, [(k * LN2, (k + 1) * LN2) for k in range(n_windows)])
 

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -78,3 +79,58 @@ def test_a_set_records_each_sides_quartiles_wins_and_meta(tmp_path):
     bench_pairs.append_set(path, entry)
     bench_pairs.append_set(path, entry)
     assert json.loads(path.read_text()) == {"sets": [entry, entry]}
+
+
+def _git(repo, *args):
+    subprocess.run(["git", "-c", "user.name=bench", "-c", "user.email=bench@localhost",
+                    *args], cwd=repo, check=True, capture_output=True)
+
+
+@pytest.fixture
+def repo(tmp_path):
+    """A repository of two commits whose `BENCHMARK.json` declares one metric,
+    with an untracked file and an uncommitted edit in its working tree."""
+    root = tmp_path / "repo"
+    (root / "bench").mkdir(parents=True)
+    _git(root, "init", "-q")
+    (root / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        {"name": "wall_s", "unit": "s", "better": "lower"}]}))
+    (root / "bench" / "side.txt").write_text("parent\n")
+    _git(root, "add", "-A")
+    _git(root, "commit", "-q", "-m", "parent")
+    (root / "bench" / "side.txt").write_text("change\n")
+    _git(root, "commit", "-q", "-am", "change")
+    (root / "bench" / "side.txt").write_text("working tree\n")
+    (root / ".bench_work").mkdir()
+    return root
+
+
+def test_archive_copies_the_tracked_files_of_a_revision(repo, tmp_path):
+    old = bench_pairs.archive(repo, "HEAD~1", tmp_path / "copies" / "parent")
+    new = bench_pairs.archive(repo, "HEAD", tmp_path / "copies" / "change")
+    assert (old / "bench" / "side.txt").read_text() == "parent\n"
+    assert (new / "bench" / "side.txt").read_text() == "change\n"
+    # neither the repository nor what its working tree holds beside it
+    for copy in (old, new):
+        assert sorted(p.name for p in copy.iterdir()) == ["BENCHMARK.json", "bench"]
+
+
+def test_both_sides_run_from_copies_in_one_directory_removed_at_the_end(
+        repo, monkeypatch, capsys):
+    seen = []
+
+    def run_bench(checkout, workload, seed):
+        seen.append((checkout, (checkout / "bench" / "side.txt").read_text()))
+        return {"wall_s": 2.0 if "change" in seen[-1][1] else 3.0}, {"seed": seed}
+
+    monkeypatch.setattr(bench_pairs, "ROOT", repo)
+    monkeypatch.setattr(bench_pairs, "run_bench", run_bench)
+    assert bench_pairs.main(["HEAD~1", "HEAD", "--workload", "full_compare",
+                             "--seed", "1", "--pairs", "2"]) == 0
+    # alternating sides, each from its own revision's copy
+    assert [text for _, text in seen] == ["parent\n", "change\n", "change\n", "parent\n"]
+    parent, change = seen[0][0], seen[1][0]
+    assert parent.parent == change.parent != repo
+    assert {checkout for checkout, _ in seen} == {parent, change}
+    assert not parent.parent.exists()
+    assert "change wins 2/2" in capsys.readouterr().out

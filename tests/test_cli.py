@@ -173,6 +173,23 @@ def test_pde_pipeline_never_imports_scipy_fft():
     assert json.loads(_last_line_of_fresh_process(script)) == [0, False, False]
 
 
+def test_importing_the_package_loads_none_of_its_modules():
+    # the package re-exports nothing, so `import regan` compiles no module;
+    # each caller imports the modules it uses by name
+    script = (
+        "import json, sys, tempfile\n"
+        "import regan\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('regan.'))\n"
+        "from regan import cli\n"
+        "config = cli.validate_config({'schema': 1, 'family': {'family': 'constant'},"
+        " 'analyses': ['validate', 'moments']})\n"
+        "with tempfile.TemporaryDirectory() as out:\n"
+        "    report, code = cli.run_pipeline(config, out)\n"
+        "print(json.dumps([loaded, code, sorted(report['results'])]))\n")
+    assert json.loads(_last_line_of_fresh_process(script)) == [
+        [], 0, ["moments", "validate"]]
+
+
 def test_validating_a_config_never_imports_scipy_sparse():
     # no module of regan imports scipy.sparse; in the benchmark's child
     # process that import alone raised the RSS from 33.1 to 60.8 MB
@@ -717,6 +734,28 @@ def test_main_exits_0_2_or_3_on_any_config_bytes(data):
         code, err = _main_on_bytes(Path(tmp), data)
     assert code in (0, 2, 3)
     assert "Traceback" not in err
+
+
+def test_modulus_not_finite_in_the_reduction_grid_exits_3_with_one_line(
+        tmp_path, monkeypatch, capsys):
+    # dini_power with its modulus NaN below r = 1e-5: the probes stage's
+    # reduction check reads eps(t) through ModulusOfContinuity.eps, as the
+    # validate stage does, and names the radius instead of reading eps = 0
+    field = family_from_descriptor(builtin_families()["dini_power"])
+    omega = field.modulus.omega
+    field = dataclasses.replace(field, modulus=dataclasses.replace(
+        field.modulus, omega=lambda r: np.where(r < 1e-5, np.nan, omega(r))))
+    config = validate_config(minimal_config(
+        family=builtin_families()["dini_power"], analyses=["probes"],
+        probes={"s_grid": [0.0, 1.0], "t_max": 30.0}))
+    monkeypatch.setattr(coeff, "family_from_descriptor", lambda desc: field)
+    report, code = run_pipeline(config, tmp_path)
+    assert code == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    r_bad = f"{math.exp(-12.0):.6g}"   # t = 12, the first grid time past 11.5
+    assert err == [f"stage probes failed: modulus not finite at r={r_bad}"]
+    assert report["results"]["probes"] == {
+        "error": f"EvaluationError: modulus not finite at r={r_bad}"}
 
 
 def test_failed_probes_stage_exits_3_with_report(tmp_path):

@@ -266,7 +266,7 @@ def test_stacked_spectral_norms_are_bitwise_the_per_matrix_loop(desc):
     field = family_from_descriptor(desc)
     lanes = dynsys.stability_lanes([0.0, 5.0], 10.0)
     for system in (ReducedSystem(field),
-                   dynsys.FullSystem(field).reduced_block_system()):
+                   dynsys.ReducedBlockSystem(dynsys.FullSystem(field))):
         results, _ = dynsys.propagate_lanes(system, lanes)
         for phis, _ in results:
             assert np.array_equal(np.linalg.norm(phis, 2, axis=(1, 2)),

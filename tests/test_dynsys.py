@@ -7,9 +7,9 @@ import pytest
 from scipy.integrate import quad
 from scipy.linalg import expm
 
-from regan.coeff import (CoefficientField, builtin_families, constant_laplacian,
-                         family_from_descriptor, make_harmonic_family,
-                         make_radial_family, make_trig_field,
+from regan.coeff import (CoefficientField, builtin_families, classify_modulus,
+                         constant_laplacian, family_from_descriptor,
+                         make_harmonic_family, make_radial_family, make_trig_field,
                          profile_log_inverse, profile_log_oscillatory,
                          profile_power)
 from regan import dynsys, tails
@@ -97,14 +97,14 @@ def test_exact_matrices_are_one_batch_on_the_radii_of_ts(monkeypatch, system_cls
 def test_block_view_matrices_bitwise_equal_per_t(field):
     ts = np.concatenate([np.linspace(0.0, 30.0, 97), [-0.5, 12.0]])
     full = FullSystem(field)
-    view = full.reduced_block_system()
+    view = dynsys.ReducedBlockSystem(full)
     stack = view.matrices(ts)
     # every radius alone, as a batch of one
     pointwise = FullSystem(field)
-    single = pointwise.reduced_block_system()
+    single = dynsys.ReducedBlockSystem(pointwise)
     assert stack.shape == (len(ts), 4, 4)
-    assert np.array_equal(stack, np.array([single.matrix(t) for t in ts]))
-    assert all(np.array_equal(view.matrix(t), single.matrix(t)) for t in ts)
+    assert np.array_equal(stack, np.array([single.matrices([t])[0] for t in ts]))
+    assert all(np.array_equal(view.matrices([t]), single.matrices([t])) for t in ts)
     assert np.array_equal(full.matrices(ts),
                           np.array([pointwise.matrix(t) for t in ts]))
     for t in ts[::12]:
@@ -147,7 +147,7 @@ def test_reduced_system_counts_cap_hits():
     # the 8x8 system counts its cap hits too, its block view in its ledger
     full = FullSystem(chirp, QuadratureSettings(32, 64, 1e-13))
     full.matrices([0.0, math.log(2.0), 10.0])
-    full.reduced_block_system().matrix(0.1)
+    dynsys.ReducedBlockSystem(full).matrices([0.1])
     assert full.work == {"radii": 4, "cap_hits": 3}
 
 
@@ -202,11 +202,11 @@ def test_unresolved_windows_are_read_by_the_exact_system():
 
 def test_full_system_constant_field_matches_limit():
     sys = FullSystem(constant_laplacian())
-    view = sys.reduced_block_system()
+    view = dynsys.ReducedBlockSystem(sys)
     for t in (0.0, 4.0, 18.0):
         assert np.allclose(sys.matrix(t), M_INF, atol=1e-13)
         assert np.max(np.abs(dynsys._conjugate(sys.matrix(t)))) <= 1e-13
-        assert np.max(np.abs(view.matrix(t))) <= 1e-13
+        assert np.max(np.abs(view.matrices([t]))) <= 1e-13
 
 
 def test_constant_field_gives_one_drift_matrix_at_every_t():
@@ -334,6 +334,31 @@ def test_reduction_deviation_flags_zero_eps():
     assert table["max_ratio"] == max(table["ratio"])
 
 
+def _nan_below(field, r_min=1e-5):
+    """field with its modulus NaN below r_min."""
+    omega = field.modulus.omega
+    return dataclasses.replace(field, modulus=dataclasses.replace(
+        field.modulus, omega=lambda r: np.where(r < r_min, np.nan, omega(r))))
+
+
+def test_reduction_deviation_names_the_radius_where_the_modulus_is_not_finite():
+    # this modulus once read as eps = 0 here, `eps_zero` with 19 of 30 ratios
+    # None, while the validate stage's classify_modulus refused it; both read
+    # eps through ModulusOfContinuity.eps now and refuse it alike
+    field = _nan_below(family_from_descriptor(builtin_families()["dini_power"]))
+    ts = np.linspace(1.0, 30.0, 30)
+    # t = 12 is the first grid time past -log(1e-5) = 11.5
+    with pytest.raises(tails.EvaluationError,
+                       match=rf"^modulus not finite at r={math.exp(-12.0):.6g}$"):
+        reduction_deviation(FullSystem(field), ReducedSystem(field), ts)
+    with pytest.raises(tails.EvaluationError, match="^modulus not finite at r="):
+        classify_modulus(field.modulus, tol=0.05)
+    # above r = 1e-5 the modulus is dini_power's, bit for bit
+    assert np.array_equal(field.modulus.eps(ts[:11]),
+                          family_from_descriptor(builtin_families()["dini_power"])
+                          .modulus.eps(ts[:11]))
+
+
 # ---------------------------------------------------------------------------
 # propagation
 # ---------------------------------------------------------------------------
@@ -370,7 +395,7 @@ def _probes_stage_lanes(s_grid, t_max, thin):
 
 @pytest.mark.parametrize("make_system, t_max", [
     (ReducedSystem, 6.0),
-    (lambda field: FullSystem(field).reduced_block_system(), 6.0),
+    (lambda field: dynsys.ReducedBlockSystem(FullSystem(field)), 6.0),
     (FullSystem, 1.2)], ids=["reduced", "block", "full"])
 @pytest.mark.parametrize("field", [
     make_harmonic_family("a", profile_log_oscillatory(0.4, 1.0), 2),
@@ -379,8 +404,8 @@ def test_stage_batches_leave_propagation_bitwise_unchanged(field, make_system, t
     # the planned and prefetched lanes against a MatrixSystem, which
     # prefetches nothing and evaluates every stage alone through `matrix`,
     # at the same times
-    batched = make_system(field)
-    pointwise = MatrixSystem(batched.dim, make_system(field).matrix)
+    batched, alone = make_system(field), make_system(field)
+    pointwise = MatrixSystem(batched.dim, lambda t: alone.matrices([t])[0])
     lanes = _probes_stage_lanes(np.linspace(0.0, t_max / 3.0, 5), t_max, thin=5)
     got, work = propagate_lanes(batched, lanes, rtol=1e-10)
     want, want_work = propagate_lanes(pointwise, lanes, rtol=1e-10)
@@ -448,7 +473,7 @@ def _serial_propagation(system, s, t_eval, rtol):
     direction = 1.0 if ts[-1] >= s else -1.0
     Y = np.eye(d)
     t = s
-    k1 = -system.matrix(t) @ Y
+    k1 = -system.matrices([t])[0] @ Y
     span = max(abs(ts[-1] - s), 1e-6)
     h = min(0.05, span) * direction
     err_total = 0.0
@@ -551,7 +576,7 @@ _MIXED_SYSTEMS = pytest.mark.parametrize("make_system, span", [
     (lambda: second_harmonic_system(harmonic_decay(1.0)), 12.0),
     (lambda: ReducedSystem(make_harmonic_family(
         "a", profile_log_oscillatory(0.4, 1.0), 2)), 12.0),
-    (lambda: FullSystem(make_trig_field(2)).reduced_block_system(), 12.0),
+    (lambda: dynsys.ReducedBlockSystem(FullSystem(make_trig_field(2))), 12.0),
     (lambda: FullSystem(make_trig_field(2)), 2.0),
 ], ids=["second_harmonic", "oscillatory_log", "trig_random-2_block",
         "trig_random-2_8x8"])
@@ -768,9 +793,9 @@ def test_trig_random_lanes_match_the_matrix_exponential(seed):
     # lanes read 1e-15 relative to it at t <= 10
     field = make_trig_field(seed)
     lanes = stability_lanes([0.0, 2.0, 5.0], 10.0)
-    for system in (ReducedSystem(field), FullSystem(field).reduced_block_system()):
+    for system in (ReducedSystem(field), dynsys.ReducedBlockSystem(FullSystem(field))):
         results, _ = propagate_lanes(system, lanes, rtol=1e-10)
-        K = system.matrix(5.0)
+        K = system.matrices([5.0])[0]
         exact = [(np.array([expm(-K * (t - s)) for t in ts]), 0.0) for s, ts in lanes]
         for (phis, _), (want, _) in zip(results, exact):
             gap = np.max(np.abs(phis - want), axis=(1, 2))
@@ -846,7 +871,7 @@ def test_probe_field_backed_families():
 def test_probe_full_system_reduced_block():
     # the raw 8x8 system has a genuine exp(+2t) branch; stability semantics
     # live on the conjugated neutral block
-    sys = FullSystem(constant_laplacian()).reduced_block_system()
+    sys = dynsys.ReducedBlockSystem(FullSystem(constant_laplacian()))
     stab = uniform_stability_probe(sys, [0.0, 2.0], 12.0)
     assert stab.uniform_stability == STABLE
     const = asymptotic_constancy_probe(sys, 0.5, 12.0)

@@ -11,11 +11,10 @@ from regan.coeff import (CoefficientField, builtin_families, constant_laplacian,
                          family_from_descriptor, make_harmonic_family,
                          make_radial_family, make_trig_field,
                          profile_log_inverse, profile_power)
-from regan.moments import (DEFAULT_QUADRATURE, MOMENT_MATRIX_ZEROS,
-                           MOMENT_POSITIONS, MomentVector, QuadratureSettings,
-                           block_table, block_tables, moment_matrices,
-                           moment_matrix, moment_matrix_residual, moment_vector,
-                           moment_vectors, write_moment_csv)
+from regan.moments import (DEFAULT_QUADRATURE, MOMENT_POSITIONS, MomentVector,
+                           QuadratureSettings, block_table, block_tables,
+                           moment_matrices, moment_matrix, moment_matrix_residual,
+                           moment_vector, moment_vectors, write_moment_csv)
 from regan.tails import EvaluationError
 
 
@@ -82,9 +81,11 @@ def test_moment_matrix_single_column():
 
 
 def test_structural_zeros_always_hold():
+    # positions that are identically zero in the assembled 4x4 moment matrix
+    zeros = ((0, 1), (1, 2), (2, 1), (3, 2))
     for seed in range(10):
         R = moment_matrix(moment_vector(make_trig_field(seed), 0.7))
-        for i, j in MOMENT_MATRIX_ZEROS:
+        for i, j in zeros:
             assert R[i, j] == 0.0
 
 
@@ -443,6 +444,23 @@ def test_identity_residual_checks_the_radius():
     for bad in (1.5, 0.0, -0.5, math.nan):
         with pytest.raises(ValueError, match=r"radius must lie in \(0, 1\]"):
             moment_matrix_residual(field, bad)
+        with pytest.raises(ValueError, match=r"radius must lie in \(0, 1\]"):
+            moment_matrix_residual(field, [0.5, bad])
+
+
+@pytest.mark.parametrize("field", [
+    *(family_from_descriptor(d) for d in builtin_families().values()),
+    *(make_trig_field(seed) for seed in range(8))], ids=lambda f: f.label)
+def test_identity_residual_of_a_batch_is_the_largest_of_its_radii(field, monkeypatch):
+    # the moments stage's check: its first 10 dyadic radii in one batch
+    radii = coeff.dyadic_radii(10)
+    alone = [moment_matrix_residual(field, float(r)) for r in radii]
+    batches = []
+    stacked = moments._stacked_tables
+    monkeypatch.setattr(moments, "_stacked_tables", lambda field, radii, quad: (
+        batches.append(radii.size) or stacked(field, radii, quad)))
+    assert moment_matrix_residual(field, radii) == max(alone)
+    assert batches == [10]
 
 
 def test_moment_csv_format(tmp_path):

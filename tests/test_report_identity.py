@@ -127,3 +127,32 @@ def test_each_side_sums_its_probes_integrator_counters(tmp_path, parent, capsys)
     assert _diff(parent, _tree(tmp_path / "c")) == 0
     assert ("probes integrator, A -> B: rounds 0 -> 0, accepted 0 -> 0, "
             "rejected 0 -> 0, discarded 0 -> 0" in capsys.readouterr().out)
+
+
+def test_each_side_sums_every_stages_moments_work(tmp_path, parent, capsys):
+    # summed over the probes, criteria and compare stages of every report,
+    # also where the counters are ignored in the comparison
+    def worked(probes_radii, unresolved):
+        report = json.loads(json.dumps(REPORT))
+        report["results"]["probes"]["moments_work"] = {
+            "radii": probes_radii, "cap_hits": 1, "windows": 44,
+            "unresolved_windows": unresolved}
+        report["results"]["criteria"] = {"moments_work": {
+            "radii": 3992, "cap_hits": 0, "windows": 120, "unresolved_windows": 0}}
+        report["results"]["compare"] = {"error": "EvaluationError: no work"}
+        return report
+
+    a = _tree(tmp_path / "a2", report=worked(1483, 0))
+    shutil.copytree(a / "pde_fine__constant__pde", a / "full_compare__constant__full")
+    b = _tree(tmp_path / "b", report=worked(1513, 2))
+    shutil.copytree(b / "pde_fine__constant__pde", b / "full_compare__constant__full")
+    assert _diff(a, b, "results.probes.moments_work") == 0
+    out = capsys.readouterr().out
+    assert ("moments_work, A -> B: radii 10950 -> 11010, cap_hits 2 -> 2, "
+            "windows 328 -> 328, unresolved_windows 0 -> 4" in out)
+    # the integrator line comes first, each on its own line
+    assert out.index("probes integrator, A -> B") < out.index("moments_work, A -> B")
+    # a report without moments_work adds nothing
+    assert _diff(parent, _tree(tmp_path / "c")) == 0
+    assert ("moments_work, A -> B: radii 0 -> 0, cap_hits 0 -> 0, windows 0 -> 0, "
+            "unresolved_windows 0 -> 0" in capsys.readouterr().out)

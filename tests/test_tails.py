@@ -10,8 +10,7 @@ from regan import tails
 from regan.tails import (CONVERGED, DIVERGED, FAILS, HOLDS, INCONCLUSIVE, LN2,
                          analyze_sums, bounded_oscillation_verdict,
                          dyadic_window_sums, extended_lower_verdict,
-                         group_sums, lower_bound_verdict, prefix_from_sums,
-                         window_integral)
+                         group_sums, lower_bound_verdict, prefix_from_sums)
 
 
 def power_window_sums(alpha, n=60):
@@ -20,13 +19,19 @@ def power_window_sums(alpha, n=60):
     return (2.0 ** (-k * alpha) - 2.0 ** (-(k + 1) * alpha)) / alpha
 
 
+def _window_integral(f, a, b):
+    """The Gauss-Legendre integral of f over the one window [a, b]."""
+    return float(tails._gauss_legendre_sums(f, [(a, b)])[0])
+
+
 def test_window_integral_exact_on_polynomials():
-    assert window_integral(lambda t: 3.0 * t**2, 0.0, 2.0) == pytest.approx(8.0, abs=1e-12)
+    assert (_window_integral(lambda t: 3.0 * t**2, 0.0, 2.0)
+            == pytest.approx(8.0, abs=1e-12))
 
 
 def test_window_integral_rejects_nonfinite():
     with pytest.raises(tails.EvaluationError, match="radius"):
-        window_integral(lambda t: np.where(t > 0.5, np.inf, 1.0), 0.0, 1.0)
+        _window_integral(lambda t: np.where(t > 0.5, np.inf, 1.0), 0.0, 1.0)
 
 
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0])
@@ -118,10 +123,10 @@ def _window_integral_alone(f, a, b):
 
 
 def _modulus_integrands():
-    from regan.coeff import _guarded_eps, builtin_families, family_from_descriptor
+    from regan.coeff import builtin_families, family_from_descriptor
 
     for name, desc in builtin_families().items():
-        eps = _guarded_eps(family_from_descriptor(desc).modulus)
+        eps = family_from_descriptor(desc).modulus.eps
         yield name, eps
         yield name + "^2", lambda t, eps=eps: eps(t) ** 2
 
@@ -137,7 +142,7 @@ def test_dyadic_window_sums_are_one_call_and_bitwise_the_window_loop(name, f):
     assert calls == [(120 * 32,)]
     loop = [_window_integral_alone(f, k * LN2, (k + 1) * LN2) for k in range(120)]
     assert np.array_equal(sums, loop)
-    assert window_integral(f, 2.0, 3.5) == _window_integral_alone(f, 2.0, 3.5)
+    assert _window_integral(f, 2.0, 3.5) == _window_integral_alone(f, 2.0, 3.5)
 
 
 def test_dyadic_window_sums_name_the_first_non_finite_node():

@@ -3,10 +3,14 @@
     python3 tools/bench_pairs.py PARENT CHANGE --workload W --seed S --pairs N
                                  [--json PATH]
 
-PARENT and CHANGE are two checkouts of the repository.  Each pair runs
-`bench/run.py --workload W --seed S --seconds 20 --trace 0` once in each
-checkout, from its root and with its own `bench/`; the parent goes first in
-odd pairs, the change in even ones.  Each run's end-to-end metrics are
+PARENT and CHANGE are two git revisions of this repository.  The tool
+copies each with `git archive` into one temporary directory, which it
+removes at the end, so that both sides run from copies made the same way
+and in the same place: the same files read `full_compare` `peak_rss_mb`
+1% higher when one side ran from the repository's working tree.  Each pair
+runs `bench/run.py --workload W --seed S --seconds 20 --trace 0` once in
+each copy, from its root and with its own `bench/`; the parent goes first
+in odd pairs, the change in even ones.  Each run's end-to-end metrics are
 printed as it ends.  Then, per end-to-end metric of `BENCHMARK.json`, the
 tool prints each side's median and quartiles, the pairs the change wins
 (judged by the metric's `better`; a tie counts for neither side) and
@@ -24,10 +28,13 @@ so a file holds every set run into it.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import statistics
 import subprocess
 import sys
+import tarfile
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -63,6 +70,17 @@ def summarize(parent: list, change: list, better: str) -> dict:
     return {"parent": p_q, "change": c_q, "wins": wins, "losses": losses,
             "pairs": len(parent),
             "gain": 10 * wins >= 9 * len(parent) and gap > p_q[2] - p_q[0]}
+
+
+def archive(repo: Path, revision: str, dest: Path) -> Path:
+    """dest, made to hold the files of revision in the git repository repo
+    (`git archive`: tracked files only, no `.git`)."""
+    tar = subprocess.run(["git", "archive", "--format=tar", revision], cwd=repo,
+                         stdout=subprocess.PIPE, check=True).stdout
+    dest.mkdir(parents=True)
+    with tarfile.open(fileobj=io.BytesIO(tar)) as files:
+        files.extractall(dest, filter="data")
+    return dest
 
 
 def run_bench(checkout: Path, workload: str, seed: int) -> tuple:
@@ -105,8 +123,8 @@ def append_set(path: Path, entry: dict) -> None:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("parent", type=Path)
-    parser.add_argument("change", type=Path)
+    parser.add_argument("parent", help="git revision of the parent")
+    parser.add_argument("change", help="git revision of the change")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, required=True)
@@ -117,14 +135,17 @@ def main(argv=None) -> int:
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     runs = {"parent": [], "change": []}
     metas = {}
-    for i in range(args.pairs):
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        for side in order:
-            got, meta = run_bench(getattr(args, side), args.workload, args.seed)
-            runs[side].append(got)
-            metas.setdefault(side, meta)
-            print(f"pair {i + 1} {side}: " + " ".join(
-                f"{m['name']}={got[m['name']]:.6g}" for m in metrics), flush=True)
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
+        copies = {side: archive(ROOT, getattr(args, side), Path(tmp) / side)
+                  for side in runs}
+        for i in range(args.pairs):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for side in order:
+                got, meta = run_bench(copies[side], args.workload, args.seed)
+                runs[side].append(got)
+                metas.setdefault(side, meta)
+                print(f"pair {i + 1} {side}: " + " ".join(
+                    f"{m['name']}={got[m['name']]:.6g}" for m in metrics), flush=True)
     for m in metrics:
         name = m["name"]
         s = summarize([r[name] for r in runs["parent"]],

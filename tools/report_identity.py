@@ -23,10 +23,12 @@ last line counts the string fields that differ apart: the leaves of the
 reports and the cells of the CSV tables that are not finite numbers on a
 side that has them (verdicts, flags, `decided_by` entries, nulls), so
 that a change that should move numbers only by rounding shows "0 string
-fields differ" next to its drift.  The line before it sums the probes
-stage's integrator counters (`results.probes.integrator`: rounds,
-accepted, rejected, discarded) over each side's reports, ignored or not,
-so that a change that must keep every step shows it on one line.
+fields differ" next to its drift.  The two lines before it sum, over each
+side's reports and whether ignored or not, the probes stage's integrator
+counters (`results.probes.integrator`: rounds, accepted, rejected,
+discarded) and every stage's evaluation work (`results.<stage>.moments_work`:
+radii, cap_hits, windows, unresolved_windows), so that a change that must
+keep every step or every evaluation shows it on one line each.
 """
 from __future__ import annotations
 
@@ -40,6 +42,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 _MISSING = object()
 COUNTERS = ("rounds", "accepted", "rejected", "discarded")
+WORK = ("radii", "cap_hits", "windows", "unresolved_windows")
 PINNED_THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                   "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 
@@ -96,13 +99,17 @@ def _drop(tree: dict, key: str) -> None:
 
 def _report(path: Path, ignore, totals: dict) -> dict:
     """The report at path without its timings and the ignored keys, after
-    adding its probes integrator counters to totals."""
+    adding its probes integrator counters and each stage's moments_work to
+    totals."""
     report = json.loads(path.read_text(encoding="utf-8"))
-    integrator = report
-    for part in ("results", "probes", "integrator"):
-        integrator = integrator.get(part) if isinstance(integrator, dict) else None
+    results = report.get("results") or {}
+    stages = [stage for stage in results.values() if isinstance(stage, dict)]
+    integrator = results.get("probes", {}).get("integrator") or {}
     for name in COUNTERS:
-        totals[name] += (integrator or {}).get(name, 0)
+        totals[name] += integrator.get(name, 0)
+    for name in WORK:
+        totals[name] += sum(stage.get("moments_work", {}).get(name, 0)
+                            for stage in stages)
     report.pop("timings", None)
     for key in ignore:
         _drop(report, key)
@@ -137,7 +144,7 @@ def diff(a: Path, b: Path, ignore) -> int:
     names = sorted({p.relative_to(a) for p in a.rglob("*") if p.is_file()}
                    | {p.relative_to(b) for p in b.rglob("*") if p.is_file()})
     differing, strings, worst, where = 0, 0, 0.0, None
-    totals_a, totals_b = dict.fromkeys(COUNTERS, 0), dict.fromkeys(COUNTERS, 0)
+    totals_a, totals_b = (dict.fromkeys(COUNTERS + WORK, 0) for _ in "ab")
     for name in names:
         pa, pb = a / name, b / name
         if not (pa.is_file() and pb.is_file()):
@@ -167,8 +174,9 @@ def diff(a: Path, b: Path, ignore) -> int:
             worst, where = drift, f"{name}: {key}"
     print(f"{len(names)} files, {differing} differ; largest drift "
           f"{worst:.3g}" + (f" at {where}" if where else ""))
-    print("probes integrator, A -> B: " + ", ".join(
-        f"{name} {totals_a[name]} -> {totals_b[name]}" for name in COUNTERS))
+    for label, keys in (("probes integrator", COUNTERS), ("moments_work", WORK)):
+        print(f"{label}, A -> B: " + ", ".join(
+            f"{key} {totals_a[key]} -> {totals_b[key]}" for key in keys))
     print(f"{strings} string fields differ")
     return 1 if differing else 0
 
