@@ -68,7 +68,10 @@ GMRES `iterations` and its `residual_history` (see
 
 The report's `verdict` block holds the `headline`, `decided_by` (the ids of
 the criteria whose `implied_conclusion` is the headline, empty for
-no_guarantee) and the `probe_annotation`.
+no_guarantee) and the `probe_annotation`.  A field that fails a validate
+stage that ran is outside the paper's hypotheses, whatever the criteria
+read: its headline is no_guarantee, `decided_by` is ["validation_failed"]
+instead, and the annotation notes no criterion gap.
 """
 from __future__ import annotations
 
@@ -467,19 +470,22 @@ def _stage_compare(config, system, prof, prof_control):
 
 
 def _verdict_block(results: dict) -> dict:
-    """Headline, the criteria that imply it and probe note; a stage whose
-    entry is an error adds nothing."""
+    """Headline, the criteria that imply it and probe note (see the module
+    docstring); a stage whose entry is an error adds nothing."""
     found = results.get("criteria", {})
     mapped = found.get("conclusion", criteria.NONE)
     conclusion = NO_GUARANTEE if mapped == criteria.NONE else mapped
     decided_by = [c["id"] for c in found.get("criteria", [])
                   if c["implied_conclusion"] == conclusion]
+    invalid = results.get("validate", {}).get("passes") is False
+    if invalid:
+        conclusion, decided_by = NO_GUARANTEE, ["validation_failed"]
     probe_note = None
     if "uniform_stability" in results.get("probes", {}):
         stab = results["probes"]["uniform_stability"]
         const = results["probes"]["asymptotic_constancy"]
         probe_note = f"probes: {stab} / {const}"
-        if conclusion == NO_GUARANTEE and stab == dynsys.STABLE:
+        if conclusion == NO_GUARANTEE and stab == dynsys.STABLE and not invalid:
             probe_note += " (criterion gap: probes suggest stability beyond the criteria)"
         if conclusion != NO_GUARANTEE and stab == dynsys.UNSTABLE:
             probe_note += " (criterion gap: probe instability contradicts a criterion)"

@@ -5,9 +5,10 @@ modulus of continuity bounding sup_{|x|=r} (|a-1| + |b| + |c-1|).  All
 evaluators are vectorized over numpy arrays and immutable after
 construction, so they are safe for concurrent read-only use.  Coefficients
 are extended by their unit-circle values for r > 1; only r <= 1 is ever
-analyzed.  Every layer evaluates a field through
-`CoefficientField.coefficients`; a `trig_random` field answers it with one
-pass for a, b and c, which shares the angle and each mode's cos and sin.
+analyzed.  A field holds one evaluator, which returns (a, b, c) from one
+call, and every layer evaluates it through `CoefficientField.coefficients`;
+a `trig_random` field's evaluator shares the angle and each mode's cos and
+sin among a, b and c.
 
 MAX_MODE bounds the mode n of a harmonic family and the degree of a
 `trig_random` field: the circle quadrature weighs the coefficients by theta
@@ -18,8 +19,8 @@ value (modes 60 to 68 do), and far past it a run chases the node cap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -57,48 +58,36 @@ class ModulusOfContinuity:
 
 @dataclass(frozen=True)
 class CoefficientField:
-    """Evaluators for a, b, c on the punctured unit disk plus declared bounds.
+    """The coefficients a, b, c on the punctured unit disk, plus declared bounds.
 
-    `coefficients(x, y)` is the one method through which every layer
-    evaluates a field.  A field whose three coefficients share their work
-    can also carry `_abc`, an evaluator of (a, b, c) in one pass, which
-    `coefficients` then calls in place of a, b and c; a, b and c stay its
-    one-name cases.  `_abc` is set after construction, not passed to it,
-    so a copy made by `dataclasses.replace` drops it and evaluates the a,
-    b and c it was given.
+    `abc(x, y)` takes float arrays x and y of one shape and returns the
+    three arrays (a, b, c) at those points from one call.  Every layer
+    evaluates a field through `coefficients(x, y)`, which calls it once.
     """
 
-    a: Callable
-    b: Callable
-    c: Callable
+    abc: Callable
     modulus: ModulusOfContinuity
     ellipticity_lower: float
     label: str = "field"
-    _abc: Optional[Callable] = dc_field(default=None, init=False, repr=False,
-                                        compare=False)
 
     def coefficients(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if self._abc is not None:
-            return self._abc(x, y)
-        return self.a(x, y), self.b(x, y), self.c(x, y)
+        return self.abc(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
 
 
 def _one(x, y):
-    return np.ones_like(np.asarray(x, dtype=float))
+    return np.ones_like(x)
 
 
 def _zero(x, y):
-    return np.zeros_like(np.asarray(x, dtype=float))
+    return np.zeros_like(x)
 
 
 def constant_laplacian() -> CoefficientField:
     """The unperturbed field a = c = 1, b = 0."""
     modulus = ModulusOfContinuity(lambda r: np.zeros_like(np.asarray(r, dtype=float)),
                                   label="zero")
-    return CoefficientField(_one, _zero, _one, modulus, ellipticity_lower=4.0,
-                            label="constant")
+    return CoefficientField(lambda x, y: (_one(x, y), _zero(x, y), _one(x, y)),
+                            modulus, ellipticity_lower=4.0, label="constant")
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +234,6 @@ def _profile_family(target: str, radial_profile: RadialProfile, mode: int,
     base = 0.0 if target == "b" else 1.0
 
     def perturbed(x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
         r = np.minimum(np.hypot(x, y), 1.0)
         if mode == 0:
             g = np.asarray(radial_profile.g(np.maximum(r, 1e-300)), dtype=float)
@@ -261,8 +248,8 @@ def _profile_family(target: str, radial_profile: RadialProfile, mode: int,
     )
     label = (f"radial({target}, {radial_profile.label})" if mode == 0
              else f"harmonic({target}, n={mode}, {radial_profile.label})")
-    return CoefficientField(evals["a"], evals["b"], evals["c"], modulus,
-                            ellipticity_lower=2.0, label=label)
+    return CoefficientField(lambda x, y: tuple(evals[k](x, y) for k in _TARGETS),
+                            modulus, ellipticity_lower=2.0, label=label)
 
 
 def make_harmonic_family(target: str, radial_profile: RadialProfile,
@@ -294,12 +281,11 @@ def make_trig_field(seed: int, degree: int = 6, amplitude: float = 0.2) -> Coeff
     families, so that a, c >= 1/2 and the declared ellipticity holds.  The
     degree must lie in [0, MAX_MODE].
 
-    `coefficients` evaluates the three sums in one pass: one arctan2, and
-    per mode n one cos(n phi) and one sin(n phi), which update each sum as
-    out + alpha_n cos + beta_n sin.  That is each sum's own expression in
-    its own order, so a, b and c are bit for bit what one pass per
-    coefficient gives; `field.a`, `field.b` and `field.c` are the one-sum
-    cases of the same pass.
+    The field's evaluator computes the three sums in one pass: one
+    arctan2, and per mode n one cos(n phi) and one sin(n phi), which update
+    each sum as out + alpha_n cos + beta_n sin.  That is each sum's own
+    expression in its own order, so a, b and c are bit for bit what one
+    pass per coefficient gives.
     """
     if not 0 <= degree <= MAX_MODE:
         raise ValueError(f"degree must lie in [0, {MAX_MODE}]")
@@ -314,32 +300,24 @@ def make_trig_field(seed: int, degree: int = 6, amplitude: float = 0.2) -> Coeff
         total = np.sum(np.abs(alpha)) + np.sum(np.abs(beta))
         coeffs[name] = (alpha * amplitude / total, beta * amplitude / total)
 
-    def evaluate(x, y, names=_TARGETS):
-        """The sums of `names` at (x, y), one array each, from one angle and
-        one cos, sin pair per mode."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
+    def evaluate(x, y):
+        """(a, b, c) at (x, y) from one angle and one cos, sin pair per mode."""
         phi = np.arctan2(y, x)
         outs = [np.full_like(phi, 0.0 if name == "b" else 1.0, dtype=float)
-                for name in names]
+                for name in _TARGETS]
         for n in range(degree + 1):
             cos, sin = np.cos(n * phi), np.sin(n * phi)
             outs = [out + coeffs[name][0][n] * cos + coeffs[name][1][n] * sin
-                    for out, name in zip(outs, names)]
+                    for out, name in zip(outs, _TARGETS)]
         return tuple(outs)
-
-    def one(name):
-        return lambda x, y: evaluate(x, y, (name,))[0]
 
     modulus = ModulusOfContinuity(
         lambda r: np.full_like(np.asarray(r, dtype=float), 3.0 * amplitude),
         label=f"const({3.0 * amplitude})",
     )
     lam = 4.0 * (1.0 - amplitude) ** 2 - amplitude**2
-    field = CoefficientField(one("a"), one("b"), one("c"), modulus,
-                             ellipticity_lower=lam, label=f"trig(seed={seed})")
-    object.__setattr__(field, "_abc", evaluate)
-    return field
+    return CoefficientField(evaluate, modulus, ellipticity_lower=lam,
+                            label=f"trig(seed={seed})")
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@ t = -log r:
 * the reduced 4x4 system  phi' + R(t) phi = 0  whose drift matrix collects
   the second-harmonic circle moments of the coefficients;
 * the exact 8x8 system in (V, U) obtained by eliminating the circle-mean
-  derivative from the radial balance equations, with constant part
-  M_inf = [[-I, 2I], [I/2, -I]] and remainder split M = M_inf + S1 + S2.
+  derivative from the radial balance equations, whose drift matrix M tends
+  to M_inf = [[-I, 2I], [I/2, -I]] as the oscillation of the coefficients
+  vanishes.
 
 Both are radial systems, exact at every radius r = min(1, e^-t): a
 system reads as `dim`, `matrix(t)` and `matrices(ts)`, where `matrices` is
@@ -58,8 +59,8 @@ import numpy as np
 
 from .coeff import CoefficientField
 from .moments import (DEFAULT_QUADRATURE, BlockTable, QuadratureSettings,
-                      block_table, block_tables, moment_matrices, moment_matrix,
-                      moment_vector, moment_vectors)
+                      block_table, block_tables, moment_matrices, moment_vector,
+                      moment_vectors)
 from .tails import _GL_NODES, _GL_WEIGHTS, INCONCLUSIVE, LN2, window_nodes
 
 STABLE = "stable"
@@ -146,7 +147,7 @@ class ReducedSystem(_RadialSystem):
     def matrix(self, t: float) -> np.ndarray:
         m = moment_vector(self.field, _radius(t), self.quad)
         self._count(m.capped)
-        return moment_matrix(m)
+        return moment_matrices(m.as_array())
 
 
 def second_harmonic_system(g_tilde: Callable[[float], float]) -> MatrixSystem:
@@ -179,7 +180,6 @@ def _join(tl, tr, bl, br) -> np.ndarray:
 
 
 _I4 = np.eye(4)
-M_INF = _join(-_I4, 2.0 * _I4, 0.5 * _I4, -_I4)
 J_BASIS = _join(2.0 * _I4, 2.0 * _I4, _I4, -_I4)
 J_BASIS_INV = _join(0.25 * _I4, 0.5 * _I4, 0.25 * _I4, -0.5 * _I4)
 _DIAG_LIMIT = np.diag([0.0] * 4 + [-2.0] * 4)
@@ -227,13 +227,12 @@ def _map_tables(fn, bt: BlockTable) -> BlockTable:
 class FullSystem(_RadialSystem):
     """Exact 8x8 first-order system in (V, U) after circle-mean elimination.
 
-    The elimination is carried out exactly, so the second-order remainder
-    S2 := M - M_inf - S1 is fully determined rather than an unspecified
-    O(eps^2) term.  All forcing from the higher-harmonic remainder field is
-    dropped: this is the homogeneous system the stability statements
-    condition on.  A batch of radii is one `block_tables` call and one
-    stacked `_assemble`.  The effective blocks, S1 and S2 are computed from
-    a fresh `block_table` when asked for.
+    The elimination is carried out exactly, so the remainder M - M_inf is
+    exact to every order in eps, with no unspecified O(eps^2) term.  All
+    forcing from the higher-harmonic remainder field is dropped: this is
+    the homogeneous system the stability statements condition on.  A batch of radii is one `block_tables` call and one
+    stacked `_assemble`.  The effective blocks are computed from a fresh
+    `block_table` when asked for.
     """
 
     dim = 8
@@ -261,18 +260,6 @@ class FullSystem(_RadialSystem):
     def matrix(self, t: float) -> np.ndarray:
         return self.matrices([t])[0]
 
-    def s1(self, t: float) -> np.ndarray:
-        """First-order remainder S1, from the raw (uncorrected) blocks."""
-        bt = block_table(self.field, _radius(t), self.quad)
-        raw_inv = np.linalg.inv(bt.theta4)
-        return _join(_I4 - raw_inv @ bt.theta2_col,
-                     raw_inv - 2.0 * _I4,
-                     bt.plain - bt.theta2_row @ raw_inv @ bt.theta2_col - 0.5 * _I4,
-                     bt.theta2_row @ raw_inv - _I4)
-
-    def s2(self, t: float) -> np.ndarray:
-        return self.matrix(t) - M_INF - self.s1(t)
-
     def eff_blocks(self, t: float):
         """(a_eff, b_eff, bt_eff, c_eff) at r = min(1, e^-t)."""
         bt = block_table(self.field, _radius(t), self.quad)
@@ -290,8 +277,8 @@ class ConstantFieldSystem(FullSystem):
     equal rows to equal M.  So the first `_batch` evaluates the block
     table at its first radius alone and every batch hands that M to each
     of its radii; `work` and `eff_blocks` are `FullSystem`'s.  This is the
-    matrix `FullSystem` gives at every t, not `M_INF`, from which it
-    differs by rounding.
+    matrix `FullSystem` gives at every t, not the limit M_inf, from which
+    it differs by rounding.
     """
 
     _first = None
@@ -529,24 +516,24 @@ ROUND_CAP = 128
 
 class _Lane:
     """One lane of `propagate_lanes`: its output times and samples, and its
-    own step control in Python scalars (time t, step h, the index of the
+    own step control in Python scalars (time t, step h > 0, the index of the
     next output time, the error tally and the factor by which its last
-    accepted step grew h).  The samples at output times that s reaches are
-    I, recorded here."""
+    accepted step grew h).  A lane runs forward, toward the singular point:
+    its output times ascend from s.  The samples at output times that s
+    reaches are I, recorded here."""
 
-    __slots__ = ("ts", "direction", "t", "h", "idx", "err", "out", "growth")
+    __slots__ = ("ts", "t", "h", "idx", "err", "out", "growth")
 
     def __init__(self, s: float, t_eval, d: int):
         self.ts = [float(v) for v in t_eval]
-        self.direction = 1.0 if not self.ts or self.ts[-1] >= s else -1.0
         prev = s
         for v in self.ts:
-            if self.direction * (v - prev) < -1e-14:
-                raise ValueError("t_eval must be monotone away from s")
+            if v - prev < -1e-14:
+                raise ValueError("t_eval must be nondecreasing from s")
             prev = v
         self.t = s
-        span = max(abs(self.ts[-1] - s), 1e-6) if self.ts else 0.0
-        self.h = min(0.05, span) * self.direction
+        span = max(self.ts[-1] - s, 1e-6) if self.ts else 0.0
+        self.h = min(0.05, span)
         self.idx = self._reached(s, 0)
         self.err = 0.0
         self.out = np.empty((len(self.ts), d, d))
@@ -555,8 +542,7 @@ class _Lane:
 
     def _reached(self, t: float, idx: int) -> int:
         """The index of the first output time not yet reached at t."""
-        while (idx < len(self.ts)
-               and self.direction * (self.ts[idx] - t) <= 1e-14):
+        while idx < len(self.ts) and self.ts[idx] - t <= 1e-14:
             idx += 1
         return idx
 
@@ -578,8 +564,8 @@ class _Lane:
         likely not cap: a guess that saves planned steps and changes no
         step taken."""
         t, idx = self.t, self.idx
-        h = self.direction * min(abs(self.h), abs(self.ts[idx] - t))
-        if abs(h) < 1e-14 * max(1.0, abs(t)):
+        h = min(self.h, self.ts[idx] - t)
+        if h < 1e-14 * max(1.0, abs(t)):
             raise StepUnderflowError(f"step underflow at t={t:.6g} "
                                      f"(h={h:.3g}, target={self.ts[idx]:.6g})")
         steps = []
@@ -589,8 +575,8 @@ class _Lane:
             if len(steps) == n or idx == len(self.ts):
                 return steps
             t, prev = t + h, h
-            h = self.direction * abs(self.ts[idx] - t)
-            if abs(h) > abs(prev * self.growth) or abs(h) < 1e-14 * max(1.0, abs(t)):
+            h = self.ts[idx] - t
+            if h > prev * self.growth or h < 1e-14 * max(1.0, abs(t)):
                 return steps
 
 
@@ -598,11 +584,12 @@ def propagate_lanes(system, lanes, rtol: float = 1e-10):
     """Propagate the fundamental matrix along several lanes in lockstep.
 
     A lane is a pair (s, t_eval): Phi(t, s) is sampled at every t in
-    t_eval, which must be monotone starting at or after s (or at or before
-    s for backward integration).  The integrator is an adaptive
-    Dormand-Prince 5(4) pair with absolute tolerance rtol * 1e-2.  Steps
-    are capped at the next output time, so samples are exact integration
-    endpoints, not interpolants.
+    t_eval, which must be nondecreasing from s: lanes run forward in t,
+    toward the singular point, and a t_eval that falls below s raises
+    ValueError.  The integrator is an adaptive Dormand-Prince 5(4) pair
+    with absolute tolerance rtol * 1e-2.  Steps are capped at the next
+    output time, so samples are exact integration endpoints, not
+    interpolants.
 
     A step is a linear map Y -> P Y, with P a function of t, h and the
     drift alone.  So each round, every unfinished lane plans its share of
@@ -617,7 +604,7 @@ def propagate_lanes(system, lanes, rtol: float = 1e-10):
     estimates E Y, and its own step control in Python scalars
     (accept/reject, the h update and the error tally).  The scan ends at
     its first rejected step, at the lane's last output time, or after a
-    step whose proposed |h| is shorter than the next planned step, which
+    step whose proposed h is shorter than the next planned step, which
     the controller would not cap; the rest is discarded.  A lane takes the
     steps it would take alone and its samples and error are bit for bit
     those of integrating it alone, whatever its plans; they differ from
@@ -693,7 +680,7 @@ def propagate_lanes(system, lanes, rtol: float = 1e-10):
         for r, (lane, plan) in enumerate(zip(active, plans)):
             row, taken, on = r, 0, True
             for k, (_, h, reached) in enumerate(plan):
-                if k and abs(lane.h) < abs(h):
+                if k and lane.h < h:
                     break          # the controller would not cap this step
                 lane.h = h
                 taken += 1

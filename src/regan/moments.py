@@ -411,12 +411,6 @@ def moment_matrices(m6) -> np.ndarray:
     return out
 
 
-def moment_matrix(m: MomentVector) -> np.ndarray:
-    """Assemble the 4x4 drift matrix from the six second-harmonic moments:
-    the one-row case of `moment_matrices`."""
-    return moment_matrices(m.as_array())
-
-
 def block_table(field: CoefficientField, r: float,
                 quad: QuadratureSettings = DEFAULT_QUADRATURE) -> BlockTable:
     """All quadrature blocks of the coefficient matrices at radius r.

@@ -140,8 +140,8 @@ def _assemble(field: CoefficientField, h: float, xs: np.ndarray):
     """The h^2-scaled nine-point stencil of a u_xx + b u_xy + c u_yy on the
     interior nodes of the grid xs x xs, N = xs.size - 1, kept as the
     (N - 1)^2 weights (a, b/4, c, -2(a + c)), indexed [ix - 1, iy - 1]; the
-    origin node carries (a, b, c) = (1, 0, 1).  Returns the weights and
-    apply(U), the stencil applied by array slices to an (N + 1)^2 grid U.
+    origin node carries (a, b, c) = (1, 0, 1).  Returns apply(U), the
+    stencil applied by array slices to an (N + 1)^2 grid U.
     """
     N = xs.size - 1
     X, Y = np.meshgrid(xs[1:N], xs[1:N], indexing="ij")
@@ -160,21 +160,19 @@ def _assemble(field: CoefficientField, h: float, xs: np.ndarray):
                 + b4 * (U[2:, 2:] + U[:-2, :-2] - U[2:, :-2] - U[:-2, 2:])
                 + d * U[1:-1, 1:-1])
 
-    return (a, b4, c, d), apply
+    return apply
 
 
-def _dst1(x: np.ndarray, axis: int) -> np.ndarray:
-    """Type-I discrete sine transform along axis, unnormalized:
+def _dst1(x: np.ndarray) -> np.ndarray:
+    """Type-I discrete sine transform along the last axis, unnormalized:
     X_k = sum_j x_j sin(pi j k / N) for j, k = 1 .. N - 1, read off
     `numpy.fft.rfft` of the odd extension (0, x, 0, -reversed x) of
     length 2N."""
-    x = np.moveaxis(x, axis, 0)
-    n = x.shape[0]
-    ext = np.zeros((2 * n + 2,) + x.shape[1:])
-    ext[1:n + 1] = x
-    ext[n + 2:] = -x[::-1]
-    out = -0.5 * np.fft.rfft(ext, axis=0)[1:n + 1].imag
-    return np.moveaxis(out, 0, axis)
+    n = x.shape[-1]
+    ext = np.zeros(x.shape[:-1] + (2 * n + 2,))
+    ext[..., 1:n + 1] = x
+    ext[..., n + 2:] = -x[..., ::-1]
+    return -0.5 * np.fft.rfft(ext)[..., 1:n + 1].imag
 
 
 def _laplacian_solve(f: np.ndarray) -> np.ndarray:
@@ -185,12 +183,13 @@ def _laplacian_solve(f: np.ndarray) -> np.ndarray:
     The DST-I diagonalizes the operator (Buzbee, Golub & Nielson 1970):
     transform along both axes, divide by lambda_j + lambda_k with
     lambda_k = -4 sin^2(pi k / 2N), transform back and scale by (2/N)^2.
+    Axis 0 is transformed first, as the last axis of the transpose.
     """
     n = math.isqrt(f.size)
     N = n + 1
     lam = -4.0 * np.sin(0.5 * math.pi * np.arange(1, N) / N) ** 2
-    F = _dst1(_dst1(f.reshape(n, n), 0), 1)
-    U = _dst1(_dst1(F / (lam[:, None] + lam[None, :]), 0), 1)
+    F = _dst1(_dst1(f.reshape(n, n).T).T)
+    U = _dst1(_dst1((F / (lam[:, None] + lam[None, :])).T).T)
     return (U * (2.0 / N) ** 2).ravel()
 
 
@@ -303,7 +302,7 @@ def solve_dirichlet(field: CoefficientField, h: float, boundary) -> GridSolution
         raise ValueError(f"unknown boundary data id {boundary!r}") from None
 
     xs = -HALF_WIDTH + h * np.arange(N + 1)
-    _, apply = _assemble(field, h, xs)
+    apply = _assemble(field, h, xs)
     u, padded = np.zeros((N + 1, N + 1)), np.zeros((N + 1, N + 1))
     ring = np.ones(u.shape, dtype=bool)
     ring[1:N, 1:N] = False
@@ -392,7 +391,6 @@ class DecompositionProfile:
     Mp_gradW: np.ndarray
     M1p_W: np.ndarray
     projection_residual: np.ndarray
-    reconstruction_residual: np.ndarray
 
 
 def _circle_split(U, h, rho, phi):
@@ -401,7 +399,7 @@ def _circle_split(U, h, rho, phi):
     All circles are sampled in one `bilinear_sample` call per component and
     the means run along the contiguous node axis.  Returns U0, V1 and V2 of
     shape (2, len(rho)), the remainder W of shape (2, len(rho), nodes), and
-    the projection and reconstruction residuals of the first circle.
+    the projection residual of the first circle.
     """
     ct, st = np.cos(phi), np.sin(phi)
     x, y = rho[:, None] * ct, rho[:, None] * st
@@ -411,14 +409,12 @@ def _circle_split(U, h, rho, phi):
     v1 = 2.0 * (vals * ct).mean(axis=-1) / rho
     v2 = 2.0 * (vals * st).mean(axis=-1) / rho
     w = vals - u0[..., None] - v1[..., None] * x - v2[..., None] * y
-    vals0, w0 = vals[:, 0], w[:, 0]
-    scale = max(float(np.max(np.abs(vals0))), 1e-300)
+    w0 = w[:, 0]
+    scale = max(float(np.max(np.abs(vals[:, 0]))), 1e-300)
     moments = [np.abs(w0.mean(axis=1)), np.abs((w0 * ct).mean(axis=1)),
                np.abs((w0 * st).mean(axis=1))]
     proj_res = float(max(np.max(m) for m in moments)) / scale
-    recon = vals0 - (u0[:, :1] + v1[:, :1] * x[0] + v2[:, :1] * y[0] + w0)
-    recon_res = float(np.mean(np.abs(recon)))
-    return u0, v1, v2, w, proj_res, recon_res
+    return u0, v1, v2, w, proj_res
 
 
 def decompose(U: np.ndarray, h: float, radii) -> DecompositionProfile:
@@ -428,10 +424,10 @@ def decompose(U: np.ndarray, h: float, radii) -> DecompositionProfile:
     (4h, L/2) so interpolation is trustworthy and the annulus r < |x| < 2r
     fits in the grid.  Each radius r is split once, together with the
     ANNULUS_RADII circles of its annulus (np.geomspace(r, 2r), whose first
-    circle is r itself): U0, V and the residuals are read from the circle
-    r, and the annulus L^p means of W from all of them.  W has zero mean
-    and first moments on every circle by construction; the achieved
-    residuals are recorded.
+    circle is r itself): U0, V and the projection residual are read from
+    the circle r, and the annulus L^p means of W from all of them.  W is
+    the remainder, with zero mean and first moments on every circle by
+    construction; the achieved projection residual is recorded.
     """
     radii = np.sort(np.asarray(radii, dtype=float))
     lo, hi = 4.0 * h, HALF_WIDTH / 2.0
@@ -446,13 +442,12 @@ def decompose(U: np.ndarray, h: float, radii) -> DecompositionProfile:
     Mp_gradW = np.empty(n)
     M1p_W = np.empty(n)
     proj = np.empty(n)
-    recon = np.empty(n)
     dphi = 2.0 * math.pi / CIRCLE_NODES
 
     for k, r in enumerate(radii):
         # one 1-D rho per annulus: np.gradient takes the radii of one axis
         rho = np.geomspace(r, 2.0 * r, ANNULUS_RADII)
-        u0, v1, v2, Wpatch, proj[k], recon[k] = _circle_split(U, h, rho, phi)
+        u0, v1, v2, Wpatch, proj[k] = _circle_split(U, h, rho, phi)
         U0[k] = u0[:, 0]
         V[k] = np.concatenate([v1[:, 0], v2[:, 0]])
 
@@ -478,8 +473,7 @@ def decompose(U: np.ndarray, h: float, radii) -> DecompositionProfile:
 
     log_r = np.log(radii)
     rVprime = np.gradient(V, log_r, axis=0, edge_order=2)
-    return DecompositionProfile(radii, U0, V, rVprime, Mp_gradW, M1p_W,
-                                proj, recon)
+    return DecompositionProfile(radii, U0, V, rVprime, Mp_gradW, M1p_W, proj)
 
 
 def profile_radii(h: float) -> np.ndarray:

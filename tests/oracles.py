@@ -6,12 +6,27 @@ no quadrature in it, so agreement with the trapezoid-based library code is
 a genuine cross-check.  The nine-point stencil of `pdelab` is assembled
 here entry by entry into a sparse matrix, with the boundary data moved to
 the right-hand side node by node, against which the library's slice
-operator and its GMRES solves are checked.
+operator and its GMRES solves are checked.  The limit M_inf of the 8x8
+drift matrix and its remainders S1 and S2 are formed here from raw block
+tables, for the tests of the remainder orders.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import scipy.sparse as sp
+
+from regan.coeff import CoefficientField, constant_laplacian
+from regan.moments import block_table
+
+
+def field_with_a(a, label="field"):
+    """The field with a(x, y), b = 0 and c = 1: the constant Laplacian's
+    modulus, with ellipticity bound 2."""
+    return CoefficientField(lambda x, y: (a(x, y), np.zeros_like(x), np.ones_like(x)),
+                            constant_laplacian().modulus, ellipticity_lower=2.0,
+                            label=label)
 
 
 class FourierSeries:
@@ -201,3 +216,25 @@ def stencil_matrix(field, h, data_fn, half_width):
                        (np.concatenate(rows), np.concatenate(cols))),
                       shape=(rhs.size, rhs.size))
     return A, rhs
+
+
+_I4 = np.eye(4)
+# the limit of the 8x8 drift matrix of `dynsys.FullSystem` as the
+# oscillation of the coefficients vanishes
+M_INF = np.block([[-_I4, 2.0 * _I4], [0.5 * _I4, -_I4]])
+
+
+def remainder_s1(full, t: float) -> np.ndarray:
+    """The first-order remainder S1 of the FullSystem full at t, from the raw
+    (uncorrected) blocks of one `block_table`."""
+    bt = block_table(full.field, min(1.0, math.exp(-t)), full.quad)
+    raw_inv = np.linalg.inv(bt.theta4)
+    return np.block([
+        [_I4 - raw_inv @ bt.theta2_col, raw_inv - 2.0 * _I4],
+        [bt.plain - bt.theta2_row @ raw_inv @ bt.theta2_col - 0.5 * _I4,
+         bt.theta2_row @ raw_inv - _I4]])
+
+
+def remainder_s2(full, t: float) -> np.ndarray:
+    """The second-order remainder S2 = M - M_inf - S1 of full at t."""
+    return full.matrix(t) - M_INF - remainder_s1(full, t)

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import numpy as np
+import scipy.linalg
 
 from regan import cli, coeff, criteria, dynsys, pdelab
 from regan.cli import (ANALYSES, MAX_CONFIG_BYTES, AnalysisConfig, ConfigError,
@@ -23,6 +24,8 @@ from regan.cli import (ANALYSES, MAX_CONFIG_BYTES, AnalysisConfig, ConfigError,
                        validate_config)
 from regan.coeff import builtin_families, family_from_descriptor
 from regan.pdelab import BOUNDARY_LIBRARY
+
+from oracles import field_with_a
 
 
 def minimal_config(**extra):
@@ -105,6 +108,41 @@ def test_pipeline_unstable_family(tmp_path):
     assert by_id["dini_R"]["verdict"] == "fails"
     assert by_id["special_a1_bounded"]["verdict"] == "fails"
     assert (tmp_path / "criterion_dini_R.csv").exists()
+
+
+def _probes_op(family, t_max, out_dir):
+    """The probes verdicts (stability, constancy) of a probes-only run with
+    the default config apart from t_max."""
+    report, code = run_pipeline(validate_config(
+        {"schema": 1, "family": family, "analyses": ["probes"],
+         "probes": {"t_max": t_max}}), out_dir / f"t_max-{t_max:g}")
+    assert code == 0
+    probes = report["results"]["probes"]
+    return probes["uniform_stability"], probes["asymptotic_constancy"]
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 1: kappa of square_dini_log grows like a power of t, so the "
+    "per-t slope of log kappa falls below SLOPE_MARGIN near t = 40: unstable "
+    "at t_max 30, stable at 60"))
+def test_square_dini_stability_keeps_its_verdict_as_the_horizon_grows(tmp_path):
+    family = builtin_families()["square_dini_log"]
+    verdicts = {_probes_op(family, t_max, tmp_path)[0] for t_max in (30.0, 60.0)}
+    # no move from one definite verdict to the other
+    assert not {dynsys.STABLE, dynsys.UNSTABLE} <= verdicts
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 1: trig_random 0 reads constant at t_max 30, although -R "
+    "has an eigenvalue with positive real part, so Phi is unbounded"))
+def test_trig_random_constancy_agrees_with_the_spectrum(tmp_path):
+    family = {"family": "trig_random", "seed": 0}
+    # R does not depend on t (to 9e-18), so Phi(t, s) = expm(-R (t - s)):
+    # Phi is unbounded where -R has an eigenvalue with positive real part
+    R = dynsys.ReducedSystem(family_from_descriptor(family)).matrix(0.0)
+    abscissa = float(np.max(scipy.linalg.eigvals(-R).real))
+    _, constancy = _probes_op(family, 30.0, tmp_path)
+    assert not (abscissa > 0.0 and constancy == dynsys.CONSTANT)
 
 
 def test_pipeline_oscillatory_family_verdict(tmp_path):
@@ -297,6 +335,36 @@ def test_verdict_names_the_criteria_that_decide_it(tmp_path, name, phase,
     implied = {c["id"]: c["implied_conclusion"]
                for c in report["results"]["criteria"]["criteria"]}
     assert decided_by == [i for i, v in implied.items() if v == headline]
+
+
+def test_a_field_that_fails_validation_reads_no_guarantee(tmp_path, monkeypatch):
+    # dini_power with a and c doubled: still elliptic, but A(0) = 2 I breaks
+    # the normalization, so validation fails while the criteria alone still
+    # read second_order_differentiable
+    field = family_from_descriptor(builtin_families()["dini_power"])
+
+    def doubled(x, y):
+        a, b, c = field.coefficients(x, y)
+        return 2.0 * a, b, 2.0 * c
+
+    monkeypatch.setattr(coeff, "family_from_descriptor",
+                        lambda desc: dataclasses.replace(field, abc=doubled))
+    family = builtin_families()["dini_power"]
+    report, code = run_pipeline(validate_config(minimal_config(family=family)),
+                                tmp_path / "all")
+    assert code == 0
+    assert report["results"]["validate"]["passes"] is False
+    assert report["results"]["criteria"]["conclusion"] == "second_order_differentiable"
+    stab = report["results"]["probes"]["uniform_stability"]
+    const = report["results"]["probes"]["asymptotic_constancy"]
+    assert report["verdict"] == {"headline": "no_guarantee",
+                                 "decided_by": ["validation_failed"],
+                                 "probe_annotation": f"probes: {stab} / {const}"}
+    # without the validate stage nothing is known to fail: the criteria decide
+    report, _ = run_pipeline(validate_config(minimal_config(
+        family=family, analyses=["criteria"])), tmp_path / "criteria")
+    assert report["verdict"]["headline"] == "second_order_differentiable"
+    assert report["verdict"]["decided_by"] == SECOND_ORDER_BY
 
 
 def test_pde_stage_reports_its_solves(tmp_path):
@@ -872,11 +940,8 @@ def test_probes_stage_reads_the_exact_system_where_the_table_is_unresolved(tmp_p
     # a = 1 + 0.2 cos(2 phi) sin(60 log r): 32 nodes per window do not resolve
     # a drift that oscillates 60 times per unit of t, so every window the
     # lanes meet is unresolved and the stage is the exact system's, bit for bit
-    base = coeff.constant_laplacian()
-    field = coeff.CoefficientField(
-        lambda x, y: 1.0 + 0.2 * (x * x - y * y) / (x * x + y * y)
-        * np.sin(30.0 * np.log(x * x + y * y)),
-        base.b, base.c, base.modulus, ellipticity_lower=2.0, label="fast")
+    field = field_with_a(lambda x, y: 1.0 + 0.2 * (x * x - y * y) / (x * x + y * y)
+                         * np.sin(30.0 * np.log(x * x + y * y)), "fast")
     config = validate_config({"schema": 1, "family": {"family": "constant"},
                               "probes": {"s_grid": [0.0, 0.5], "t_max": 2.0}})
     tables = cli._drift_tables(field)
@@ -991,8 +1056,12 @@ def test_field_not_finite_near_the_origin_fails_the_probes_stage(tmp_path, monke
     # exits 3 with one line naming a radius where the field is not finite
     r0 = 1e-3
     field = family_from_descriptor(builtin_families()["oscillatory_log"])
-    holed = dataclasses.replace(field, a=lambda x, y: np.where(
-        np.hypot(x, y) < r0, np.nan, field.a(x, y)))
+
+    def holed_abc(x, y):
+        a, b, c = field.coefficients(x, y)
+        return np.where(np.hypot(x, y) < r0, np.nan, a), b, c
+
+    holed = dataclasses.replace(field, abc=holed_abc)
     monkeypatch.setattr(cli.coeff, "family_from_descriptor", lambda desc: holed)
     code, err = _main_exit(tmp_path, minimal_config(
         analyses=["probes"], probes={"system": system, "s_grid": [0.0, 2.0],

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -159,10 +158,9 @@ def test_validate_log_inverse_family():
 
 
 def test_validate_flags_constant_b():
-    one = lambda x, y: np.ones_like(np.asarray(x, dtype=float))
-    bfun = lambda x, y: np.full_like(np.asarray(x, dtype=float), 0.3)
-    field = CoefficientField(one, bfun, one,
-                             modulus_from(lambda r: 0.3 * r), 1.0)
+    field = CoefficientField(
+        lambda x, y: (np.ones_like(x), np.full_like(x, 0.3), np.ones_like(x)),
+        modulus_from(lambda r: 0.3 * r), 1.0)
     report = validate_field(field)
     assert not report.passes
     assert np.all(report.violations > 0)  # violated at every sampled radius
@@ -264,10 +262,8 @@ def test_trig_field_evaluates_a_b_c_as_the_per_coefficient_formula(seed, degree)
     field = make_trig_field(seed, degree)
     x, y = _trig_points()
     want = [fn(x, y) for fn in trig_oracle(seed, degree)]
-    for got, one, expected in zip(field.coefficients(x, y),
-                                  (field.a, field.b, field.c), want):
+    for got, expected in zip(field.coefficients(x, y), want):
         assert _same_bits(got, expected)
-        assert _same_bits(one(x, y), expected)
     # on a (radii x nodes) grid, as the circle quadrature asks
     grid_x, grid_y = np.reshape(x[36:], (5, 64)), np.reshape(y[36:], (5, 64))
     for got, expected in zip(field.coefficients(grid_x, grid_y), want):
@@ -286,12 +282,3 @@ def test_trig_field_takes_one_cos_and_one_sin_per_mode(monkeypatch, degree):
         monkeypatch.setattr(np, name, counted)
     field.coefficients(x, y)
     assert calls == {"cos": degree + 1, "sin": degree + 1}
-
-
-def test_a_replaced_coefficient_of_a_trig_field_is_the_one_evaluated():
-    field = make_trig_field(2)
-    half = dataclasses.replace(field, a=lambda x, y: np.full_like(x, 0.5))
-    x, y = _trig_points()
-    a, b, c = half.coefficients(x, y)
-    assert np.array_equal(a, np.full_like(x, 0.5))
-    assert _same_bits(b, field.b(x, y)) and _same_bits(c, field.c(x, y))

@@ -17,7 +17,7 @@ from regan import dynsys
 from regan.dynsys import (CONSTANT, STABLE, ReducedSystem,
                           asymptotic_constancy_probe, second_harmonic_system,
                           uniform_stability_probe)
-from regan.moments import DEFAULT_QUADRATURE, moment_matrix, moment_vector
+from regan.moments import DEFAULT_QUADRATURE, moment_matrices, moment_vector
 
 DINI_FIELD = make_harmonic_family("a", profile_power(0.3, 0.5), 2)
 HARMONIC_FIELD = make_harmonic_family("a", profile_log_inverse(0.4), 2)
@@ -92,7 +92,7 @@ def test_short_series_do_not_bend_the_square_dini_conclusion():
 def test_symmetrized_eigenvalues_match_hand_oracle():
     # rank-two symmetrized drift: eigenvalues (-a1/2) (1 +- sqrt 2) and zeros
     field = make_harmonic_family("a", profile_power(0.3, 0.0), 2)
-    R = moment_matrix(moment_vector(field, 0.5))
+    R = moment_matrices(moment_vector(field, 0.5).as_array())
     S = -0.5 * (R + R.T)
     got = np.sort(np.linalg.eigvalsh(S))
     a1 = -0.15

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_moment_vector, oracle_tables
+from oracles import field_with_a, oracle_moment_vector, oracle_tables
 from regan import coeff, moments
 from regan.coeff import (CoefficientField, builtin_families, constant_laplacian,
                          family_from_descriptor, make_harmonic_family,
@@ -13,7 +13,7 @@ from regan.coeff import (CoefficientField, builtin_families, constant_laplacian,
                          profile_log_inverse, profile_power)
 from regan.moments import (DEFAULT_QUADRATURE, MOMENT_POSITIONS, MomentVector,
                            QuadratureSettings, block_table, block_tables,
-                           moment_matrices, moment_matrix, moment_matrix_residual,
+                           moment_matrices, moment_matrix_residual,
                            moment_vector, moment_vectors, write_moment_csv)
 from regan.tails import EvaluationError
 
@@ -69,12 +69,12 @@ def test_moment_matrix_pattern_frozen():
         [2.0, 0.0, 4.0, 6.0],
         [-1.0, -3.0, 0.0, -5.0],
     ])
-    assert np.array_equal(moment_matrix(m), expect)
+    assert np.array_equal(moment_matrices(m.as_array()), expect)
 
 
 def test_moment_matrix_single_column():
     m = MomentVector(0.5, -0.15, 0.0, 0.0, 0.0, 0.0, 0.0)
-    R = moment_matrix(m)
+    R = moment_matrices(m.as_array())
     expect = np.zeros((4, 4))
     expect[0, 0], expect[3, 0] = -0.15, 0.15
     assert np.array_equal(R, expect)
@@ -84,7 +84,7 @@ def test_structural_zeros_always_hold():
     # positions that are identically zero in the assembled 4x4 moment matrix
     zeros = ((0, 1), (1, 2), (2, 1), (3, 2))
     for seed in range(10):
-        R = moment_matrix(moment_vector(make_trig_field(seed), 0.7))
+        R = moment_matrices(moment_vector(make_trig_field(seed), 0.7).as_array())
         for i, j in zeros:
             assert R[i, j] == 0.0
 
@@ -115,7 +115,7 @@ def test_modes_up_to_the_bound_read_exact_moments_and_tables():
 
 def test_zero_moments_give_zero_matrix():
     m = MomentVector(0.5, 0, 0, 0, 0, 0, 0)
-    assert np.array_equal(moment_matrix(m), np.zeros((4, 4)))
+    assert np.array_equal(moment_matrices(m.as_array()), np.zeros((4, 4)))
 
 
 # ---------------------------------------------------------------------------
@@ -123,14 +123,8 @@ def test_zero_moments_give_zero_matrix():
 # ---------------------------------------------------------------------------
 
 
-def _field_with_a(a, label):
-    base = constant_laplacian()
-    return CoefficientField(a, base.b, base.c, base.modulus,
-                            ellipticity_lower=2.0, label=label)
-
-
 # needs more circle nodes the larger r is, so a batch converges level by level
-CHIRP = _field_with_a(lambda x, y: 1.0 + 0.2 * np.cos(40.0 * x), "chirp")
+CHIRP = field_with_a(lambda x, y: 1.0 + 0.2 * np.cos(40.0 * x), "chirp")
 
 
 def _one_circle(field, r, n):
@@ -236,7 +230,7 @@ def test_block_tables_bitwise_equal_per_radius(field, monkeypatch):
 
 
 def test_block_tables_name_the_bad_radius():
-    field = _field_with_a(lambda x, y: np.where(np.hypot(x, y) > 0.6, np.nan, 1.0),
+    field = field_with_a(lambda x, y: np.where(np.hypot(x, y) > 0.6, np.nan, 1.0),
                           "hole")
     with pytest.raises(EvaluationError, match=r"coefficient a not finite at r=0\.75, phi="):
         block_tables(field, [0.25, 0.5, 0.75, 0.125])
@@ -262,7 +256,7 @@ def test_moment_vectors_cap_hit_returns_finest_level():
 
 
 def test_moment_vectors_name_the_bad_radius():
-    field = _field_with_a(lambda x, y: np.where(np.hypot(x, y) > 0.6, np.nan, 1.0),
+    field = field_with_a(lambda x, y: np.where(np.hypot(x, y) > 0.6, np.nan, 1.0),
                           "hole")
     with pytest.raises(EvaluationError, match=r"coefficient a not finite at r=0\.75, phi="):
         moment_vectors(field, [0.25, 0.5, 0.75, 0.125])

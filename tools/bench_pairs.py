@@ -1,4 +1,5 @@
-"""Alternating parent/change runs of the benchmark, and the gain rule.
+"""Alternating parent/change runs of the benchmark, the gain rule and the
+no-regression rule.
 
     python3 tools/bench_pairs.py PARENT CHANGE --workload W --seed S --pairs N
                                  [--json PATH]
@@ -16,13 +17,19 @@ tool prints each side's median and quartiles, the pairs the change wins
 (judged by the metric's `better`; a tie counts for neither side) and
 whether the gain rule holds: the change wins at least nine tenths of the
 pairs, and its median is better than the parent's by more than the
-parent's interquartile range.
+parent's interquartile range.  Next to it stands the no-regression rule,
+read with the metric's `bound` as a share of the parent's median:
+`regressed` where the change's median is worse than the parent's by more
+than that share; else `unresolved` where the parent's interquartile range
+is wider than that share and not every change run beats every parent run,
+so the runs spread too widely to tell; else `holds`.
 
 With --json PATH the set is also appended to the JSON file PATH (created if
 missing) as one entry of its "sets" list: the workload, seed and pair
 count, each side's `bench/run.py` meta stamp (of its first run), and per
-end-to-end metric each side's runs, q1, median and q3, the change's wins
-and losses and the gain-rule verdict.  Sets are appended, never replaced,
+end-to-end metric its bound, each side's runs, q1, median and q3, the
+change's wins and losses, the gain-rule verdict and the no-regression
+verdict.  Sets are appended, never replaced,
 so a file holds every set run into it.
 """
 from __future__ import annotations
@@ -50,13 +57,14 @@ def quartiles(values: list) -> tuple:
     return q1, median, q3
 
 
-def summarize(parent: list, change: list, better: str) -> dict:
+def summarize(parent: list, change: list, better: str, bound: float) -> dict:
     """The pair statistics of one metric: parent[i] and change[i] are pair i.
 
     Returns each side's (q1, median, q3), the pairs the change wins and
-    loses (ties count for neither), and `gain`: wins >= 9/10 of the pairs
+    loses (ties count for neither), `gain`: wins >= 9/10 of the pairs
     and a median gap, in the change's favour, wider than the parent's
-    interquartile range.
+    interquartile range, and `regression`, the no-regression verdict with
+    bound a share of the parent's median (see the module docstring).
     """
     if len(parent) != len(change) or not parent:
         raise ValueError("need the same positive number of runs on each side")
@@ -67,9 +75,18 @@ def summarize(parent: list, change: list, better: str) -> dict:
     losses = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
     p_q, c_q = quartiles(parent), quartiles(change)
     gap = sign * (c_q[1] - p_q[1])
+    share = bound * abs(p_q[1])
+    if -gap > share:
+        regression = "regressed"
+    elif (p_q[2] - p_q[0] > share
+          and not min(sign * v for v in change) > max(sign * v for v in parent)):
+        regression = "unresolved"
+    else:
+        regression = "holds"
     return {"parent": p_q, "change": c_q, "wins": wins, "losses": losses,
             "pairs": len(parent),
-            "gain": 10 * wins >= 9 * len(parent) and gap > p_q[2] - p_q[0]}
+            "gain": 10 * wins >= 9 * len(parent) and gap > p_q[2] - p_q[0],
+            "regression": regression}
 
 
 def archive(repo: Path, revision: str, dest: Path) -> Path:
@@ -105,12 +122,13 @@ def record(workload: str, seed: int, metrics: list, runs: dict, metas: dict) -> 
              "meta": metas, "metrics": {}}
     for m in metrics:
         values = {side: [r[m["name"]] for r in runs[side]] for side in runs}
-        s = summarize(values["parent"], values["change"], m["better"])
+        s = summarize(values["parent"], values["change"], m["better"], m["bound"])
         entry["metrics"][m["name"]] = {
-            "unit": m["unit"], "better": m["better"],
+            "unit": m["unit"], "better": m["better"], "bound": m["bound"],
             **{side: {"runs": values[side], "q1": s[side][0], "median": s[side][1],
                       "q3": s[side][2]} for side in ("parent", "change")},
-            "wins": s["wins"], "losses": s["losses"], "gain": s["gain"]}
+            "wins": s["wins"], "losses": s["losses"], "gain": s["gain"],
+            "regression": s["regression"]}
     return entry
 
 
@@ -149,13 +167,14 @@ def main(argv=None) -> int:
     for m in metrics:
         name = m["name"]
         s = summarize([r[name] for r in runs["parent"]],
-                      [r[name] for r in runs["change"]], m["better"])
+                      [r[name] for r in runs["change"]], m["better"], m["bound"])
         print(f"{name} ({m['unit']}, {m['better']} is better): "
               "parent %.6g [%.6g, %.6g] -> change %.6g [%.6g, %.6g]; "
               % (s["parent"][1], s["parent"][0], s["parent"][2],
                  s["change"][1], s["change"][0], s["change"][2])
               + f"change wins {s['wins']}/{s['pairs']}, loses {s['losses']}; "
-              + f"gain rule {'holds' if s['gain'] else 'does not hold'}")
+              + f"gain rule {'holds' if s['gain'] else 'does not hold'}; "
+              + f"no-regression rule (bound {m['bound']:g}): {s['regression']}")
     if args.json:
         append_set(args.json, record(args.workload, args.seed, metrics, runs, metas))
     return 0
